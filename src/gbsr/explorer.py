@@ -18,26 +18,29 @@ Fingerprints are evaluated sparsely: translation length is invariant
 under conjugation and inversion and linear on powers, so only one
 primitive cyclic word per equivalence class is measured and the rest of
 the list is filled in from those values.  The same representatives,
-grouped by core length, drive the staged class comparison.
+grouped by core length, drive the staged class comparison; both come
+from one enumeration of the sample words, cached per number of seed
+generators and radius.
 
 Ascending states degenerate (their length function is the absolute
 value of a homomorphism, blind to induction moves), so one-loop (1, n)
 spaces are routed to an arithmetic criterion over divisors of n
 instead: the tree reached by inducting along d equals the seed tree iff
-n^i = n^j * d has a solution, and two inductions agree iff
-n^i * d = n^j * d'.
+n^i = n^j * d has a solution, that is iff d is a power of n, and two
+inductions d, d' agree iff n^i * d = n^j * d'.  For divisors of n that
+closed form leaves d = d' or {d, d'} = {1, n}.
 
 Search-budget caps (depth, an overall state budget) turn an unfinished
 single-class search into "inconclusive"; the edge-count and label caps
 define the searched subspace and do not.
 """
 
-import random
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
-from .errors import BoundsTooTightError, GbsError, NoViolationError
+from .errors import BoundsTooTightError, BrokenMarkingError, GbsError, NoViolationError
 from .graph import Edge, EdgeEnd, GbsGraph, serialize
 from .moves import (
     Collapse,
@@ -46,6 +49,7 @@ from .moves import (
     MarkedState,
     MoveBounds,
     Slide,
+    _divisors,
     apply_move,
     enumerate_moves,
     initial_state,
@@ -66,7 +70,6 @@ class ExploreBounds:
     max_label: int | None = None
     max_depth: int = 8
     radius: int = 4
-    ascending_bound: int = 8
     max_states: int = 5000
 
 
@@ -165,30 +168,52 @@ def _as_genword(letters):
     return tuple(p for p in out if p[1])
 
 
-def _stage_samples(symbols, radius):
-    """Per core length 1..radius: fresh primitive necklace representatives.
+@lru_cache(maxsize=16)
+def _index_plan(nsymbols, radius):
+    """Enumerate the freely reduced words of length 1..radius over symbol
+    indices once: (stages, entries).
 
-    Measuring translation length on these words determines it on every
-    freely reduced word of length <= radius.
+    stages[i] lists the fresh primitive necklace representatives with
+    core length i + 1; entries gives, per word in enumeration order,
+    (stage, position, power) of its cyclic core's primitive root, or None
+    when the core is empty.
     """
-    letters = [(s, e) for s in symbols for e in (1, -1)]
-    seen = set()
-    stages = []
+    letters = [(s, e) for s in range(nsymbols) for e in (1, -1)]
+    stages = [[] for _ in range(radius)]
+    where = {}  # necklace key -> (stage, position)
+    shared = {}  # one entry tuple per distinct (key, power)
+    entries = []
     for length in range(1, radius + 1):
-        stage = []
         for w in _reduced_words(letters, length):
-            if len(w) > 1 and w[0] == (w[-1][0], -w[-1][1]):
-                continue  # not cyclically reduced; its core is shorter
-            root, k = _primitive_root(w)
-            if k > 1:
+            core = _cyclic_core(w)
+            if not core:
+                entries.append(None)
                 continue
-            key = _necklace_key(w)
-            if key in seen:
-                continue
-            seen.add(key)
-            stage.append(_as_genword(key))
-        stages.append(tuple(stage))
-    return stages
+            root, k = _primitive_root(core)
+            key = _necklace_key(root)
+            if key not in where:
+                stage = stages[len(key) - 1]
+                where[key] = (len(key) - 1, len(stage))
+                stage.append(_as_genword(key))
+            entries.append(shared.setdefault((key, k), where[key] + (k,)))
+    return tuple(map(tuple, stages)), tuple(entries)
+
+
+@lru_cache(maxsize=64)
+def _sample_plan(symbols, radius):
+    """The index plan with its representatives spelled over symbols."""
+    stages, entries = _index_plan(len(symbols), radius)
+    syllables = {}  # one shared (symbol, exponent) pair per distinct syllable
+    named = tuple(
+        tuple(tuple(syllables.setdefault(s, (symbols[s[0]], s[1])) for s in w) for w in st)
+        for st in stages
+    )
+    return named, entries
+
+
+def _spread(entries, values):
+    """Fingerprint from per-stage representative lengths."""
+    return tuple(0 if e is None else e[2] * values[e[0]][e[1]] for e in entries)
 
 
 def fingerprint(state: MarkedState, radius: int):
@@ -197,22 +222,8 @@ def fingerprint(state: MarkedState, radius: int):
     Evaluated through the state's marking; only primitive necklace
     representatives are measured, the rest follow from invariance.
     """
-    symbols = state.seed.presentation.generators
-    letters = [(s, e) for s in symbols for e in (1, -1)]
-    memo = {}
-    out = []
-    for length in range(1, radius + 1):
-        for w in _reduced_words(letters, length):
-            core = _cyclic_core(w)
-            if not core:
-                out.append(0)
-                continue
-            root, k = _primitive_root(core)
-            key = _necklace_key(root)
-            if key not in memo:
-                memo[key] = state.seed_length(_as_genword(key))
-            out.append(k * memo[key])
-    return tuple(out)
+    stages, entries = _sample_plan(state.seed.presentation.generators, radius)
+    return _spread(entries, [tuple(state.seed_length(w) for w in st) for st in stages])
 
 
 # -- class bookkeeping -------------------------------------------------------
@@ -229,8 +240,8 @@ class _ClassRecord:
 class _ClassTable:
     """Reduced states grouped by (canonical graph, staged fingerprint)."""
 
-    def __init__(self, samples):
-        self.samples = samples
+    def __init__(self, plan):
+        self.samples, self.entries = plan
         self.buckets = {}
         self.records = []
         self._memo = {}
@@ -241,45 +252,38 @@ class _ClassTable:
         return rec.stages[i]
 
     def classify(self, state):
-        """Return (record, created)."""
-        key = state.graph.canonical_form()
-        bucket = self.buckets.setdefault(key, [])
+        """Return (record, created).
+
+        An exact (graph, images) pair already classified via another
+        route skips the length queries.  The key holds the concrete
+        labelled graph, not its isomorphism class: path letters only mean
+        anything over concrete names.
+        """
+        exact = (state.graph.vertices, state.graph.edges, tuple(state.images().values()))
+        hit = self._memo.get(exact)
+        if hit is not None:
+            hit.count += 1
+            return hit, False
+        bucket = self.buckets.setdefault(state.graph.canonical_form(), [])
         mine = {}
         for rec in bucket:
-            same = True
             for i in range(len(self.samples)):
                 if i not in mine:
                     mine[i] = tuple(state.seed_length(w) for w in self.samples[i])
                 if self._stage(rec, i) != mine[i]:
-                    same = False
                     break
-            if same:
+            else:
                 rec.count += 1
+                self._memo[exact] = rec
                 return rec, False
         rec = _ClassRecord(state, len(self.samples), [mine.get(i) for i in range(len(self.samples))])
         bucket.append(rec)
         self.records.append(rec)
+        self._memo[exact] = rec
         return rec, True
 
-    def classify_memo(self, state):
-        """classify(), skipping the length queries when the exact same
-        (graph, marking) pair was already classified via another route.
-
-        The key holds the concrete labelled graph, not its isomorphism
-        class: marking words only mean anything over concrete names.
-        """
-        key = (
-            state.graph.vertices,
-            state.graph.edges,
-            tuple(sorted(state.marking.items())),
-        )
-        hit = self._memo.get(key)
-        if hit is not None:
-            hit.count += 1
-            return hit, False
-        rec, created = self.classify(state)
-        self._memo[key] = rec
-        return rec, created
+    def fingerprint(self, rec):
+        return _spread(self.entries, [self._stage(rec, i) for i in range(len(self.samples))])
 
 
 # -- reduction and search ----------------------------------------------------
@@ -298,34 +302,21 @@ def reduce_state(state: MarkedState) -> MarkedState:
         state = apply_move(state, move, verify=False)
 
 
-def ascending_equivalent(n: int, d: int, bound: int = 8) -> bool:
-    """Does inducting along d return the same tree?  True iff n^i = n^j * d."""
-    for i in range(bound + 1):
-        for j in range(bound + 1):
-            if n ** i == n ** j * d:
-                return True
-    return False
-
-
-def _divisors_equivalent(n, d1, d2, bound):
-    for i in range(bound + 1):
-        for j in range(bound + 1):
-            if n ** i * d1 == n ** j * d2:
-                return True
-    return False
+def ascending_equivalent(n: int, d: int) -> bool:
+    """Does inducting along d return the same tree?  True iff n^i = n^j * d
+    for some i, j >= 0, that is iff d is a power of n."""
+    if n < 2 or d < 1:
+        return d == 1
+    while d % n == 0:
+        d //= n
+    return d == 1
 
 
 def _explore_ascending(seed, base, bounds):
     n = ascending_modulus(base.graph)
-    divisors = [d for d in range(1, n + 1) if n % d == 0]
-    groups = []  # lists of divisors; group containing 1 is the seed class
-    for d in divisors:
-        for grp in groups:
-            if _divisors_equivalent(n, grp[0], d, bounds.ascending_bound):
-                grp.append(d)
-                break
-        else:
-            groups.append([d])
+    # divisors d, d' of n are equivalent iff d = d' or {d, d'} = {1, n};
+    # the group containing 1 is the seed class
+    groups = [sorted({1, n})] + [[d] for d in _divisors(n)[1:-1]]
     classes = []
     witness = None
     for grp in groups:
@@ -347,16 +338,10 @@ def _explore_ascending(seed, base, bounds):
     return report
 
 
-def _legal_children(state, bounds, max_edges, max_label):
+def _legal_children(state, max_edges, max_label):
     """Children within the searched subspace, in enumeration order."""
     inner = MoveBounds(max_edges=max_edges, max_label=max_label)
-    out = []
-    for mv in enumerate_moves(state, inner):
-        child = apply_move(state, mv, verify=False)
-        if child.graph.max_label() > max_label:
-            continue
-        out.append((mv, child))
-    return out
+    return [(mv, apply_move(state, mv, verify=False)) for mv in enumerate_moves(state, inner)]
 
 
 def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
@@ -382,8 +367,8 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
     if is_ascending(base.graph):
         return _explore_ascending(seed, base, bounds)
 
-    table = _ClassTable(_stage_samples(seed.seed.presentation.generators, bounds.radius))
-    table.classify_memo(base)
+    table = _ClassTable(_sample_plan(seed.seed.presentation.generators, bounds.radius))
+    table.classify(base)
     second = None
     clipped = False
     visited = {seed.graph.canonical_form()}
@@ -395,7 +380,7 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
         if popped > bounds.max_states:
             clipped = True
             break
-        children = _legal_children(state, bounds, max_edges, max_label)
+        children = _legal_children(state, max_edges, max_label)
         if state.depth >= bounds.max_depth:
             # depth cap: anything still reachable from here is unexplored
             if children:
@@ -403,7 +388,7 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
             continue
         for mv, child in children:
             if isinstance(mv, (Slide, Collapse)):
-                rec, created = table.classify_memo(reduce_state(child))
+                rec, created = table.classify(reduce_state(child))
                 if created:
                     second = rec
                     break
@@ -428,7 +413,7 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
         classes.append(
             ExploreClass(
                 graph=rec.state.graph,
-                fingerprint=fingerprint(rec.state, bounds.radius),
+                fingerprint=table.fingerprint(rec),
                 representative_moves=rec.state.history,
                 count=rec.count,
             )
@@ -441,32 +426,18 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
 
 def _soundness_check(seed, report, bounds):
     """Replay each class representative with full marking verification and
-    recompute three sampled fingerprint entries from scratch."""
-    rng = random.Random(0x5EED)
+    recompute its whole fingerprint from scratch."""
     for cls in report.classes:
         state = seed
         for mv in cls.representative_moves[len(seed.history):]:
             state = apply_move(state, mv, verify=True)
-        fresh = fingerprint(state, bounds.radius)
-        for _ in range(3):
-            i = rng.randrange(len(fresh))
-            if fresh[i] != cls.fingerprint[i]:
-                raise AssertionError("fingerprint replay mismatch at index %d" % i)
+        if fingerprint(state, bounds.radius) != cls.fingerprint:
+            raise BrokenMarkingError(
+                "fingerprint replay mismatch after %s" % [str(m) for m in cls.representative_moves]
+            )
 
 
 # -- constructive non-rigidity witnesses --------------------------------------
-
-def _first_differs(state, other, radius):
-    if state.graph.canonical_form() != other.graph.canonical_form():
-        return True
-    # staged primitive representatives decide fingerprint equality up to
-    # the radius without enumerating every word
-    for stage in _stage_samples(state.seed.presentation.generators, radius):
-        for w in stage:
-            if state.seed_length(w) != other.seed_length(w):
-                return True
-    return False
-
 
 def _candidate_states(state, E, F):
     """Deformation endpoints that should leave the seed's class, per the
@@ -514,12 +485,14 @@ def witness_search(state: MarkedState, radius: int = 6):
     verdict = nonascending_rigid(state.graph)
     if verdict.rigid:
         raise NoViolationError("state satisfies the rigidity criterion")
+    table = _ClassTable(_sample_plan(state.seed.presentation.generators, radius))
+    table.classify(state)
     for _, E, F, _tag in verdict.violations:
         for cand in _candidate_states(state, E, F):
             final = reduce_state(cand)
             if not is_reduced(final.graph):
                 continue
-            if _first_differs(state, final, radius):
+            if table.classify(final)[1]:
                 return list(final.history[len(state.history):])
     return None
 

@@ -1,11 +1,13 @@
 """Deformation moves on marked GBS states.
 
-A marked state is a graph together with a marking: a word in the
-current presentation for every generator of the seed presentation, so
-that the group never changes while the graph does.  Each move supplies
-a substitution expressing the old presentation's generators inside the
-new one; the marking is the running composition of those substitutions,
-kept short by Britton-reducing every word after each step.
+A marked state is a graph together with a marking: for every generator
+of the seed presentation, the reduced based path word of its image in
+the current graph, so that the group never changes while the graph does.
+Each move supplies a letter map sending path letters of the old graph
+to path letters of the new one; a child maps its parent's images letter
+by letter, re-bases them along the new spanning tree and Britton-reduces
+once.  Generator words are projected from the images only for output
+and for the consistency checks.
 
 Moves and their exact label arithmetic:
 
@@ -18,13 +20,13 @@ Moves and their exact label arithmetic:
   edge whose label divides it; the moved end reattaches at the far
   endpoint with label (moving/across) times the far label;
 * induction rewrites a one-loop (1, n) state through a divisor d of n,
-  leaving the graph alone but composing the marking with
-  x -> t^-1 x^(n/d) t (the new vertex generator is the old x^d).
+  leaving the graph alone but mapping x^m -> t^-1 x^(m n/d) t (the new
+  vertex generator is the old x^d).
 
 The marking's own consistency checks (seed relators die, seed vertex
 generators stay elliptic, the modular homomorphism keeps its values on
 the seed's cycle basis) are re-run after every verified move, so a
-wrong substitution cannot slip through silently.
+wrong letter map cannot slip through silently.
 """
 
 from dataclasses import dataclass
@@ -41,17 +43,15 @@ from .errors import (
     WrongOriginError,
 )
 from .graph import Edge, EdgeEnd, GbsGraph
+from .rigidity import ascending_modulus, is_ascending
 from .words import (
     PathWord,
     Presentation,
     cyclically_reduce_letters,
-    free_reduce,
     invert_path_letters,
     is_trivial,
-    normalize_word,
     path_to_generators,
     reduce_letters,
-    reverse_path,
     substitute,
     to_path_word,
     word_length,
@@ -102,33 +102,47 @@ class MarkedState:
         "presentation",
         "history",
         "seed",
+        "_images",
         "_marking",
         "_parent",
         "_move",
-        "_fp",
-        "_img",
     )
 
-    def __init__(self, graph, presentation, history, seed, marking=None, parent=None, move=None):
+    def __init__(self, graph, presentation, history, seed, images=None, parent=None, move=None):
         self.graph = graph
         self.presentation = presentation
         self.history = history
         self.seed = seed
-        self._marking = marking
+        self._images = images
+        self._marking = None
         self._parent = parent
         self._move = move
-        self._fp = None
-        self._img = None
+
+    def images(self):
+        """Seed generator -> reduced based path letters of its image (lazy)."""
+        if self._images is None:
+            parent = self._parent
+            letter_map, base = _letter_map(parent.graph, self._move)
+            pre = self.presentation.path_to[base]
+            post = invert_path_letters(pre)
+            self._images = {
+                sym: reduce_letters(
+                    self.graph, pre + tuple(out for lt in letters for out in letter_map(lt)) + post
+                )
+                for sym, letters in parent.images().items()
+            }
+            self._parent = self._move = None
+        return self._images
 
     @property
     def marking(self):
-        """Seed generator -> word in the current presentation (lazy)."""
+        """Seed generator -> word in the current presentation, projected
+        from images() (lazy)."""
         if self._marking is None:
-            parent = self._parent
-            table = _substitution(parent, self._move, self.graph, self.presentation)
+            p = self.presentation
             self._marking = {
-                sym: normalize_word(self.presentation, substitute(word, table))
-                for sym, word in parent.marking.items()
+                sym: path_to_generators(p, PathWord(p.base, letters))
+                for sym, letters in self.images().items()
             }
         return self._marking
 
@@ -140,30 +154,13 @@ class MarkedState:
         """Transport a word over seed generators into the current presentation."""
         return substitute(word, self.marking)
 
-    def _letter_images(self):
-        """Path letters of each marked seed generator and its inverse (memoized).
-
-        Cuts the cost of bulk translation-length queries: the marking and
-        its tree paths are expanded once, not per query word.
-        """
-        if self._img is None:
-            p = self.presentation
-            img = {}
-            for sym, word in self.marking.items():
-                letters = to_path_word(p, word).letters
-                img[(sym, 1)] = letters
-                img[(sym, -1)] = invert_path_letters(letters)
-            self._img = img
-        return self._img
-
     def seed_length(self, word):
         """Translation length of a seed-generator word in the current tree."""
-        img = self._letter_images()
+        img = self.images()
         letters = []
         for sym, exp in word:
-            piece = img[(sym, 1 if exp > 0 else -1)]
-            for _ in range(abs(exp)):
-                letters.extend(piece)
+            piece = img[sym] if exp > 0 else invert_path_letters(img[sym])
+            letters.extend(piece * abs(exp))
         cyc = cyclically_reduce_letters(self.graph, tuple(letters))
         return sum(1 for letter in cyc if letter[0] == "e")
 
@@ -205,8 +202,8 @@ def initial_state(graph: GbsGraph) -> MarkedState:
             if s.startswith("t_")
         ),
     )
-    marking = {sym: ((sym, 1),) for sym in p.generators}
-    return MarkedState(graph, p, (), seed, marking=marking)
+    images = {sym: to_path_word(p, ((sym, 1),)).letters for sym in p.generators}
+    return MarkedState(graph, p, (), seed, images=images)
 
 
 def modulus_fingerprint(state: MarkedState):
@@ -297,45 +294,13 @@ def _slid_graph(g: GbsGraph, moving: EdgeEnd, across: EdgeEnd):
     return GbsGraph(g.vertices, edges), w
 
 
-def _ascending_shape(g: GbsGraph):
-    """(loop edge, n, unit side) for a one-vertex one-loop (1, n) graph."""
-    if len(g.vertices) != 1 or len(g.edges) != 1:
-        return None
-    e = g.edges[0]
-    if not e.is_loop:
-        return None
-    if e.la == 1:
-        return e, e.lb, "A"
-    if e.lb == 1:
-        return e, e.la, "B"
-    return None
+# -- letter maps -------------------------------------------------------------
 
-
-# -- substitutions -----------------------------------------------------------
-
-def _transport(old_p, new_p, new_g, letter_map, vmap):
-    """Express every old generator as a word in the new presentation.
-
-    Each old generator's defining path is mapped letter by letter into
-    the new graph, conjugated to the new base point along the tree, and
-    projected back to generators.
-    """
-    pre = new_p.path_to[vmap.get(old_p.base, old_p.base)]
-    post = reverse_path(pre)
-    table = {}
-    for sym in old_p.generators:
-        pw = to_path_word(old_p, ((sym, 1),))
-        mapped = []
-        for letter in pw.letters:
-            mapped.extend(letter_map(letter))
-        letters = reduce_letters(new_g, pre + tuple(mapped) + post)
-        table[sym] = path_to_generators(new_p, PathWord(new_p.base, letters))
-    return table
-
-
-def _substitution(state, move, new_graph, new_p):
-    g = state.graph
-    old_p = state.presentation
+def _letter_map(g: GbsGraph, move):
+    """(letter map, base) for a move on g: the map sends each path letter
+    of g to a tuple of path letters of the new graph, and base is the new
+    vertex at which mapped paths based at g's base vertex start."""
+    base = g.vertices[0]
     if isinstance(move, Collapse):
         keep, drop, p = _collapse_target(g, move.edge)
         eid = move.edge
@@ -349,11 +314,11 @@ def _substitution(state, move, new_graph, new_p):
                 return ()
             return (letter,)
 
-        return _transport(old_p, new_p, new_graph, letter_map, {drop: keep})
+        return letter_map, keep if base == drop else base
 
     if isinstance(move, Expansion):
-        _, u, d, moved = _expanded_graph(g, move.vertex, move.p, move.moved)
-        moved_set = set(moved)
+        moved_set = set(move.moved)
+        d = _fresh("d", {e.eid for e in g.edges})
         into_u = ("e", d, 1)   # v -> u across the new edge
         outof_u = ("e", d, -1)
 
@@ -371,7 +336,7 @@ def _substitution(state, move, new_graph, new_p):
                 out.append(outof_u)
             return tuple(out)
 
-        return _transport(old_p, new_p, new_graph, letter_map, {})
+        return letter_map, base
 
     if isinstance(move, Slide):
         moving, across = move.moving, move.across
@@ -395,18 +360,19 @@ def _substitution(state, move, new_graph, new_p):
                 out.append(step_out)
             return tuple(out)
 
-        return _transport(old_p, new_p, new_graph, letter_map, {})
+        return letter_map, base
 
     if isinstance(move, Induction):
-        shape = _ascending_shape(g)
-        e, n, unit_side = shape
-        t = "t_" + e.eid
-        x = "x_" + e.va
-        k = n // move.d
-        sign = 1 if unit_side == "A" else -1
-        table = {sym: ((sym, 1),) for sym in old_p.generators}
-        table[x] = free_reduce(((t, -sign), (x, k), (t, sign)))
-        return table
+        e = g.edges[0]
+        sign = 1 if e.la == 1 else -1  # ("e", eid, sign) leaves the unit end: t^-1
+        k = ascending_modulus(g) // move.d
+
+        def letter_map(letter):
+            if letter[0] == "v":  # x^m -> t^-1 x^(m k) t
+                return (("e", e.eid, sign), ("v", letter[1], letter[2] * k), ("e", e.eid, -sign))
+            return (letter,)
+
+        return letter_map, base
 
     raise TypeError("unknown move %r" % (move,))
 
@@ -421,9 +387,9 @@ def apply_move(state: MarkedState, move, verify: bool = True) -> MarkedState:
     elif isinstance(move, Slide):
         new_graph = _slid_graph(g, move.moving, move.across)[0]
     elif isinstance(move, Induction):
-        if _ascending_shape(g) is None:
+        if len(g.vertices) != 1 or not is_ascending(g):
             raise NotAscendingError("induction needs a one-vertex (1, n) loop")
-        n = _ascending_shape(g)[1]
+        n = ascending_modulus(g)
         if move.d < 1 or n % move.d:
             raise NotDivisorError("%d does not divide %d" % (move.d, n))
         new_graph = g
@@ -524,8 +490,7 @@ def enumerate_moves(state: MarkedState, bounds: MoveBounds = MoveBounds()):
                 for mask in range(1 << len(divisible)):
                     moved = tuple(divisible[i] for i in range(len(divisible)) if mask >> i & 1)
                     out.append(Expansion(v, p, moved))
-    shape = _ascending_shape(g)
-    if shape is not None:
-        for d in _divisors(shape[1]):
+    if len(g.vertices) == 1 and is_ascending(g):
+        for d in _divisors(ascending_modulus(g)):
             out.append(Induction(d))
     return out

@@ -168,10 +168,6 @@ def substitute(word, table):
 
 # -- path words -------------------------------------------------------------
 
-def reverse_path(letters):
-    return tuple(("e", eid, -sign) for kind, eid, sign in reversed(letters))
-
-
 def invert_path_letters(letters):
     """Inverse of a path letter sequence (works for mixed v/e letters)."""
     return tuple((kind, name, -val) for kind, name, val in reversed(letters))
@@ -194,11 +190,11 @@ def to_path_word(p: Presentation, word) -> PathWord:
             out = p.path_to[name]
             letters.extend(out)
             letters.append(("v", name, exp))
-            letters.extend(reverse_path(out))
+            letters.extend(invert_path_letters(out))
         elif kind == "t" and g.has_edge(name) and name not in p.tree:
             e = g.edge(name)
-            fwd = p.path_to[e.vb] + (("e", name, -1),) + reverse_path(p.path_to[e.va])
-            piece = fwd if exp > 0 else reverse_path(fwd)
+            fwd = p.path_to[e.vb] + (("e", name, -1),) + invert_path_letters(p.path_to[e.va])
+            piece = fwd if exp > 0 else invert_path_letters(fwd)
             for _ in range(abs(exp)):
                 letters.extend(piece)
         else:

@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import pytest
 
 import oracle
-from gbsr.errors import BoundsTooTightError, NoViolationError
+from gbsr.errors import BoundsTooTightError, BrokenMarkingError, NoViolationError
 from gbsr.explorer import (
     ExploreBounds,
     _reduced_words,
+    _soundness_check,
     ascending_equivalent,
     enumerate_graphs,
     explore,
@@ -209,3 +212,27 @@ def test_enumerate_graphs_all_valid_and_sorted():
     sizes = [len(g.edges) for g in gs]
     assert sizes == sorted(sizes)
     assert parse(LOOP23).canonical_form() in {g.canonical_form() for g in gs}
+
+
+def test_ascending_equivalent_closed_form():
+    assert not ascending_equivalent(1, 2)
+    assert ascending_equivalent(1, 1)
+    # 2^9 is a power of 2 beyond the reach of an exponent search capped at 8
+    assert ascending_equivalent(2, 2**9)
+    assert not ascending_equivalent(2, 3 * 2**9)
+    for n in range(1, 8):
+        for d in range(1, 600):
+            assert ascending_equivalent(n, d) == oracle.oracle_ascending_equivalent(n, d, 10), (n, d)
+
+
+def test_soundness_check_rejects_tampered_fingerprint():
+    seed = state(BS26)
+    bounds = ExploreBounds()
+    report = explore(seed, bounds)
+    _soundness_check(seed, report, bounds)
+    cls = report.classes[-1]
+    fp = list(cls.fingerprint)
+    fp[-1] += 1
+    tampered = replace(report, classes=report.classes[:-1] + (replace(cls, fingerprint=tuple(fp)),))
+    with pytest.raises(BrokenMarkingError):
+        _soundness_check(seed, tampered, bounds)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from gbsr.moves import (
     modulus_fingerprint,
     slide,
 )
-from gbsr.words import format_word
+from gbsr.words import format_word, invert_path_letters, reduce_letters, to_path_word
 
 BS26 = "vertex v\nedge c v 2 6 v\n"
 BS14 = "vertex v\nedge c v 1 4 v\n"
@@ -229,3 +230,60 @@ def test_random_sequences_preserve_invariants():
             assert st.graph.betti() == betti
         if ok:
             done += 1
+
+
+def test_induction_on_non_reduced_multi_vertex_graph():
+    # a (1, 2) segment is not reduced; induction must still name the
+    # ascending requirement rather than the reduction one
+    with pytest.raises(NotAscendingError):
+        induct(state("vertex a\nvertex b\nedge e a 1 2 b\n"), 1)
+
+
+def test_enumerated_children_stay_within_max_label():
+    rng = random.Random(0x1AB)
+    checked = 0
+    for _ in range(150):
+        st = initial_state(oracle.random_graph(rng, 3, 4, 8))
+        max_label = rng.randint(st.graph.max_label(), 3 * st.graph.max_label())
+        bounds = MoveBounds(max_edges=len(st.graph.edges) + 1, max_label=max_label)
+        for _ in range(3):
+            moves = enumerate_moves(st, bounds)
+            for mv in moves:
+                child = apply_move(st, mv, verify=False)
+                assert child.graph.max_label() <= max_label, (mv, max_label)
+                checked += 1
+            if not moves:
+                break
+            st = apply_move(st, rng.choice(moves), verify=False)
+    assert checked > 1000
+
+
+# sha256 of every "symbol = word" marking line along the walks below;
+# the CLI prints these words, so a change of representation must not
+# change a single one
+PINNED_MARKINGS = "f04b53ea3acc2b2310bde77a30de7caff7855e1810b237575e0a271d19173a20"
+
+
+def test_printed_markings_are_pinned():
+    from gbsr.explorer import reduce_state
+
+    bounds = MoveBounds(6, 60, 6)
+    digest = hashlib.sha256()
+    for seed in range(400):
+        rng = random.Random(seed)
+        st = initial_state(oracle.random_graph(rng))
+        states = []
+        for _ in range(rng.randrange(1, 7)):
+            moves = enumerate_moves(st, bounds)
+            if not moves:
+                break
+            st = apply_move(st, rng.choice(moves))
+            states.append(st)
+        states.append(reduce_state(st))
+        for s in states:
+            p, images = s.presentation, s.images()
+            for sym, word in sorted(s.marking.items()):
+                letters = to_path_word(p, word).letters + invert_path_letters(images[sym])
+                assert reduce_letters(s.graph, letters) == (), (seed, sym)
+                digest.update(("%s = %s\n" % (sym, format_word(word))).encode())
+    assert digest.hexdigest() == PINNED_MARKINGS
