@@ -49,6 +49,7 @@ from .moves import (
     MarkedState,
     MoveBounds,
     Slide,
+    _apply_move,
     _divisors,
     apply_move,
     enumerate_moves,
@@ -290,6 +291,11 @@ class _ClassTable:
 
 def reduce_state(state: MarkedState) -> MarkedState:
     """Collapse (first legal edge, in edge order) until reduced."""
+    return _reduce(state, {})
+
+
+def _reduce(state, pool):
+    """reduce_state with every graph of the chain taken from pool."""
     while True:
         g = state.graph
         move = None
@@ -299,7 +305,7 @@ def reduce_state(state: MarkedState) -> MarkedState:
                 break
         if move is None:
             return state
-        state = apply_move(state, move, verify=False)
+        state = _apply_move(state, move, pool, False)
 
 
 def ascending_equivalent(n: int, d: int) -> bool:
@@ -338,10 +344,10 @@ def _explore_ascending(seed, base, bounds):
     return report
 
 
-def _legal_children(state, max_edges, max_label):
+def _legal_children(state, max_edges, max_label, pool):
     """Children within the searched subspace, in enumeration order."""
     inner = MoveBounds(max_edges=max_edges, max_label=max_label)
-    return [(mv, apply_move(state, mv, verify=False)) for mv in enumerate_moves(state, inner)]
+    return [(mv, _apply_move(state, mv, pool, False)) for mv in enumerate_moves(state, inner)]
 
 
 def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
@@ -362,8 +368,12 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
     if bounds.max_depth < 0 or bounds.radius < 1:
         raise BoundsTooTightError("max_depth must be >= 0 and radius >= 1")
     max_edges = len(g0.edges) + bounds.max_extra_edges
+    # graph content -> (GbsGraph, Presentation), shared by every state
+    # this call builds, so that each concrete graph is built, validated
+    # and canonicalised once
+    pool = {}
 
-    base = reduce_state(seed)
+    base = _reduce(seed, pool)
     if is_ascending(base.graph):
         return _explore_ascending(seed, base, bounds)
 
@@ -380,7 +390,7 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
         if popped > bounds.max_states:
             clipped = True
             break
-        children = _legal_children(state, max_edges, max_label)
+        children = _legal_children(state, max_edges, max_label, pool)
         if state.depth >= bounds.max_depth:
             # depth cap: anything still reachable from here is unexplored
             if children:
@@ -388,7 +398,7 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
             continue
         for mv, child in children:
             if isinstance(mv, (Slide, Collapse)):
-                rec, created = table.classify(reduce_state(child))
+                rec, created = table.classify(_reduce(child, pool))
                 if created:
                     second = rec
                     break

@@ -27,6 +27,14 @@ The marking's own consistency checks (seed relators die, seed vertex
 generators stay elliptic, the modular homomorphism keeps its values on
 the seed's cycle basis) are re-run after every verified move, so a
 wrong letter map cannot slip through silently.
+
+Graph surgery returns the new graph's content, (vertices, edges); the
+GbsGraph and its Presentation come from a graph pool, a dict keyed on
+that content.  `apply_move` hands every call a fresh pool, so each
+public move builds and validates its graph afresh.  The explorer keeps
+one pool per `explore` call, so every state of that search with the
+same concrete graph shares one graph object, its validation and its
+cached canonical form.
 """
 
 from dataclasses import dataclass
@@ -43,7 +51,7 @@ from .errors import (
     WrongOriginError,
 )
 from .graph import Edge, EdgeEnd, GbsGraph
-from .rigidity import ascending_modulus, is_ascending
+from .rigidity import _is_prime, ascending_modulus, is_ascending
 from .words import (
     PathWord,
     Presentation,
@@ -234,8 +242,7 @@ def _collapsed_graph(g: GbsGraph, eid: str):
         va, la = (keep, f.la * p) if f.va == drop else (f.va, f.la)
         vb, lb = (keep, f.lb * p) if f.vb == drop else (f.vb, f.lb)
         edges.append(Edge(f.eid, va, la, vb, lb))
-    vertices = [v for v in g.vertices if v != drop]
-    return GbsGraph(vertices, edges), keep, drop, p
+    return [v for v in g.vertices if v != drop], edges
 
 
 def _fresh(prefix, taken):
@@ -268,7 +275,7 @@ def _expanded_graph(g: GbsGraph, vertex: str, p: int, moved):
             vb, lb = u, lb // p
         edges.append(Edge(f.eid, va, la, vb, lb))
     edges.append(Edge(d, vertex, p, u, 1))
-    return GbsGraph(list(g.vertices) + [u], edges), u, d, moved
+    return list(g.vertices) + [u], edges
 
 
 def _slid_graph(g: GbsGraph, moving: EdgeEnd, across: EdgeEnd):
@@ -291,7 +298,7 @@ def _slid_graph(g: GbsGraph, moving: EdgeEnd, across: EdgeEnd):
             else:
                 f = Edge(f.eid, f.va, f.la, w, new_label)
         edges.append(f)
-    return GbsGraph(g.vertices, edges), w
+    return g.vertices, edges
 
 
 # -- letter maps -------------------------------------------------------------
@@ -377,25 +384,36 @@ def _letter_map(g: GbsGraph, move):
     raise TypeError("unknown move %r" % (move,))
 
 
-def apply_move(state: MarkedState, move, verify: bool = True) -> MarkedState:
-    """Apply one deformation move, returning the new marked state."""
+def _pooled(pool, vertices, edges):
+    """The (GbsGraph, Presentation) pair for this graph content: built and
+    validated on the first request, then shared by every later one."""
+    key = (tuple(sorted(vertices)), tuple(sorted(edges)))
+    hit = pool.get(key)
+    if hit is None:
+        graph = GbsGraph(vertices, edges)
+        hit = pool[key] = (graph, Presentation(graph))
+    return hit
+
+
+def _apply_move(state: MarkedState, move, pool: dict, verify: bool) -> MarkedState:
+    """apply_move with the new graph taken from pool (see _pooled)."""
     g = state.graph
     if isinstance(move, Collapse):
-        new_graph = _collapsed_graph(g, move.edge)[0]
+        content = _collapsed_graph(g, move.edge)
     elif isinstance(move, Expansion):
-        new_graph = _expanded_graph(g, move.vertex, move.p, move.moved)[0]
+        content = _expanded_graph(g, move.vertex, move.p, move.moved)
     elif isinstance(move, Slide):
-        new_graph = _slid_graph(g, move.moving, move.across)[0]
+        content = _slid_graph(g, move.moving, move.across)
     elif isinstance(move, Induction):
         if len(g.vertices) != 1 or not is_ascending(g):
             raise NotAscendingError("induction needs a one-vertex (1, n) loop")
         n = ascending_modulus(g)
         if move.d < 1 or n % move.d:
             raise NotDivisorError("%d does not divide %d" % (move.d, n))
-        new_graph = g
+        content = g.vertices, g.edges
     else:
         raise TypeError("unknown move %r" % (move,))
-    new_p = Presentation(new_graph)
+    new_graph, new_p = _pooled(pool, *content)
     out = MarkedState(
         new_graph,
         new_p,
@@ -407,6 +425,14 @@ def apply_move(state: MarkedState, move, verify: bool = True) -> MarkedState:
     if verify:
         out.verify()
     return out
+
+
+def apply_move(state: MarkedState, move, verify: bool = True) -> MarkedState:
+    """Apply one deformation move, returning the new marked state.
+
+    The new graph and its presentation are always built afresh here.
+    """
+    return _apply_move(state, move, {}, verify)
 
 
 def collapse(state: MarkedState, edge: str) -> MarkedState:
@@ -437,8 +463,22 @@ class MoveBounds:
 
 
 def _divisors(n: int):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    """The divisors of n >= 1 in ascending order, generated from the prime
+    factors that trial division finds; a prime cofactor ends the search."""
+    out, m, p = [1], n, 2
+    prime_cofactor = _is_prime(m)
+    while m > 1:
+        if prime_cofactor or p * p > m:
+            p = m
+        k = 0
+        while m % p == 0:
+            m //= p
+            k += 1
+        if k:
+            out = [d * p**i for i in range(k + 1) for d in out]
+            prime_cofactor = _is_prime(m)
+        p += 1
+    return sorted(out)
 
 
 def enumerate_moves(state: MarkedState, bounds: MoveBounds = MoveBounds()):

@@ -150,14 +150,41 @@ def nonascending_rigid(g: GbsGraph) -> RigidityVerdict:
     )
 
 
+# the first 12 primes; as Miller-Rabin bases they decide primality
+# exactly for every n below _MR_BOUND
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Exact primality: deterministic Miller-Rabin below _MR_BOUND, trial
+    division above it."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _MR_BOUND:
+        d = 41
+        while d * d <= n:
+            if n % d == 0:
+                return False
+            d += 2
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -22,6 +22,7 @@ Bass-Serre tree is the number of edge letters left after pinching and
 cyclic reduction; an element is elliptic iff that count is zero.
 """
 
+from collections import deque
 from fractions import Fraction
 import re
 from typing import NamedTuple
@@ -289,14 +290,19 @@ def is_trivial(p: Presentation, pw: PathWord) -> bool:
 
 
 def cyclically_reduce_letters(g: GbsGraph, letters):
-    """Reduce up to conjugation; the result may be based elsewhere."""
-    w = list(reduce_letters(g, letters))
+    """Reduce up to conjugation; the result may be based elsewhere.
+
+    After the linear reduction, a leading vertex power is rotated to the
+    back, and a pinch across the seam (last traversal, power, first
+    traversal) is applied in place; both ends of the word stay reduced,
+    so one pass over a deque suffices.
+    """
+    w = deque(reduce_letters(g, letters))
     while True:
         if w and w[0][0] == "v":
-            head = w.pop(0)
+            head = w.popleft()
             if w and w[-1][0] == "v" and w[-1][1] == head[1]:
-                merged = w[-1][2] + head[2]
-                w.pop()
+                merged = w.pop()[2] + head[2]
                 if merged:
                     w.append(("v", head[1], merged))
             elif w:
@@ -317,11 +323,23 @@ def cyclically_reduce_letters(g: GbsGraph, letters):
         ):
             return tuple(w)
         e = g.edge(first[1])
-        far_label = e.lb if opener[2] == 1 else e.la
+        if opener[2] == 1:
+            far_label, near_v, near_l = e.lb, e.va, e.la
+        else:
+            far_label, near_v, near_l = e.la, e.vb, e.lb
         if power % far_label:
             return tuple(w)
-        # a seam pinch is available: rotate the first traversal to the end
-        w = list(reduce_letters(g, tuple(w[1:]) + (first,)))
+        # pinch across the seam: drop both traversals and the power between
+        w.popleft()
+        if w[-1][0] == "v":
+            w.pop()
+        w.pop()
+        carried = near_l * (power // far_label)
+        if carried:
+            if w and w[-1][0] == "v" and w[-1][1] == near_v:
+                carried += w.pop()[2]
+            if carried:
+                w.append(("v", near_v, carried))
 
 
 def translation_length(p: Presentation, pw: PathWord) -> int:

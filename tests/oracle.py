@@ -3,7 +3,7 @@
 Everything here recomputes package results by a different route: the
 reducer is a global fixpoint scanner (the package does one stack pass),
 cyclic reduction tries every rotation (the package rotates only at the
-seam), primality comes from a sieve (the package trial-divides), and
+seam), primality comes from a sieve (the package runs Miller-Rabin), and
 random inputs are generated here so property tests do not depend on the
 package's own enumeration order.
 """

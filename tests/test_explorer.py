@@ -1,3 +1,6 @@
+import hashlib
+import json
+import random
 from dataclasses import replace
 
 import pytest
@@ -236,3 +239,22 @@ def test_soundness_check_rejects_tampered_fingerprint():
     tampered = replace(report, classes=report.classes[:-1] + (replace(cls, fingerprint=tuple(fp)),))
     with pytest.raises(BrokenMarkingError):
         _soundness_check(seed, tampered, bounds)
+
+
+# sha256 over the JSON reports of the sample below, recorded before
+# explore shared one graph pool between its states
+PINNED_REPORTS = "90686a7de6865a20c71ecc1df238b157e46b2f5c9f36cf2b561aabff3dba5def"
+
+
+def test_explore_reports_are_pinned():
+    rng = random.Random(3141)
+    digest = hashlib.sha256()
+    done = 0
+    while done < 60:
+        g = oracle.random_graph(rng, max_vertices=3, max_edges=3, max_label=6)
+        if not is_reduced(g):
+            continue
+        report = explore(initial_state(g)).to_json()
+        digest.update(json.dumps(report, sort_keys=True).encode())
+        done += 1
+    assert digest.hexdigest() == PINNED_REPORTS

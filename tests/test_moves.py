@@ -22,6 +22,8 @@ from gbsr.moves import (
     Induction,
     MoveBounds,
     Slide,
+    _apply_move,
+    _divisors,
     apply_move,
     collapse,
     enumerate_moves,
@@ -287,3 +289,62 @@ def test_printed_markings_are_pinned():
                 assert reduce_letters(s.graph, letters) == (), (seed, sym)
                 digest.update(("%s = %s\n" % (sym, format_word(word))).encode())
     assert digest.hexdigest() == PINNED_MARKINGS
+
+
+def test_divisors_match_brute_force_scan():
+    for n in range(1, 2001):
+        assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+    assert _divisors(2**61 - 1) == [1, 2**61 - 1]
+    assert len(_divisors(10**12)) == 13 * 13
+
+
+def test_public_apply_move_builds_a_fresh_graph_each_call():
+    st = state("vertex a\nvertex b\nedge e a 2 2 b\nedge c a 2 3 a\n")
+    for mv in enumerate_moves(st, MoveBounds(max_edges=3)):
+        first, second = apply_move(st, mv), apply_move(st, mv)
+        assert (first.graph.vertices, first.graph.edges) == (
+            second.graph.vertices,
+            second.graph.edges,
+        )
+        assert first.graph is not second.graph
+        assert first.presentation is not second.presentation
+    red = state("vertex a\nvertex b\nedge e a 3 1 b\n")
+    from gbsr.explorer import reduce_state
+
+    assert reduce_state(red).graph is not reduce_state(red).graph
+
+
+def test_pooled_and_public_routes_agree():
+    from gbsr.explorer import _reduce, reduce_state
+
+    bounds = MoveBounds(6, 60, 6)
+    shared = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        public = pooled = initial_state(oracle.random_graph(rng))
+        pool = {}
+        for _ in range(rng.randrange(1, 9)):
+            moves = enumerate_moves(public, bounds)
+            if not moves:
+                break
+            mv = rng.choice(moves)
+            # a repeated move hands back the pooled graph object
+            again = _apply_move(pooled, mv, pool, False)
+            pooled = _apply_move(pooled, mv, pool, False)
+            assert again.graph is pooled.graph
+            shared += 1
+            public = apply_move(public, mv, verify=False)
+            assert (pooled.graph.vertices, pooled.graph.edges) == (
+                public.graph.vertices,
+                public.graph.edges,
+            )
+            assert pooled.images() == public.images()
+            assert pooled.history == public.history
+        pooled, public = _reduce(pooled, pool), reduce_state(public)
+        assert (pooled.graph.vertices, pooled.graph.edges) == (
+            public.graph.vertices,
+            public.graph.edges,
+        )
+        assert pooled.images() == public.images()
+        assert pooled.history == public.history
+    assert shared > 500

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -6,6 +7,7 @@ import oracle
 from gbsr.errors import AscendingCaseError, NotAscendingError, NotReducedError
 from gbsr.graph import GbsGraph, parse
 from gbsr.rigidity import (
+    _is_prime,
     ascending_modulus,
     ascending_rigid,
     check,
@@ -156,3 +158,20 @@ def test_check_agrees_under_isomorphism():
             b.strongly_slide_free,
             b.rigid,
         )
+
+
+def test_is_prime_is_exact():
+    primes = oracle.oracle_primes(10**5)
+    for n in range(10**5 + 1):
+        assert _is_prime(n) == (n in primes), n
+    assert not _is_prime(561)  # Carmichael number
+    assert not _is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+    assert _is_prime(2**61 - 1)
+    assert not _is_prime((10**9 + 7) * (10**9 + 9))
+
+
+def test_check_on_huge_prime_loop_is_fast():
+    t0 = time.perf_counter()
+    verdict = check(loop(1, 2**61 - 1))
+    assert time.perf_counter() - t0 < 0.1
+    assert verdict.rigid and verdict.ascending

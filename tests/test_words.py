@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from gbsr.errors import MalformedWordError, UnknownGeneratorError
 from gbsr.graph import parse
 from gbsr.words import (
     Presentation,
+    cyclically_reduce_letters,
     format_word,
     free_reduce,
     invert_word,
@@ -28,6 +30,7 @@ LOOP23 = "vertex v\nedge c v 2 3 v\n"
 BS14 = "vertex v\nedge c v 1 4 v\n"
 THETA = "vertex u\nvertex v\nedge e u 2 3 v\nedge f u 5 7 v\n"
 UNITS = "vertex v\nedge c1 v 1 2 v\nedge c2 v 1 3 v\n"
+BS13 = "vertex v\nedge c v 1 3 v\n"
 
 
 def pres(text):
@@ -221,3 +224,25 @@ def test_modulus_is_multiplicative_random():
         b = oracle.random_word(rng, p.generators)
         ab = free_reduce(list(a) + list(b))
         assert word_modulus(p, ab) == word_modulus(p, a) * word_modulus(p, b)
+
+
+def test_cyclic_reduction_matches_oracle_on_conjugates():
+    rng = random.Random(0x5EA4)
+    for _ in range(150):
+        g = oracle.random_graph(rng, 3, 4, 6)
+        p = Presentation(g)
+        for _ in range(8):
+            word = oracle.random_word(rng, p.generators, max_syllables=6)
+            c = oracle.random_word(rng, p.generators, max_syllables=3)
+            conj = free_reduce(list(c) + list(word) + list(invert_word(c)))
+            letters = to_path_word(p, conj).letters
+            cyc = cyclically_reduce_letters(g, letters)
+            assert oracle.edge_count(cyc) == oracle.oracle_translation_length(g, letters)
+
+
+def test_cyclic_reduction_is_linear_in_conjugator_length():
+    p = pres(BS13)
+    k = 10_000
+    t0 = time.perf_counter()
+    assert word_length(p, parse_word("t_c^-%d x_v^7 t_c^%d" % (k, k))) == 0
+    assert time.perf_counter() - t0 < 1.0
