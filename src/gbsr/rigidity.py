@@ -150,9 +150,10 @@ def nonascending_rigid(g: GbsGraph) -> RigidityVerdict:
     )
 
 
-# the first 12 primes; as Miller-Rabin bases they decide primality
-# exactly for every n below _MR_BOUND
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the first 13 primes; as Miller-Rabin bases they decide primality
+# exactly for every n below _MR_BOUND (OEIS A014233: the first 12 alone
+# are fooled by 318665857834031151167461 = 399165290221 * 798330580441)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 
 
@@ -165,7 +166,7 @@ def _is_prime(n: int) -> bool:
         if n % p == 0:
             return n == p
     if n >= _MR_BOUND:
-        d = 41
+        d = 43
         while d * d <= n:
             if n % d == 0:
                 return False

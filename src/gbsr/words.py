@@ -218,6 +218,29 @@ def path_to_generators(p: Presentation, pw: PathWord):
     return free_reduce(out)
 
 
+def _pinch(g: GbsGraph, opener, power):
+    """The vertex power (vertex, exponent) left when the traversal `opener`,
+    a power `power` at its far end and the traversal back pinch; None when
+    the far label does not divide the power."""
+    e = g.edge(opener[1])
+    if opener[2] == 1:
+        far_label, near_v, near_l = e.lb, e.va, e.la
+    else:
+        far_label, near_v, near_l = e.la, e.vb, e.lb
+    if power % far_label:
+        return None
+    return near_v, near_l * (power // far_label)
+
+
+def _push_power(out, v, power):
+    """Append x_v^power to the list or deque `out`, merging it into a
+    trailing power at v; zero powers vanish."""
+    if out and out[-1][0] == "v" and out[-1][1] == v:
+        power += out.pop()[2]
+    if power:
+        out.append(("v", v, power))
+
+
 def reduce_letters(g: GbsGraph, letters):
     """Pinch a letter sequence to Britton-reduced form (single stack pass).
 
@@ -255,23 +278,11 @@ def reduce_letters(g: GbsGraph, letters):
             opener = stack[-depth]
             if opener[1] != eid or opener[2] != -sign:
                 break
-            e = g.edge(eid)
-            if opener[2] == 1:
-                far_label, near_v, near_l = e.lb, e.va, e.la
-            else:
-                far_label, near_v, near_l = e.la, e.vb, e.lb
-            if power % far_label:
+            left = _pinch(g, opener, power)
+            if left is None:
                 break
             del stack[-depth:]
-            carried = near_l * (power // far_label)
-            if carried:
-                if stack and stack[-1][0] == "v" and stack[-1][1] == near_v:
-                    merged = stack[-1][2] + carried
-                    stack.pop()
-                    if merged:
-                        stack.append(("v", near_v, merged))
-                else:
-                    stack.append(("v", near_v, carried))
+            _push_power(stack, *left)
             letter = None
             break
         if letter is not None:
@@ -301,14 +312,9 @@ def cyclically_reduce_letters(g: GbsGraph, letters):
     while True:
         if w and w[0][0] == "v":
             head = w.popleft()
-            if w and w[-1][0] == "v" and w[-1][1] == head[1]:
-                merged = w.pop()[2] + head[2]
-                if merged:
-                    w.append(("v", head[1], merged))
-            elif w:
-                w.append(head)
-            else:
-                return (head,) if head[2] else ()
+            if not w:
+                return (head,)
+            _push_power(w, head[1], head[2])
         if not w:
             return ()
         first = w[0]
@@ -322,24 +328,15 @@ def cyclically_reduce_letters(g: GbsGraph, letters):
             or opener[2] != -first[2]
         ):
             return tuple(w)
-        e = g.edge(first[1])
-        if opener[2] == 1:
-            far_label, near_v, near_l = e.lb, e.va, e.la
-        else:
-            far_label, near_v, near_l = e.la, e.vb, e.lb
-        if power % far_label:
+        left = _pinch(g, opener, power)
+        if left is None:
             return tuple(w)
         # pinch across the seam: drop both traversals and the power between
         w.popleft()
         if w[-1][0] == "v":
             w.pop()
         w.pop()
-        carried = near_l * (power // far_label)
-        if carried:
-            if w and w[-1][0] == "v" and w[-1][1] == near_v:
-                carried += w.pop()[2]
-            if carried:
-                w.append(("v", near_v, carried))
+        _push_power(w, *left)
 
 
 def translation_length(p: Presentation, pw: PathWord) -> int:

@@ -168,6 +168,9 @@ def test_is_prime_is_exact():
     assert not _is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
     assert _is_prime(2**61 - 1)
     assert not _is_prime((10**9 + 7) * (10**9 + 9))
+    # strong pseudoprime to every base 2..37, caught only by base 41
+    assert not _is_prime(318665857834031151167461)
+    assert not check(loop(1, 318665857834031151167461)).rigid
 
 
 def test_check_on_huge_prime_loop_is_fast():
