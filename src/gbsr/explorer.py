@@ -55,7 +55,7 @@ from .moves import (
     enumerate_moves,
     initial_state,
 )
-from .rigidity import ascending_modulus, is_ascending, is_reduced, nonascending_rigid
+from .rigidity import ascending_modulus, collapse_witness, is_ascending, is_reduced, nonascending_rigid
 
 
 @dataclass(frozen=True)
@@ -232,10 +232,10 @@ def fingerprint(state: MarkedState, radius: int):
 class _ClassRecord:
     __slots__ = ("state", "count", "stages")
 
-    def __init__(self, state, nstages, stages=None):
+    def __init__(self, state, nstages):
         self.state = state
         self.count = 1
-        self.stages = list(stages) if stages else [None] * nstages
+        self.stages = [None] * nstages
 
 
 class _ClassTable:
@@ -265,23 +265,18 @@ class _ClassTable:
         if hit is not None:
             hit.count += 1
             return hit, False
+        mine = _ClassRecord(state, len(self.samples))
         bucket = self.buckets.setdefault(state.graph.canonical_form(), [])
-        mine = {}
+        stages = range(len(self.samples))
         for rec in bucket:
-            for i in range(len(self.samples)):
-                if i not in mine:
-                    mine[i] = tuple(state.seed_length(w) for w in self.samples[i])
-                if self._stage(rec, i) != mine[i]:
-                    break
-            else:
+            if all(self._stage(rec, i) == self._stage(mine, i) for i in stages):
                 rec.count += 1
                 self._memo[exact] = rec
                 return rec, False
-        rec = _ClassRecord(state, len(self.samples), [mine.get(i) for i in range(len(self.samples))])
-        bucket.append(rec)
-        self.records.append(rec)
-        self._memo[exact] = rec
-        return rec, True
+        bucket.append(mine)
+        self.records.append(mine)
+        self._memo[exact] = mine
+        return mine, True
 
     def fingerprint(self, rec):
         return _spread(self.entries, [self._stage(rec, i) for i in range(len(self.samples))])
@@ -296,16 +291,9 @@ def reduce_state(state: MarkedState) -> MarkedState:
 
 def _reduce(state, pool):
     """reduce_state with every graph of the chain taken from pool."""
-    while True:
-        g = state.graph
-        move = None
-        for e in g.edges:
-            if not e.is_loop and (e.la == 1 or e.lb == 1):
-                move = Collapse(e.eid)
-                break
-        if move is None:
-            return state
-        state = _apply_move(state, move, pool, False)
+    while (end := collapse_witness(state.graph)) is not None:
+        state = _apply_move(state, Collapse(end.edge), pool, False)
+    return state
 
 
 def ascending_equivalent(n: int, d: int) -> bool:

@@ -3,13 +3,16 @@
 A marked state is a graph together with a marking: for every generator
 of the seed presentation, the reduced based path word of its image in
 the current graph, so that the group never changes while the graph does.
-Each move supplies a letter map sending path letters of the old graph
-to path letters of the new one; a child maps its parent's images letter
-by letter, re-bases them along the new spanning tree and Britton-reduces
-once.  Generator words are projected from the images only for output
-and for the consistency checks.
 
-Moves and their exact label arithmetic:
+Each move is one function that acts on both at once: it checks the
+move's legality, does the graph surgery, and returns the letter map
+sending path letters of the old graph to path letters of the new one.
+A child keeps that letter map; on demand it maps its parent's images
+letter by letter, re-bases them along the new spanning tree and
+Britton-reduces once.  Generator words are projected from the images
+only for output and for the consistency checks.
+
+The moves and their exact label arithmetic:
 
 * collapse of a non-loop edge whose far end is labelled 1 merges that
   endpoint into the near vertex; every other label at the merged vertex
@@ -28,16 +31,16 @@ generators stay elliptic, the modular homomorphism keeps its values on
 the seed's cycle basis) are re-run after every verified move, so a
 wrong letter map cannot slip through silently.
 
-Graph surgery returns the new graph's content, (vertices, edges); the
-GbsGraph and its Presentation come from a graph pool, a dict keyed on
-that content.  `apply_move` hands every call a fresh pool, so each
-public move builds and validates its graph afresh.  The explorer keeps
-one pool per `explore` call, so every state of that search with the
-same concrete graph shares one graph object, its validation and its
-cached canonical form.
+The GbsGraph and Presentation of a move's result come from a graph
+pool, a dict keyed on the graph content.  `apply_move` hands every call
+a fresh pool, so each public move builds and validates its graph
+afresh.  The explorer keeps one pool per `explore` call, so every state
+of that search with the same concrete graph shares one graph object,
+its validation and its cached canonical form.
 """
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import (
     BrokenMarkingError,
@@ -51,7 +54,7 @@ from .errors import (
     WrongOriginError,
 )
 from .graph import Edge, EdgeEnd, GbsGraph
-from .rigidity import _is_prime, ascending_modulus, is_ascending
+from .rigidity import _MR_BOUND, _is_prime, ascending_modulus, is_ascending
 from .words import (
     PathWord,
     Presentation,
@@ -113,10 +116,10 @@ class MarkedState:
         "_images",
         "_marking",
         "_parent",
-        "_move",
+        "_step",
     )
 
-    def __init__(self, graph, presentation, history, seed, images=None, parent=None, move=None):
+    def __init__(self, graph, presentation, history, seed, images=None, parent=None, step=None):
         self.graph = graph
         self.presentation = presentation
         self.history = history
@@ -124,13 +127,13 @@ class MarkedState:
         self._images = images
         self._marking = None
         self._parent = parent
-        self._move = move
+        self._step = step  # (letter map, base) of the move from the parent
 
     def images(self):
         """Seed generator -> reduced based path letters of its image (lazy)."""
         if self._images is None:
             parent = self._parent
-            letter_map, base = _letter_map(parent.graph, self._move)
+            letter_map, base = self._step
             pre = self.presentation.path_to[base]
             post = invert_path_letters(pre)
             self._images = {
@@ -139,7 +142,7 @@ class MarkedState:
                 )
                 for sym, letters in parent.images().items()
             }
-            self._parent = self._move = None
+            self._parent = self._step = None
         return self._images
 
     @property
@@ -220,7 +223,12 @@ def modulus_fingerprint(state: MarkedState):
     return tuple(sorted(word_modulus(p, state.marking[sym]) for sym, _ in state.seed.modulus))
 
 
-# -- graph surgery per move --------------------------------------------------
+# -- one function per move ---------------------------------------------------
+#
+# Each takes (g, move), raises the move's named domain errors, and returns
+# (vertices, edges, letter_map, base): the new graph's content, a map
+# sending each path letter of g to a tuple of path letters of the new
+# graph, and the new vertex at which mapped paths based at g's base start.
 
 def _collapse_target(g: GbsGraph, eid: str):
     e = g.edge(eid)
@@ -233,7 +241,8 @@ def _collapse_target(g: GbsGraph, eid: str):
     raise NotCollapsibleError("edge %s has no end labelled 1" % eid)
 
 
-def _collapsed_graph(g: GbsGraph, eid: str):
+def _collapse(g: GbsGraph, move):
+    eid = move.edge
     keep, drop, p = _collapse_target(g, eid)
     edges = []
     for f in g.edges:
@@ -242,7 +251,14 @@ def _collapsed_graph(g: GbsGraph, eid: str):
         va, la = (keep, f.la * p) if f.va == drop else (f.va, f.la)
         vb, lb = (keep, f.lb * p) if f.vb == drop else (f.vb, f.lb)
         edges.append(Edge(f.eid, va, la, vb, lb))
-    return [v for v in g.vertices if v != drop], edges
+
+    def letter_map(letter):  # the merged generator x_drop is x_keep^p
+        if letter[0] == "v":
+            return (("v", keep, p * letter[2]),) if letter[1] == drop else (letter,)
+        return () if letter[1] == eid else (letter,)
+
+    base = g.vertices[0]
+    return [v for v in g.vertices if v != drop], edges, letter_map, keep if base == drop else base
 
 
 def _fresh(prefix, taken):
@@ -252,33 +268,43 @@ def _fresh(prefix, taken):
     return "%s%d" % (prefix, i)
 
 
-def _expanded_graph(g: GbsGraph, vertex: str, p: int, moved):
+def _expand(g: GbsGraph, move):
+    vertex, p = move.vertex, move.p
     if vertex not in g.vertices:
         raise UnknownVertexError("no vertex named %r" % vertex)
     if p < 1:
         raise NotDivisibleError("expansion index must be >= 1")
-    moved = tuple(sorted(set(moved)))
-    for end in moved:
+    moved = set(move.moved)
+    for end in sorted(moved):
         if g.end_vertex(end) != vertex:
             raise WrongOriginError("end %s is not at %s" % (end, vertex))
         if g.end_label(end) % p:
             raise NotDivisibleError("label %d at %s not divisible by %d" % (g.end_label(end), end, p))
     u = _fresh("u", set(g.vertices))
     d = _fresh("d", {e.eid for e in g.edges})
-    moved_set = set(moved)
     edges = []
     for f in g.edges:
         va, la, vb, lb = f.va, f.la, f.vb, f.lb
-        if EdgeEnd(f.eid, "A") in moved_set:
+        if EdgeEnd(f.eid, "A") in moved:
             va, la = u, la // p
-        if EdgeEnd(f.eid, "B") in moved_set:
+        if EdgeEnd(f.eid, "B") in moved:
             vb, lb = u, lb // p
         edges.append(Edge(f.eid, va, la, vb, lb))
     edges.append(Edge(d, vertex, p, u, 1))
-    return list(g.vertices) + [u], edges
+    into_u, outof_u = ("e", d, 1), ("e", d, -1)  # v -> u across d, and back
+
+    def letter_map(letter):
+        if letter[0] == "v":
+            return (letter,)
+        src = EdgeEnd(letter[1], "A" if letter[2] == 1 else "B")
+        out = (into_u, letter) if src in moved else (letter,)
+        return out + (outof_u,) if src.other in moved else out
+
+    return list(g.vertices) + [u], edges, letter_map, g.vertices[0]
 
 
-def _slid_graph(g: GbsGraph, moving: EdgeEnd, across: EdgeEnd):
+def _slide(g: GbsGraph, move):
+    moving, across = move.moving, move.across
     if moving.edge == across.edge:
         raise SameEdgeError("cannot slide %s across its own edge" % (moving,))
     v = g.end_vertex(moving)
@@ -288,8 +314,7 @@ def _slid_graph(g: GbsGraph, moving: EdgeEnd, across: EdgeEnd):
     if le % lf:
         raise NotDivisibleError("label %d does not divide %d" % (lf, le))
     far = across.other
-    w, lfar = g.end_vertex(far), g.end_label(far)
-    new_label = (le // lf) * lfar
+    w, new_label = g.end_vertex(far), (le // lf) * g.end_label(far)
     edges = []
     for f in g.edges:
         if f.eid == moving.edge:
@@ -298,90 +323,38 @@ def _slid_graph(g: GbsGraph, moving: EdgeEnd, across: EdgeEnd):
             else:
                 f = Edge(f.eid, f.va, f.la, w, new_label)
         edges.append(f)
-    return g.vertices, edges
+    sign = 1 if across.side == "A" else -1  # across traversed origin -> far
+    step_in, step_out = ("e", across.edge, sign), ("e", across.edge, -sign)
 
-
-# -- letter maps -------------------------------------------------------------
-
-def _letter_map(g: GbsGraph, move):
-    """(letter map, base) for a move on g: the map sends each path letter
-    of g to a tuple of path letters of the new graph, and base is the new
-    vertex at which mapped paths based at g's base vertex start."""
-    base = g.vertices[0]
-    if isinstance(move, Collapse):
-        keep, drop, p = _collapse_target(g, move.edge)
-        eid = move.edge
-
-        def letter_map(letter):
-            if letter[0] == "v":
-                if letter[1] == drop:
-                    return (("v", keep, p * letter[2]),)
-                return (letter,)
-            if letter[1] == eid:
-                return ()
+    def letter_map(letter):
+        if letter[0] == "v" or letter[1] != moving.edge:
             return (letter,)
+        if ("A" if letter[2] == 1 else "B") == moving.side:  # leaves the moved end
+            return (step_in, letter)
+        return (letter, step_out)
 
-        return letter_map, keep if base == drop else base
+    return g.vertices, edges, letter_map, g.vertices[0]
 
-    if isinstance(move, Expansion):
-        moved_set = set(move.moved)
-        d = _fresh("d", {e.eid for e in g.edges})
-        into_u = ("e", d, 1)   # v -> u across the new edge
-        outof_u = ("e", d, -1)
 
-        def letter_map(letter):
-            if letter[0] == "v":
-                return (letter,)
-            _, eid, sign = letter
-            src = EdgeEnd(eid, "A" if sign == 1 else "B")
-            tgt = EdgeEnd(eid, "B" if sign == 1 else "A")
-            out = []
-            if src in moved_set:
-                out.append(into_u)
-            out.append(letter)
-            if tgt in moved_set:
-                out.append(outof_u)
-            return tuple(out)
+def _induct(g: GbsGraph, move):
+    if len(g.vertices) != 1 or not is_ascending(g):
+        raise NotAscendingError("induction needs a one-vertex (1, n) loop")
+    n = ascending_modulus(g)
+    if move.d < 1 or n % move.d:
+        raise NotDivisorError("%d does not divide %d" % (move.d, n))
+    e = g.edges[0]
+    sign = 1 if e.la == 1 else -1  # ("e", eid, sign) leaves the unit end: t^-1
+    k = n // move.d
 
-        return letter_map, base
+    def letter_map(letter):
+        if letter[0] == "v":  # x^m -> t^-1 x^(m k) t
+            return (("e", e.eid, sign), ("v", letter[1], letter[2] * k), ("e", e.eid, -sign))
+        return (letter,)
 
-    if isinstance(move, Slide):
-        moving, across = move.moving, move.across
-        f = across.edge
-        sign_vw = 1 if across.side == "A" else -1  # f traversed origin -> far
-        step_in = ("e", f, sign_vw)
-        step_out = ("e", f, -sign_vw)
+    return g.vertices, g.edges, letter_map, g.vertices[0]
 
-        def letter_map(letter):
-            if letter[0] == "v":
-                return (letter,)
-            _, eid, sign = letter
-            if eid != moving.edge:
-                return (letter,)
-            src = EdgeEnd(eid, "A" if sign == 1 else "B")
-            out = []
-            if src == moving:
-                out.append(step_in)
-            out.append(letter)
-            if src != moving:  # then the target end is the moving one
-                out.append(step_out)
-            return tuple(out)
 
-        return letter_map, base
-
-    if isinstance(move, Induction):
-        e = g.edges[0]
-        sign = 1 if e.la == 1 else -1  # ("e", eid, sign) leaves the unit end: t^-1
-        k = ascending_modulus(g) // move.d
-
-        def letter_map(letter):
-            if letter[0] == "v":  # x^m -> t^-1 x^(m k) t
-                return (("e", e.eid, sign), ("v", letter[1], letter[2] * k), ("e", e.eid, -sign))
-            return (letter,)
-
-        return letter_map, base
-
-    raise TypeError("unknown move %r" % (move,))
+_MOVES = {Collapse: _collapse, Expansion: _expand, Slide: _slide, Induction: _induct}
 
 
 def _pooled(pool, vertices, edges):
@@ -397,30 +370,18 @@ def _pooled(pool, vertices, edges):
 
 def _apply_move(state: MarkedState, move, pool: dict, verify: bool) -> MarkedState:
     """apply_move with the new graph taken from pool (see _pooled)."""
-    g = state.graph
-    if isinstance(move, Collapse):
-        content = _collapsed_graph(g, move.edge)
-    elif isinstance(move, Expansion):
-        content = _expanded_graph(g, move.vertex, move.p, move.moved)
-    elif isinstance(move, Slide):
-        content = _slid_graph(g, move.moving, move.across)
-    elif isinstance(move, Induction):
-        if len(g.vertices) != 1 or not is_ascending(g):
-            raise NotAscendingError("induction needs a one-vertex (1, n) loop")
-        n = ascending_modulus(g)
-        if move.d < 1 or n % move.d:
-            raise NotDivisorError("%d does not divide %d" % (move.d, n))
-        content = g.vertices, g.edges
-    else:
+    act = _MOVES.get(type(move))
+    if act is None:
         raise TypeError("unknown move %r" % (move,))
-    new_graph, new_p = _pooled(pool, *content)
+    vertices, edges, letter_map, base = act(state.graph, move)
+    new_graph, new_p = _pooled(pool, vertices, edges)
     out = MarkedState(
         new_graph,
         new_p,
         state.history + (move,),
         state.seed,
         parent=state,
-        move=move,
+        step=(letter_map, base),
     )
     if verify:
         out.verify()
@@ -462,22 +423,64 @@ class MoveBounds:
     max_expansion: int | None = None
 
 
+def _rho(n: int) -> int:
+    """A proper factor of the composite n, which has no prime factor below
+    100 (Pollard-Brent rho; the constants are fixed, so the result is
+    deterministic)."""
+    c = 0
+    while True:
+        c += 1
+        x = y = ys = 2
+        f, r, q = 1, 1, 1
+        while f == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and f == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                f = gcd(q, n)
+                k += 128
+            r *= 2
+        if f == n:  # the batch overshot: retrace it one step at a time
+            f = 1
+            while f == 1:
+                ys = (ys * ys + c) % n
+                f = gcd(abs(x - ys), n)
+        if f != n:
+            return f
+
+
 def _divisors(n: int):
-    """The divisors of n >= 1 in ascending order, generated from the prime
-    factors that trial division finds; a prime cofactor ends the search."""
-    out, m, p = [1], n, 2
-    prime_cofactor = _is_prime(m)
-    while m > 1:
-        if prime_cofactor or p * p > m:
-            p = m
-        k = 0
-        while m % p == 0:
-            m //= p
-            k += 1
-        if k:
-            out = [d * p**i for i in range(k + 1) for d in out]
-            prime_cofactor = _is_prime(m)
-        p += 1
+    """The divisors of n >= 1 in ascending order, generated from its prime
+    factors.  Trial division finds them, stopping at a prime cofactor; past
+    100, a composite cofactor below _MR_BOUND is split by _rho instead and
+    each part is factored in turn."""
+    exps, todo = {}, [n]
+    while todo:
+        m, p = todo.pop(), 2
+        prime_cofactor = _is_prime(m)
+        while m > 1:
+            if prime_cofactor:
+                p = m
+            elif p > 100 and m < _MR_BOUND:
+                f = _rho(m)
+                todo += [f, m // f]
+                break
+            k = 0
+            while m % p == 0:
+                m //= p
+                k += 1
+            if k:
+                exps[p] = exps.get(p, 0) + k
+                prime_cofactor = _is_prime(m)
+            p += 1
+    out = [1]
+    for p, k in exps.items():
+        out = [d * p**i for i in range(k + 1) for d in out]
     return sorted(out)
 
 

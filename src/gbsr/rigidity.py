@@ -55,9 +55,12 @@ class RigidityVerdict:
 
 def collapse_witness(g: GbsGraph):
     """An end labelled 1 on a non-loop edge, or None if g is reduced."""
-    for end in g.all_ends():
-        if g.end_label(end) == 1 and not g.is_loop(end.edge):
-            return end
+    for e in g.edges:
+        if not e.is_loop:
+            if e.la == 1:
+                return EdgeEnd(e.eid, "A")
+            if e.lb == 1:
+                return EdgeEnd(e.eid, "B")
     return None
 
 

@@ -155,13 +155,22 @@ def invert_word(word):
 
 
 def substitute(word, table):
-    """Replace each generator by its image word and freely reduce."""
+    """Replace each generator by its image word and freely reduce.
+
+    A power of an image of the form u s^e u^-1 is written u s^(e k) u^-1
+    directly, so its cost does not grow with the exponent.
+    """
     out = []
     for sym, exp in word:
         image = table[sym]
         if exp < 0:
             image = invert_word(image)
             exp = -exp
+        h = len(image) // 2
+        if exp > 1 and len(image) % 2 and image[:h] == invert_word(image[h + 1:]):
+            s, e = image[h]
+            out.extend(image[:h] + ((s, e * exp),) + image[h + 1:])
+            continue
         for _ in range(exp):
             out.extend(image)
     return free_reduce(out)
@@ -241,6 +250,24 @@ def _push_power(out, v, power):
         out.append(("v", v, power))
 
 
+def _closing_pinch(g: GbsGraph, w, closer):
+    """(depth, (vertex, exponent)) when the traversal `closer` closes a pinch
+    against the end of the reduced list or deque `w`: its last traversal,
+    followed by a vertex power or by nothing, is `closer` reversed and the
+    far label divides that power.  depth counts the letters of w the pinch
+    uses.  None otherwise."""
+    if w and w[-1][0] == "e":
+        opener, power, depth = w[-1], 0, 1
+    elif len(w) >= 2 and w[-2][0] == "e":
+        opener, power, depth = w[-2], w[-1][2], 2
+    else:
+        return None
+    if opener[1] != closer[1] or opener[2] != -closer[2]:
+        return None
+    left = _pinch(g, opener, power)
+    return None if left is None else (depth, left)
+
+
 def reduce_letters(g: GbsGraph, letters):
     """Pinch a letter sequence to Britton-reduced form (single stack pass).
 
@@ -250,43 +277,17 @@ def reduce_letters(g: GbsGraph, letters):
     stack = []
     for letter in letters:
         if letter[0] == "v":
-            if letter[2] == 0:
-                continue
             if stack and stack[-1][0] == "v" and stack[-1][1] == letter[1]:
-                merged = stack[-1][2] + letter[2]
-                stack.pop()
-                if merged:
-                    stack.append(("v", letter[1], merged))
-            else:
+                letter = ("v", letter[1], stack.pop()[2] + letter[2])
+            if letter[2]:
                 stack.append(letter)
             continue
-        # edge letter: see whether it closes a pinch
-        _, eid, sign = letter
-        while True:
-            power = 0
-            depth = 0
-            if stack and stack[-1][0] == "v":
-                if len(stack) >= 2 and stack[-2][0] == "e":
-                    power = stack[-1][2]
-                    depth = 2
-                else:
-                    break
-            elif stack and stack[-1][0] == "e":
-                depth = 1
-            else:
-                break
-            opener = stack[-depth]
-            if opener[1] != eid or opener[2] != -sign:
-                break
-            left = _pinch(g, opener, power)
-            if left is None:
-                break
-            del stack[-depth:]
-            _push_power(stack, *left)
-            letter = None
-            break
-        if letter is not None:
+        pinch = _closing_pinch(g, stack, letter)
+        if pinch is None:
             stack.append(letter)
+        else:
+            del stack[-pinch[0]:]
+            _push_power(stack, *pinch[1])
     return tuple(stack)
 
 
@@ -317,26 +318,14 @@ def cyclically_reduce_letters(g: GbsGraph, letters):
             _push_power(w, head[1], head[2])
         if not w:
             return ()
-        first = w[0]
-        opener = w[-1] if w[-1][0] == "e" else (w[-2] if len(w) >= 2 else None)
-        power = w[-1][2] if w[-1][0] == "v" else 0
-        if (
-            opener is None
-            or opener[0] != "e"
-            or first[0] != "e"
-            or opener[1] != first[1]
-            or opener[2] != -first[2]
-        ):
-            return tuple(w)
-        left = _pinch(g, opener, power)
-        if left is None:
+        pinch = _closing_pinch(g, w, w[0]) if w[0][0] == "e" else None
+        if pinch is None:
             return tuple(w)
         # pinch across the seam: drop both traversals and the power between
         w.popleft()
-        if w[-1][0] == "v":
+        for _ in range(pinch[0]):
             w.pop()
-        w.pop()
-        _push_power(w, *left)
+        _push_power(w, *pinch[1])
 
 
 def translation_length(p: Presentation, pw: PathWord) -> int:

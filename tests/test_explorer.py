@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -9,7 +10,9 @@ import oracle
 from gbsr.errors import BoundsTooTightError, BrokenMarkingError, NoViolationError
 from gbsr.explorer import (
     ExploreBounds,
+    _ClassTable,
     _reduced_words,
+    _sample_plan,
     _soundness_check,
     ascending_equivalent,
     enumerate_graphs,
@@ -18,7 +21,7 @@ from gbsr.explorer import (
     reduce_state,
     witness_search,
 )
-from gbsr.graph import is_isomorphic, parse, serialize
+from gbsr.graph import is_isomorphic, parse, parse_end, serialize
 from gbsr.moves import Slide, apply_move, initial_state
 from gbsr.rigidity import check, is_reduced
 from gbsr.words import word_length
@@ -258,3 +261,37 @@ def test_explore_reports_are_pinned():
         digest.update(json.dumps(report, sort_keys=True).encode())
         done += 1
     assert digest.hexdigest() == PINNED_REPORTS
+
+
+def test_explore_long_ascending_loop_is_fast():
+    # the soundness replay transports t x t^-1 x^-n through the marking
+    n = 2 * 10**6
+    t0 = time.perf_counter()
+    report = explore(parse("vertex v\nedge c v 1 %d v\n" % n))
+    assert time.perf_counter() - t0 < 1.0
+    assert report.rigid == "no"
+    assert len(report.classes) == 7 * 8 - 1  # {1, n} form one class
+
+
+def test_explore_semiprime_loop_is_fast():
+    p, q = 10**9 + 7, 10**9 + 9
+    t0 = time.perf_counter()
+    report = explore(parse("vertex v\nedge c v 1 %d v\n" % (p * q)))
+    assert time.perf_counter() - t0 < 2.0
+    assert report.rigid == "no"
+    assert [c.count for c in report.classes] == [2, 1, 1]
+
+
+def test_classify_stops_at_the_first_stage_that_differs():
+    # PATH22 and the path after sliding e1 across e0 share a canonical
+    # graph; their length stages first differ at core length 2
+    seed = state(PATH22)
+    slid = reduce_state(apply_move(seed, Slide(parse_end("e1.A"), parse_end("e0.A"))))
+    table = _ClassTable(_sample_plan(seed.seed.presentation.generators, 4))
+    first, _ = table.classify(seed)
+    second, created = table.classify(slid)
+    assert created and second is not first
+    assert first.stages[0] == second.stages[0]
+    assert first.stages[1] != second.stages[1]
+    assert first.stages[2:] == second.stages[2:] == [None, None]
+    assert table.fingerprint(second) == fingerprint(slid, 4)

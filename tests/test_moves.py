@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -348,3 +349,30 @@ def test_pooled_and_public_routes_agree():
         assert pooled.images() == public.images()
         assert pooled.history == public.history
     assert shared > 500
+
+
+def test_unknown_move_type_is_rejected():
+    with pytest.raises(TypeError):
+        apply_move(state(BS26), object())
+
+
+def test_divisors_split_a_semiprime_quickly():
+    p, q = 10**9 + 7, 10**9 + 9
+    t0 = time.perf_counter()
+    assert _divisors(p * q) == [1, p, q, p * q]
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_divisors_of_products_of_large_primes():
+    # every prime factor is above the trial-division range, so each
+    # composite cofactor goes through the rho split, repeats included
+    rng = random.Random(0xD1F)
+    primes = sorted(p for p in oracle.oracle_primes(20000) if p > 100)
+    for _ in range(200):
+        factors = [rng.choice(primes) for _ in range(rng.randint(2, 4))]
+        factors += rng.choice([[], [2], [2, 2, 3], [97]])
+        expected, n = {1}, 1
+        for f in factors:
+            expected |= {d * f for d in expected}
+            n *= f
+        assert _divisors(n) == sorted(expected), factors

@@ -246,3 +246,45 @@ def test_cyclic_reduction_is_linear_in_conjugator_length():
     t0 = time.perf_counter()
     assert word_length(p, parse_word("t_c^-%d x_v^7 t_c^%d" % (k, k))) == 0
     assert time.perf_counter() - t0 < 1.0
+
+
+def _substitute_by_repetition(word, table):
+    out = []
+    for sym, exp in word:
+        image = table[sym] if exp > 0 else invert_word(table[sym])
+        for _ in range(abs(exp)):
+            out.extend(image)
+    return free_reduce(out)
+
+
+def test_substitute_matches_plain_repetition_random():
+    rng = random.Random(0x5B57)
+    letters = ("x", "y", "z")
+    conjugates = 0
+    for _ in range(600):
+        table = {}
+        for sym in ("a", "b", "c"):
+            if rng.random() < 0.6:
+                # u s^e u^-1, with u not necessarily freely reduced
+                u = oracle.random_word(rng, letters, max_syllables=3) if rng.random() < 0.8 else ()
+                core = ((rng.choice(letters), rng.choice([-3, -2, -1, 1, 2, 3])),)
+                table[sym] = u + core + invert_word(u)
+            else:
+                table[sym] = oracle.random_word(rng, letters)
+        word = oracle.random_word(rng, ("a", "b", "c"), max_syllables=5, max_exp=7)
+        conjugates += sum(abs(e) > 1 and len(table[s]) % 2 == 1 for s, e in word)
+        assert substitute(word, table) == _substitute_by_repetition(word, table), (word, table)
+    assert conjugates > 500
+
+
+def test_substitute_power_of_a_conjugate_is_constant_time():
+    table = {"x": (("t", -1), ("x", 5), ("t", 1)), "t": (("t", 1),)}
+    t0 = time.perf_counter()
+    word = (("t", 1), ("x", 10**12), ("t", -1), ("x", -(10**9)))
+    assert substitute(word, table) == (
+        ("x", 5 * 10**12),
+        ("t", -1),
+        ("x", -5 * 10**9),
+        ("t", 1),
+    )
+    assert time.perf_counter() - t0 < 0.1
