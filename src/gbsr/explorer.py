@@ -50,12 +50,14 @@ from .moves import (
     MoveBounds,
     Slide,
     _apply_move,
+    _child,
     _divisors,
+    _legal,
     apply_move,
-    enumerate_moves,
     initial_state,
 )
 from .rigidity import ascending_modulus, collapse_witness, is_ascending, is_reduced, nonascending_rigid
+from .words import free_reduce, invert_word
 
 
 @dataclass(frozen=True)
@@ -128,10 +130,6 @@ def _reduced_words(letters, length):
     yield from rec(0)
 
 
-def _invert_letters(word):
-    return tuple((s, -e) for s, e in reversed(word))
-
-
 def _cyclic_core(word):
     """Strip cancelling first/last letters: w = u c u^-1 with c cyclic."""
     i, j = 0, len(word)
@@ -143,7 +141,7 @@ def _cyclic_core(word):
 def _necklace_key(word):
     """Least rotation of the word or its inverse; a conjugacy-and-inversion key."""
     best = None
-    for w in (word, _invert_letters(word)):
+    for w in (word, invert_word(word)):
         for r in range(len(w)):
             rot = w[r:] + w[:r]
             if best is None or rot < best:
@@ -157,16 +155,6 @@ def _primitive_root(word):
         if n % p == 0 and word == word[p:] + word[:p]:
             return word[:p], n // p
     return word, 1
-
-
-def _as_genword(letters):
-    out = []
-    for s, e in letters:
-        if out and out[-1][0] == s:
-            out[-1] = (s, out[-1][1] + e)
-        else:
-            out.append((s, e))
-    return tuple(p for p in out if p[1])
 
 
 @lru_cache(maxsize=16)
@@ -195,7 +183,7 @@ def _index_plan(nsymbols, radius):
             if key not in where:
                 stage = stages[len(key) - 1]
                 where[key] = (len(key) - 1, len(stage))
-                stage.append(_as_genword(key))
+                stage.append(free_reduce(key))
             entries.append(shared.setdefault((key, k), where[key] + (k,)))
     return tuple(map(tuple, stages)), tuple(entries)
 
@@ -335,7 +323,10 @@ def _explore_ascending(seed, base, bounds):
 def _legal_children(state, max_edges, max_label, pool):
     """Children within the searched subspace, in enumeration order."""
     inner = MoveBounds(max_edges=max_edges, max_label=max_label)
-    return [(mv, _apply_move(state, mv, pool, False)) for mv in enumerate_moves(state, inner)]
+    return [
+        (mv, _child(state, mv, surgery, pool, False))
+        for mv, surgery in _legal(state.graph, inner)
+    ]
 
 
 def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:

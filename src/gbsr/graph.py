@@ -118,11 +118,6 @@ class GbsGraph:
         except KeyError:
             raise UnknownVertexError("no vertex named %r" % v) from None
 
-    def all_ends(self):
-        for e in self.edges:
-            yield EdgeEnd(e.eid, "A")
-            yield EdgeEnd(e.eid, "B")
-
     def end_vertex(self, end: EdgeEnd) -> str:
         e = self.edge(end.edge)
         return e.va if end.side == "A" else e.vb

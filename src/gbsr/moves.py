@@ -10,7 +10,10 @@ sending path letters of the old graph to path letters of the new one.
 A child keeps that letter map; on demand it maps its parent's images
 letter by letter, re-bases them along the new spanning tree and
 Britton-reduces once.  Generator words are projected from the images
-only for output and for the consistency checks.
+only for output and for the consistency checks.  Enumeration only
+proposes candidate moves and keeps those that their move function
+accepts and whose result stays within the label cap, so legality and
+label arithmetic are written once.
 
 The moves and their exact label arithmetic:
 
@@ -45,6 +48,7 @@ from math import gcd
 from .errors import (
     BrokenMarkingError,
     DifferentOriginError,
+    GbsError,
     NotAscendingError,
     NotCollapsibleError,
     NotDivisibleError,
@@ -54,7 +58,7 @@ from .errors import (
     WrongOriginError,
 )
 from .graph import Edge, EdgeEnd, GbsGraph
-from .rigidity import _MR_BOUND, _is_prime, ascending_modulus, is_ascending
+from .rigidity import _is_prime, ascending_modulus, divisible_pairs, is_ascending
 from .words import (
     PathWord,
     Presentation,
@@ -230,20 +234,17 @@ def modulus_fingerprint(state: MarkedState):
 # sending each path letter of g to a tuple of path letters of the new
 # graph, and the new vertex at which mapped paths based at g's base start.
 
-def _collapse_target(g: GbsGraph, eid: str):
+def _collapse(g: GbsGraph, move):
+    eid = move.edge
     e = g.edge(eid)
     if e.is_loop:
         raise NotCollapsibleError("cannot collapse the loop %s" % eid)
     if e.lb == 1:
-        return e.va, e.vb, e.la
-    if e.la == 1:
-        return e.vb, e.va, e.lb
-    raise NotCollapsibleError("edge %s has no end labelled 1" % eid)
-
-
-def _collapse(g: GbsGraph, move):
-    eid = move.edge
-    keep, drop, p = _collapse_target(g, eid)
+        keep, drop, p = e.va, e.vb, e.la
+    elif e.la == 1:
+        keep, drop, p = e.vb, e.va, e.lb
+    else:
+        raise NotCollapsibleError("edge %s has no end labelled 1" % eid)
     edges = []
     for f in g.edges:
         if f.eid == eid:
@@ -373,7 +374,13 @@ def _apply_move(state: MarkedState, move, pool: dict, verify: bool) -> MarkedSta
     act = _MOVES.get(type(move))
     if act is None:
         raise TypeError("unknown move %r" % (move,))
-    vertices, edges, letter_map, base = act(state.graph, move)
+    return _child(state, move, act(state.graph, move), pool, verify)
+
+
+def _child(state: MarkedState, move, surgery, pool: dict, verify: bool) -> MarkedState:
+    """The state that move leads to, given the surgery its move function
+    returned on state.graph."""
+    vertices, edges, letter_map, base = surgery
     new_graph, new_p = _pooled(pool, vertices, edges)
     out = MarkedState(
         new_graph,
@@ -416,7 +423,10 @@ def induct(state: MarkedState, d: int) -> MarkedState:
 
 @dataclass(frozen=True)
 class MoveBounds:
-    """Caps for enumerate_moves: edge count, labels, expansion index."""
+    """Caps for enumerate_moves: edge count, labels, expansion index.
+
+    max_label caps the labels of each move's result, not of its source.
+    """
 
     max_edges: int | None = None
     max_label: int | None = None
@@ -455,69 +465,35 @@ def _rho(n: int) -> int:
 
 
 def _divisors(n: int):
-    """The divisors of n >= 1 in ascending order, generated from its prime
-    factors.  Trial division finds them, stopping at a prime cofactor; past
-    100, a composite cofactor below _MR_BOUND is split by _rho instead and
-    each part is factored in turn."""
-    exps, todo = {}, [n]
+    """The divisors of n >= 1 in ascending order, multiplied out from its
+    prime factors: trial division below 100, then _rho splits every
+    composite cofactor until each part is prime."""
+    exps, p = {}, 2
+    while p < 100 and p * p <= n:
+        while n % p == 0:
+            n //= p
+            exps[p] = exps.get(p, 0) + 1
+        p += 1
+    todo = [n] if n > 1 else []
     while todo:
-        m, p = todo.pop(), 2
-        prime_cofactor = _is_prime(m)
-        while m > 1:
-            if prime_cofactor:
-                p = m
-            elif p > 100 and m < _MR_BOUND:
-                f = _rho(m)
-                todo += [f, m // f]
-                break
-            k = 0
-            while m % p == 0:
-                m //= p
-                k += 1
-            if k:
-                exps[p] = exps.get(p, 0) + k
-                prime_cofactor = _is_prime(m)
-            p += 1
+        m = todo.pop()
+        if _is_prime(m):
+            exps[m] = exps.get(m, 0) + 1
+        else:
+            f = _rho(m)
+            todo += [f, m // f]
     out = [1]
     for p, k in exps.items():
         out = [d * p**i for i in range(k + 1) for d in out]
     return sorted(out)
 
 
-def enumerate_moves(state: MarkedState, bounds: MoveBounds = MoveBounds()):
-    """All legal moves within bounds, in a fixed deterministic order:
-    collapses, slides, expansions (by vertex, index, moved subset), then
-    inductions.  Expansions are only enumerated with index >= 2.
-    """
-    g = state.graph
-    max_label = bounds.max_label
-    out = []
-    for e in g.edges:
-        if e.is_loop or (e.la != 1 and e.lb != 1):
-            continue
-        keep, drop, p = _collapse_target(g, e.eid)
-        if max_label is not None and p > 1:
-            worst = max(
-                (g.end_label(end) for end in g.ends_at(drop) if end.edge != e.eid),
-                default=1,
-            )
-            if worst * p > max_label:
-                continue
-        out.append(Collapse(e.eid))
-    for v in g.vertices:
-        ends = g.ends_at(v)
-        for moving in ends:
-            le = g.end_label(moving)
-            for across in ends:
-                if across.edge == moving.edge:
-                    continue
-                lf = g.end_label(across)
-                if le % lf:
-                    continue
-                new_label = (le // lf) * g.end_label(across.other)
-                if max_label is not None and new_label > max_label:
-                    continue
-                out.append(Slide(moving, across))
+def _legal(g: GbsGraph, bounds: MoveBounds):
+    """(move, surgery) for every legal move within bounds, in enumerate_moves
+    order.  Candidates are only proposed here; a candidate is kept when its
+    move function accepts it and every resulting label is within max_label."""
+    moves = [Collapse(e.eid) for e in g.edges]
+    moves += [Slide(moving, across) for _, moving, across in divisible_pairs(g)]
     if bounds.max_edges is None or len(g.edges) < bounds.max_edges:
         for v in g.vertices:
             ends = g.ends_at(v)
@@ -532,8 +508,23 @@ def enumerate_moves(state: MarkedState, bounds: MoveBounds = MoveBounds()):
                 divisible = [end for end in ends if g.end_label(end) % p == 0]
                 for mask in range(1 << len(divisible)):
                     moved = tuple(divisible[i] for i in range(len(divisible)) if mask >> i & 1)
-                    out.append(Expansion(v, p, moved))
+                    moves.append(Expansion(v, p, moved))
     if len(g.vertices) == 1 and is_ascending(g):
-        for d in _divisors(ascending_modulus(g)):
-            out.append(Induction(d))
-    return out
+        moves += [Induction(d) for d in _divisors(ascending_modulus(g))]
+    cap = bounds.max_label
+    for mv in moves:
+        try:
+            surgery = _MOVES[type(mv)](g, mv)
+        except GbsError:
+            continue
+        if cap is None or all(e.la <= cap and e.lb <= cap for e in surgery[1]):
+            yield mv, surgery
+
+
+def enumerate_moves(state: MarkedState, bounds: MoveBounds = MoveBounds()):
+    """All legal moves within bounds, in a fixed deterministic order:
+    collapses, slides, expansions (by vertex, index, moved subset), then
+    inductions.  Expansions are only enumerated with index >= 2.  A move
+    is within max_label when every label of its resulting graph is.
+    """
+    return [mv for mv, _ in _legal(state.graph, bounds)]

@@ -90,20 +90,21 @@ def ascending_modulus(g: GbsGraph) -> int:
     return max(e.la, e.lb)
 
 
-def divisibility_witness(g: GbsGraph):
-    """Some (vertex, endE, endF) with distinct ends and label(F) | label(E)."""
+def divisible_pairs(g: GbsGraph):
+    """Every (vertex, endE, endF) of distinct ends at vertex with label(F) |
+    label(E), in vertex, E, F order: the slides of E across F."""
     for v in g.vertices:
         ends = g.ends_at(v)
         for e in ends:
+            le = g.end_label(e)
             for f in ends:
-                if e != f and g.end_label(e) % g.end_label(f) == 0:
-                    return v, e, f
-    return None
+                if e != f and le % g.end_label(f) == 0:
+                    yield v, e, f
 
 
 def is_strongly_slide_free(g: GbsGraph) -> bool:
     """True iff no vertex carries two distinct ends with one label dividing the other."""
-    return divisibility_witness(g) is None
+    return next(divisible_pairs(g), None) is None
 
 
 def _unit_loop_at(g: GbsGraph, end) -> bool:
@@ -123,31 +124,25 @@ def nonascending_rigid(g: GbsGraph) -> RigidityVerdict:
         raise NotReducedError("rigidity criterion needs a reduced graph")
     if is_ascending(g):
         raise AscendingCaseError("ascending loop: use the modulus criterion")
+    pairs = list(divisible_pairs(g))
     violations = []
-    for v in g.vertices:
-        ends = g.ends_at(v)
-        nends = len(ends)
-        for e in ends:
-            le = g.end_label(e)
-            for f in ends:
-                if e == f or le % g.end_label(f):
-                    continue
-                same_loop = e.edge == f.edge
-                if same_loop and le == g.end_label(f):
-                    continue
-                if _unit_loop_at(g, f) and nends == 3:
-                    continue
-                if same_loop:
-                    tag = "same-loop"
-                elif _unit_loop_at(g, f):
-                    tag = "valence"
-                else:
-                    tag = "divides"
-                violations.append((v, e, f, tag))
+    for v, e, f in pairs:
+        same_loop = e.edge == f.edge
+        if same_loop and g.end_label(e) == g.end_label(f):
+            continue
+        if _unit_loop_at(g, f) and len(g.ends_at(v)) == 3:
+            continue
+        if same_loop:
+            tag = "same-loop"
+        elif _unit_loop_at(g, f):
+            tag = "valence"
+        else:
+            tag = "divides"
+        violations.append((v, e, f, tag))
     return RigidityVerdict(
         reduced=True,
         ascending=False,
-        strongly_slide_free=is_strongly_slide_free(g),
+        strongly_slide_free=not pairs,
         rigid=not violations,
         violations=tuple(violations),
     )

@@ -376,3 +376,40 @@ def test_divisors_of_products_of_large_primes():
             expected |= {d * f for d in expected}
             n *= f
         assert _divisors(n) == sorted(expected), factors
+
+
+# sha256 of every enumerated move, one per line, over the seeded graphs
+# below, whose labels are all within the cap: on such states the moves
+# and their order are fixed
+PINNED_ENUMERATION = "621dfc4af87fac1188f35ebfd0ebdbffd9e05101ed5d4e7bbd9bcbdb8bb70c3d"
+
+
+def test_enumerated_moves_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for seed in range(300):
+        g = oracle.random_graph(random.Random(seed))
+        bounds = MoveBounds(max_edges=len(g.edges) + 1, max_label=36)
+        moves = enumerate_moves(initial_state(g), bounds)
+        count += len(moves)
+        for mv in moves:
+            digest.update(("%s\n" % mv).encode())
+    assert count == 4241
+    assert digest.hexdigest() == PINNED_ENUMERATION
+
+
+def test_max_label_caps_the_result_above_a_capped_source():
+    # labels 6 already exceed the cap 4: only moves whose result fits stay
+    st = state("vertex v\nvertex w\nedge c v 2 6 v\nedge h v 2 3 w\n")
+    moves = enumerate_moves(st, MoveBounds(max_edges=3, max_label=4))
+    assert Slide(parse_end("c.A"), parse_end("h.A")) not in moves
+    assert [str(m) for m in moves] == [
+        "expand v 2 c.B",
+        "expand v 2 c.A c.B",
+        "expand v 2 c.B h.A",
+        "expand v 2 c.A c.B h.A",
+        "expand v 3 c.B",
+    ]
+    for mv in moves:
+        assert apply_move(st, mv).graph.max_label() <= 4, mv
+    assert Slide(parse_end("c.A"), parse_end("h.A")) in enumerate_moves(st, MoveBounds(max_edges=3))

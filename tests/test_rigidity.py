@@ -11,6 +11,7 @@ from gbsr.rigidity import (
     ascending_modulus,
     ascending_rigid,
     check,
+    divisible_pairs,
     divisors_are_powers,
     is_ascending,
     is_reduced,
@@ -178,3 +179,22 @@ def test_check_on_huge_prime_loop_is_fast():
     verdict = check(loop(1, 2**61 - 1))
     assert time.perf_counter() - t0 < 0.1
     assert verdict.rigid and verdict.ascending
+
+
+def test_divisible_pairs_match_a_brute_force_scan():
+    rng = random.Random(0xD1B)
+    for _ in range(300):
+        g = oracle.random_graph(rng, 4, 5, 12)
+        ends = [(v, (eid, side), lab) for eid, va, la, vb, lb in g.edges
+                for v, side, lab in ((va, "A", la), (vb, "B", lb))]
+        expected = sorted(
+            (g.vertices.index(v), e, f)
+            for v, e, le in ends
+            for w, f, lf in ends
+            if v == w and e != f and le % lf == 0
+        )
+        pairs = list(divisible_pairs(g))
+        assert [(g.vertices.index(v), tuple(e), tuple(f)) for v, e, f in pairs] == expected
+        assert is_strongly_slide_free(g) == (not pairs)
+        if is_reduced(g) and not is_ascending(g):
+            assert nonascending_rigid(g).strongly_slide_free == (not pairs)
