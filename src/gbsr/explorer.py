@@ -20,7 +20,9 @@ primitive cyclic word per equivalence class is measured and the rest of
 the list is filled in from those values.  The same representatives,
 grouped by core length, drive the staged class comparison; both come
 from one enumeration of the sample words, cached per number of seed
-generators and radius.
+generators and radius.  Each stage is evaluated along a prefix trie of
+its representatives: a trie node extends its parent's reduced stack by
+one image, so no shared prefix is reduced twice.
 
 Ascending states degenerate (their length function is the absolute
 value of a homomorphism, blind to induction moves), so one-loop (1, n)
@@ -57,7 +59,7 @@ from .moves import (
     initial_state,
 )
 from .rigidity import ascending_modulus, collapse_witness, is_ascending, is_reduced, nonascending_rigid
-from .words import free_reduce, invert_word
+from .words import _extend, _seam_length, free_reduce, invert_path_letters, invert_word
 
 
 @dataclass(frozen=True)
@@ -157,15 +159,32 @@ def _primitive_root(word):
     return word, 1
 
 
+def _trie(reps):
+    """Prefix trie of syllable words: (nodes, leaves).
+
+    nodes lists (parent, syllable) in sorted word order; the empty root
+    is node 0 and nodes[k] is node k + 1, so a parent always comes
+    before its children.  leaves[i] is the node that spells reps[i].
+    """
+    nodes, index = [], {(): 0}
+    for rep in sorted(reps):
+        for j in range(1, len(rep) + 1):
+            if rep[:j] not in index:
+                index[rep[:j]] = len(nodes) + 1
+                nodes.append((index[rep[:j - 1]], rep[j - 1]))
+    return tuple(nodes), tuple(index[rep] for rep in reps)
+
+
 @lru_cache(maxsize=16)
 def _index_plan(nsymbols, radius):
     """Enumerate the freely reduced words of length 1..radius over symbol
     indices once: (stages, entries).
 
-    stages[i] lists the fresh primitive necklace representatives with
-    core length i + 1; entries gives, per word in enumeration order,
-    (stage, position, power) of its cyclic core's primitive root, or None
-    when the core is empty.
+    stages[i] is the prefix trie (see _trie) of the fresh primitive
+    necklace representatives with core length i + 1, over syllables
+    (symbol index, exponent); entries gives, per word in enumeration
+    order, (stage, position, power) of its cyclic core's primitive root,
+    position indexing that stage's leaves, or None when the core is empty.
     """
     letters = [(s, e) for s in range(nsymbols) for e in (1, -1)]
     stages = [[] for _ in range(radius)]
@@ -185,19 +204,37 @@ def _index_plan(nsymbols, radius):
                 where[key] = (len(key) - 1, len(stage))
                 stage.append(free_reduce(key))
             entries.append(shared.setdefault((key, k), where[key] + (k,)))
-    return tuple(map(tuple, stages)), tuple(entries)
+    return tuple(map(_trie, stages)), tuple(entries)
 
 
 @lru_cache(maxsize=64)
 def _sample_plan(symbols, radius):
-    """The index plan with its representatives spelled over symbols."""
+    """The index plan with its trie syllables spelled over symbols."""
     stages, entries = _index_plan(len(symbols), radius)
-    syllables = {}  # one shared (symbol, exponent) pair per distinct syllable
+    # one shared (symbol, exponent) pair per distinct syllable
+    syllables = {s: (symbols[s[0]], s[1]) for nodes, _ in stages for _, s in nodes}
     named = tuple(
-        tuple(tuple(syllables.setdefault(s, (symbols[s[0]], s[1])) for s in w) for w in st)
-        for st in stages
+        (tuple((parent, syllables[s]) for parent, s in nodes), leaves) for nodes, leaves in stages
     )
     return named, entries
+
+
+def _stage_lengths(state: MarkedState, stage):
+    """Translation lengths of one stage's representatives, in stage order.
+
+    One walk over the stage's trie: each node copies its parent's
+    reduced stack and extends it by the image of its syllable, so no
+    prefix is reduced twice; the lengths are read at the leaves.
+    """
+    nodes, leaves = stage
+    g = state.graph
+    images = state.images()
+    inverses = {sym: invert_path_letters(letters) for sym, letters in images.items()}
+    stacks = [[]]
+    for parent, (sym, exp) in nodes:
+        piece = images[sym] if exp > 0 else inverses[sym]
+        stacks.append(_extend(g, stacks[parent][:], piece * abs(exp)))
+    return tuple(_seam_length(g, stacks[leaf]) for leaf in leaves)
 
 
 def _spread(entries, values):
@@ -212,7 +249,7 @@ def fingerprint(state: MarkedState, radius: int):
     representatives are measured, the rest follow from invariance.
     """
     stages, entries = _sample_plan(state.seed.presentation.generators, radius)
-    return _spread(entries, [tuple(state.seed_length(w) for w in st) for st in stages])
+    return _spread(entries, [_stage_lengths(state, stage) for stage in stages])
 
 
 # -- class bookkeeping -------------------------------------------------------
@@ -230,14 +267,14 @@ class _ClassTable:
     """Reduced states grouped by (canonical graph, staged fingerprint)."""
 
     def __init__(self, plan):
-        self.samples, self.entries = plan
+        self.tries, self.entries = plan
         self.buckets = {}
         self.records = []
         self._memo = {}
 
     def _stage(self, rec, i):
         if rec.stages[i] is None:
-            rec.stages[i] = tuple(rec.state.seed_length(w) for w in self.samples[i])
+            rec.stages[i] = _stage_lengths(rec.state, self.tries[i])
         return rec.stages[i]
 
     def classify(self, state):
@@ -253,9 +290,9 @@ class _ClassTable:
         if hit is not None:
             hit.count += 1
             return hit, False
-        mine = _ClassRecord(state, len(self.samples))
+        mine = _ClassRecord(state, len(self.tries))
         bucket = self.buckets.setdefault(state.graph.canonical_form(), [])
-        stages = range(len(self.samples))
+        stages = range(len(self.tries))
         for rec in bucket:
             if all(self._stage(rec, i) == self._stage(mine, i) for i in stages):
                 rec.count += 1
@@ -267,7 +304,7 @@ class _ClassTable:
         return mine, True
 
     def fingerprint(self, rec):
-        return _spread(self.entries, [self._stage(rec, i) for i in range(len(self.samples))])
+        return _spread(self.entries, [self._stage(rec, i) for i in range(len(self.tries))])
 
 
 # -- reduction and search ----------------------------------------------------

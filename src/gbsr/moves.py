@@ -62,7 +62,8 @@ from .rigidity import _is_prime, ascending_modulus, divisible_pairs, is_ascendin
 from .words import (
     PathWord,
     Presentation,
-    cyclically_reduce_letters,
+    _extend,
+    _seam_length,
     invert_path_letters,
     is_trivial,
     path_to_generators,
@@ -172,12 +173,11 @@ class MarkedState:
     def seed_length(self, word):
         """Translation length of a seed-generator word in the current tree."""
         img = self.images()
-        letters = []
+        stack = []
         for sym, exp in word:
             piece = img[sym] if exp > 0 else invert_path_letters(img[sym])
-            letters.extend(piece * abs(exp))
-        cyc = cyclically_reduce_letters(self.graph, tuple(letters))
-        return sum(1 for letter in cyc if letter[0] == "e")
+            _extend(self.graph, stack, piece * abs(exp))
+        return _seam_length(self.graph, stack)
 
     def verify(self):
         """Re-check the marking invariants; raises BrokenMarkingError."""

@@ -27,6 +27,7 @@ modulus is composite.
 """
 
 from dataclasses import dataclass, field
+from math import gcd, isqrt
 
 from .errors import AscendingCaseError, NotAscendingError, NotReducedError
 from .graph import EdgeEnd, GbsGraph
@@ -155,56 +156,96 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 
 
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Miller-Rabin: is the odd n > a a strong probable prime to base a?"""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a / n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test on the odd n >= 3, with Selfridge's
+    parameters: D is the first of 5, -7, 9, -11, ... with (D / n) = -1,
+    P = 1 and Q = (1 - D) / 4."""
+    if isqrt(n) ** 2 == n:  # no such D exists
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return n == abs(D)
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    if gcd(n, Q) != 1:
+        return False
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x):  # x / 2 modulo the odd n
+        return (x if x % 2 == 0 else x + n) // 2 % n
+
+    # U_k, V_k and Q^k for k the leading bits of d (P = 1)
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
 def _is_prime(n: int) -> bool:
-    """Exact primality: deterministic Miller-Rabin below _MR_BOUND, trial
-    division above it."""
+    """Primality: deterministic Miller-Rabin below _MR_BOUND, where it is
+    exact, and Baillie-PSW (a base-2 strong probable-prime test plus a
+    strong Lucas test) at or above it.
+
+    No Baillie-PSW pseudoprime is known, and none exists below 2^64, but
+    none has been ruled out above that.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    if n >= _MR_BOUND:
-        d = 43
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 2
-        return True
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    if n < _MR_BOUND:
+        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+    return _strong_probable_prime(n, 2) and _strong_lucas(n)
 
 
 def ascending_rigid(n: int) -> bool:
     """Rigidity of the ascending loop (1, n): true iff n = 1 or n is prime."""
     return n == 1 or _is_prime(n)
-
-
-def divisors_are_powers(n: int) -> bool:
-    """Second formulation: every divisor of n is a power of n.
-
-    Equivalent to ascending_rigid; both are kept and cross-asserted.
-    """
-    powers = {1}
-    p = n
-    while p <= n:
-        powers.add(p)
-        if n <= 1:
-            break
-        p *= n
-    return all(d in powers for d in range(1, n + 1) if n % d == 0)
 
 
 def check(g: GbsGraph) -> RigidityVerdict:

@@ -20,6 +20,11 @@ power is divisible by the edge label at the far end; it is replaced by
 the transported power at the near end.  Translation length on the
 Bass-Serre tree is the number of edge letters left after pinching and
 cyclic reduction; an element is elliptic iff that count is zero.
+
+All reduction is one stack pass driven by a per-graph pinch table.  The
+pass over prefix + rest is the pass over prefix continued over rest, so
+callers that share prefixes, like the explorer's trie evaluation of
+sample words, extend an already reduced stack instead of starting over.
 """
 
 from collections import deque
@@ -227,45 +232,67 @@ def path_to_generators(p: Presentation, pw: PathWord):
     return free_reduce(out)
 
 
-def _pinch(g: GbsGraph, opener, power):
-    """The vertex power (vertex, exponent) left when the traversal `opener`,
-    a power `power` at its far end and the traversal back pinch; None when
-    the far label does not divide the power."""
-    e = g.edge(opener[1])
-    if opener[2] == 1:
-        far_label, near_v, near_l = e.lb, e.va, e.la
-    else:
-        far_label, near_v, near_l = e.la, e.vb, e.lb
-    if power % far_label:
-        return None
-    return near_v, near_l * (power // far_label)
+def _pinch_table(g: GbsGraph):
+    """Traversal letter -> (closing letter, far label, near vertex, near
+    label), built once per graph.
+
+    This is the whole pinch rule: a traversal, a power at its far end and
+    the closing letter pinch when the far label divides the power, and
+    leave the power times near label / far label at the near vertex.
+    """
+    table = g._pinches
+    if table is None:
+        table = g._pinches = {}
+        for e in g.edges:
+            fwd, back = ("e", e.eid, 1), ("e", e.eid, -1)
+            table[fwd] = (back, e.lb, e.va, e.la)
+            table[back] = (fwd, e.la, e.vb, e.lb)
+    return table
 
 
-def _push_power(out, v, power):
-    """Append x_v^power to the list or deque `out`, merging it into a
-    trailing power at v; zero powers vanish."""
-    if out and out[-1][0] == "v" and out[-1][1] == v:
-        power += out.pop()[2]
-    if power:
-        out.append(("v", v, power))
+def _extend(g: GbsGraph, stack, letters):
+    """Continue the stack pass of reduce_letters over letters.
 
-
-def _closing_pinch(g: GbsGraph, w, closer):
-    """(depth, (vertex, exponent)) when the traversal `closer` closes a pinch
-    against the end of the reduced list or deque `w`: its last traversal,
-    followed by a vertex power or by nothing, is `closer` reversed and the
-    far label divides that power.  depth counts the letters of w the pinch
-    uses.  None otherwise."""
-    if w and w[-1][0] == "e":
-        opener, power, depth = w[-1], 0, 1
-    elif len(w) >= 2 and w[-2][0] == "e":
-        opener, power, depth = w[-2], w[-1][2], 2
-    else:
-        return None
-    if opener[1] != closer[1] or opener[2] != -closer[2]:
-        return None
-    left = _pinch(g, opener, power)
-    return None if left is None else (depth, left)
+    stack is a reduced list or deque; it is extended in place and
+    returned.  A stack pass over prefix + rest is the stack of prefix
+    continued over rest, so a reduced prefix is never reduced again.
+    """
+    pinches = _pinch_table(g)
+    push, pop = stack.append, stack.pop
+    for letter in letters:
+        if letter[0] == "v":
+            if stack and stack[-1][0] == "v" and stack[-1][1] == letter[1]:
+                power = pop()[2] + letter[2]
+                if power:
+                    push(("v", letter[1], power))
+            elif letter[2]:
+                push(letter)
+            continue
+        if not stack:
+            push(letter)
+            continue
+        top = stack[-1]
+        if top[0] == "e":
+            opener, power = top, 0
+        elif len(stack) >= 2 and stack[-2][0] == "e":
+            opener, power = stack[-2], top[2]
+        else:
+            push(letter)
+            continue
+        closer, far, near_v, near_l = pinches[opener]
+        if closer != letter or power % far:
+            push(letter)
+            continue
+        # pinch: drop the opener and the power, carry the power across
+        pop()
+        if top is not opener:
+            pop()
+        power = near_l * (power // far)
+        if stack and stack[-1][0] == "v" and stack[-1][1] == near_v:
+            power += pop()[2]
+        if power:
+            push(("v", near_v, power))
+    return stack
 
 
 def reduce_letters(g: GbsGraph, letters):
@@ -274,21 +301,7 @@ def reduce_letters(g: GbsGraph, letters):
     Divisibility by zero powers always holds, so backtracking traversals
     with nothing in between cancel freely as a special case.
     """
-    stack = []
-    for letter in letters:
-        if letter[0] == "v":
-            if stack and stack[-1][0] == "v" and stack[-1][1] == letter[1]:
-                letter = ("v", letter[1], stack.pop()[2] + letter[2])
-            if letter[2]:
-                stack.append(letter)
-            continue
-        pinch = _closing_pinch(g, stack, letter)
-        if pinch is None:
-            stack.append(letter)
-        else:
-            del stack[-pinch[0]:]
-            _push_power(stack, *pinch[1])
-    return tuple(stack)
+    return tuple(_extend(g, [], letters))
 
 
 def reduce(p: Presentation, pw: PathWord) -> PathWord:
@@ -298,40 +311,54 @@ def reduce(p: Presentation, pw: PathWord) -> PathWord:
 
 def is_trivial(p: Presentation, pw: PathWord) -> bool:
     """True iff the based word represents the identity element."""
-    return not reduce_letters(p.graph, pw.letters)
+    return not _extend(p.graph, [], pw.letters)
+
+
+def _seam(g: GbsGraph, w):
+    """Cyclic reduction of the reduced list w: w itself unless a leading
+    power must rotate or a pinch applies across the seam, otherwise a
+    reduced deque.
+
+    A leading power is rotated to the back, and the first traversal is
+    rotated to the back through _extend, which applies any pinch across
+    the seam; both ends stay reduced, so one pass suffices.
+    """
+    if not w:
+        return w
+    first = w[0]
+    if first[0] == "e":  # does it close a pinch against the end of w?
+        top = w[-1]
+        opener, power = (top, 0) if top[0] == "e" else (w[-2], top[2])
+        row = _pinch_table(g).get(opener)  # None when opener is a power
+        if row is None or row[0] != first or power % row[1]:
+            return w
+    w = deque(w)
+    while w:
+        if w[0][0] == "v":
+            _extend(g, w, (w.popleft(),))
+            if not w or w[0][0] == "v":
+                return w
+        n = len(w)
+        _extend(g, w, (w.popleft(),))
+        if len(w) == n:  # no pinch: the traversal went to the back unchanged
+            w.rotate(1)
+            return w
+    return w
+
+
+def _seam_length(g: GbsGraph, w):
+    """Translation length of the element spelled by the reduced list w."""
+    return [letter[0] for letter in _seam(g, w)].count("e")
 
 
 def cyclically_reduce_letters(g: GbsGraph, letters):
-    """Reduce up to conjugation; the result may be based elsewhere.
-
-    After the linear reduction, a leading vertex power is rotated to the
-    back, and a pinch across the seam (last traversal, power, first
-    traversal) is applied in place; both ends of the word stay reduced,
-    so one pass over a deque suffices.
-    """
-    w = deque(reduce_letters(g, letters))
-    while True:
-        if w and w[0][0] == "v":
-            head = w.popleft()
-            if not w:
-                return (head,)
-            _push_power(w, head[1], head[2])
-        if not w:
-            return ()
-        pinch = _closing_pinch(g, w, w[0]) if w[0][0] == "e" else None
-        if pinch is None:
-            return tuple(w)
-        # pinch across the seam: drop both traversals and the power between
-        w.popleft()
-        for _ in range(pinch[0]):
-            w.pop()
-        _push_power(w, *pinch[1])
+    """Reduce up to conjugation; the result may be based elsewhere."""
+    return tuple(_seam(g, _extend(g, [], letters)))
 
 
 def translation_length(p: Presentation, pw: PathWord) -> int:
     """Translation length on the Bass-Serre tree (0 iff elliptic)."""
-    cyc = cyclically_reduce_letters(p.graph, pw.letters)
-    return sum(1 for letter in cyc if letter[0] == "e")
+    return _seam_length(p.graph, _extend(p.graph, [], pw.letters))
 
 
 def is_elliptic(p: Presentation, pw: PathWord) -> bool:
@@ -339,6 +366,24 @@ def is_elliptic(p: Presentation, pw: PathWord) -> bool:
 
 
 def word_length(p: Presentation, word) -> int:
+    """Translation length of a generator word.
+
+    Conjugation does not change length, so matching first and last
+    syllables are merged first; a power s^k left alone has length
+    |k| times that of s, whatever the size of k.
+    """
+    for sym, _ in word:
+        if sym not in p.generators:
+            raise UnknownGeneratorError("%r is not a generator here" % sym)
+    word = list(word)
+    while len(word) >= 2 and word[0][0] == word[-1][0]:
+        sym, exp = word.pop()
+        exp += word.pop(0)[1]
+        if exp:
+            word.append((sym, exp))
+    if len(word) == 1:
+        sym, exp = word[0]
+        return abs(exp) * translation_length(p, to_path_word(p, ((sym, 1),)))
     return translation_length(p, to_path_word(p, word))
 
 

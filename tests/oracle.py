@@ -3,9 +3,10 @@
 Everything here recomputes package results by a different route: the
 reducer is a global fixpoint scanner (the package does one stack pass),
 cyclic reduction tries every rotation (the package rotates only at the
-seam), primality comes from a sieve (the package runs Miller-Rabin), and
-random inputs are generated here so property tests do not depend on the
-package's own enumeration order.
+seam), primality comes from a sieve (the package runs Miller-Rabin and
+Baillie-PSW), ascending rigidity from a divisor scan, and random inputs
+are generated here so property tests do not depend on the package's own
+enumeration order.
 """
 
 import random
@@ -101,6 +102,19 @@ def oracle_primes(limit):
         if flags[p]:
             flags[p * p :: p] = [False] * len(flags[p * p :: p])
     return {n for n in range(limit + 1) if flags[n]}
+
+
+def divisors_are_powers(n):
+    """Second formulation of ascending rigidity: every divisor of n is a
+    power of n.  Equivalent to rigidity.ascending_rigid."""
+    powers = {1}
+    p = n
+    while p <= n:
+        powers.add(p)
+        if n <= 1:
+            break
+        p *= n
+    return all(d in powers for d in range(1, n + 1) if n % d == 0)
 
 
 def oracle_ascending_equivalent(n, d, bound=8):

@@ -8,12 +8,17 @@ import pytest
 
 import oracle
 from gbsr.errors import BoundsTooTightError, BrokenMarkingError, NoViolationError
+import gbsr.explorer
 from gbsr.explorer import (
     ExploreBounds,
     _ClassTable,
+    _index_plan,
+    _legal_children,
+    _reduce,
     _reduced_words,
     _sample_plan,
     _soundness_check,
+    _stage_lengths,
     ascending_equivalent,
     enumerate_graphs,
     explore,
@@ -24,7 +29,7 @@ from gbsr.explorer import (
 from gbsr.graph import is_isomorphic, parse, parse_end, serialize
 from gbsr.moves import Slide, apply_move, initial_state
 from gbsr.rigidity import check, is_reduced
-from gbsr.words import word_length
+from gbsr.words import invert_path_letters, word_length
 
 BS26 = "vertex v\nedge c v 2 6 v\n"
 LOOP23 = "vertex v\nedge c v 2 3 v\n"
@@ -295,3 +300,83 @@ def test_classify_stops_at_the_first_stage_that_differs():
     assert first.stages[1] != second.stages[1]
     assert first.stages[2:] == second.stages[2:] == [None, None]
     assert table.fingerprint(second) == fingerprint(slid, 4)
+
+
+def _spelled(stage):
+    """The syllable word of each leaf of a stage trie, in stage order."""
+    nodes, leaves = stage
+    out = []
+    for leaf in leaves:
+        word = []
+        while leaf:
+            leaf, syllable = nodes[leaf - 1]
+            word.append(syllable)
+        out.append(tuple(reversed(word)))
+    return out
+
+
+def _oracle_stage(st, stage):
+    """Stage values by the oracle, on the concatenated images."""
+    images = st.images()
+    values = []
+    for word in _spelled(stage):
+        letters = []
+        for sym, exp in word:
+            piece = images[sym] if exp > 0 else invert_path_letters(images[sym])
+            letters.extend(piece * abs(exp))
+        values.append(oracle.oracle_translation_length(st.graph, letters))
+    return tuple(values)
+
+
+def test_index_plan_tries_share_prefixes():
+    for nsymbols in range(1, 5):
+        stages, _ = _index_plan(nsymbols, 4)
+        for i, (nodes, leaves) in enumerate(stages):
+            assert all(parent <= k for k, (parent, _) in enumerate(nodes))
+            assert len(set(nodes)) == len(nodes)  # one node per prefix
+            words = _spelled((nodes, leaves))
+            assert len(set(words)) == len(words)
+            assert all(sum(abs(e) for _, e in w) == i + 1 for w in words)
+            on_a_path = set()
+            for leaf in leaves:
+                while leaf:
+                    on_a_path.add(leaf)
+                    leaf = nodes[leaf - 1][0]
+            assert on_a_path == set(range(1, len(nodes) + 1))
+
+
+def test_stage_lengths_match_the_oracle_on_pooled_walks():
+    rng = random.Random(0x7A1E)
+    moved = 0
+    for _ in range(200):
+        g = oracle.random_graph(rng, 3, 3, 4)
+        st = initial_state(g)
+        pool = {}  # one pool for the whole walk, as explore keeps one
+        for _ in range(rng.randint(1, 4)):
+            children = _legal_children(st, len(g.edges) + 1, 16, pool)
+            if not children:
+                break
+            st = _reduce(rng.choice(children)[1], pool)
+        moved += bool(st.history)
+        stages, _ = _sample_plan(st.seed.presentation.generators, 4)
+        for stage in stages:
+            assert _stage_lengths(st, stage) == _oracle_stage(st, stage)
+            for word, value in zip(_spelled(stage), _stage_lengths(st, stage)):
+                assert st.seed_length(word) == value
+    assert moved > 150
+
+
+def test_stage_lengths_inside_explore_match_the_oracle(monkeypatch):
+    seen = []
+
+    def recording(st, stage):
+        values = _stage_lengths(st, stage)
+        seen.append((st, stage, values))
+        return values
+
+    monkeypatch.setattr(gbsr.explorer, "_stage_lengths", recording)
+    for text in (PATH22, EQLOOP, BS26, LOOP23, "vertex a\nvertex b\nedge e a 2 3 b\nedge f a 2 5 b\n"):
+        explore(parse(text), ExploreBounds(max_states=60))
+    assert len({id(st) for st, _, _ in seen}) >= 25
+    for st, stage, values in seen:
+        assert values == _oracle_stage(st, stage)

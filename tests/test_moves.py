@@ -413,3 +413,10 @@ def test_max_label_caps_the_result_above_a_capped_source():
     for mv in moves:
         assert apply_move(st, mv).graph.max_label() <= 4, mv
     assert Slide(parse_end("c.A"), parse_end("h.A")) in enumerate_moves(st, MoveBounds(max_edges=3))
+
+
+def test_divisors_of_a_large_prime_cube():
+    p = 10**9 + 7
+    t0 = time.perf_counter()
+    assert _divisors(p**3) == [1, p, p**2, p**3]
+    assert time.perf_counter() - t0 < 2.0

@@ -4,15 +4,17 @@ import time
 import pytest
 
 import oracle
+from oracle import divisors_are_powers
 from gbsr.errors import AscendingCaseError, NotAscendingError, NotReducedError
 from gbsr.graph import GbsGraph, parse
 from gbsr.rigidity import (
     _is_prime,
+    _strong_lucas,
+    _strong_probable_prime,
     ascending_modulus,
     ascending_rigid,
     check,
     divisible_pairs,
-    divisors_are_powers,
     is_ascending,
     is_reduced,
     is_strongly_slide_free,
@@ -198,3 +200,35 @@ def test_divisible_pairs_match_a_brute_force_scan():
         assert is_strongly_slide_free(g) == (not pairs)
         if is_reduced(g) and not is_ascending(g):
             assert nonascending_rigid(g).strongly_slide_free == (not pairs)
+
+
+def test_is_prime_above_the_miller_rabin_bound():
+    t0 = time.perf_counter()
+    assert _is_prime(2**89 - 1)
+    assert _is_prime(2**107 - 1)
+    assert _is_prime(2**127 - 1)
+    assert not _is_prime((2**89 - 1) * (2**61 - 1))
+    assert not _is_prime((2**89 - 1) ** 2)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_check_on_a_huge_prime_loop_is_fast():
+    t0 = time.perf_counter()
+    assert check(loop(1, 2**89 - 1)).rigid
+    assert not check(loop(1, (2**89 - 1) * 3)).rigid
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_strong_lucas_test_against_the_sieve():
+    primes = oracle.oracle_primes(10**6)
+    # every strong Lucas pseudoprime below 10^5 with Selfridge's
+    # parameters (OEIS A217255)
+    pseudo = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439]
+    assert [n for n in range(3, 10**5, 2) if _strong_lucas(n) and n not in primes] == pseudo
+    rng = random.Random(0x1CA5)
+    for _ in range(20_000):
+        n = rng.randrange(3, 10**6, 2)
+        if n in primes:
+            assert _strong_lucas(n), n
+        # Baillie-PSW: no composite passes both tests below 2^64
+        assert (_strong_probable_prime(n, 2) and _strong_lucas(n)) == (n in primes), n

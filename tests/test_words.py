@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -18,6 +19,7 @@ from gbsr.words import (
     normalize_word,
     parse_word,
     reduce,
+    reduce_letters,
     substitute,
     to_path_word,
     translation_length,
@@ -288,3 +290,80 @@ def test_substitute_power_of_a_conjugate_is_constant_time():
         ("t", 1),
     )
     assert time.perf_counter() - t0 < 0.1
+
+
+def _random_walk_letters(rng, g, steps):
+    """Letters of a random walk in g: powers that are often multiples of a
+    label at the current vertex, steps across ends, and steps back."""
+    v = rng.choice(g.vertices)
+    out, taken = [], []
+    for _ in range(steps):
+        r = rng.random()
+        if r < 0.35:
+            labels = [g.end_label(e) for e in g.ends_at(v)] or [1]
+            out.append(("v", v, rng.choice(labels) * rng.randint(-3, 3)))
+        elif r < 0.6 and taken:
+            back = taken.pop()
+            out.append(("e", back[1], -back[2]))
+            e = g.edge(back[1])
+            v = e.va if back[2] == 1 else e.vb
+        elif g.ends_at(v):
+            end = rng.choice(g.ends_at(v))
+            e = g.edge(end.edge)
+            letter = ("e", e.eid, 1 if end.side == "A" else -1)
+            v = e.vb if end.side == "A" else e.va
+            out.append(letter)
+            taken.append(letter)
+    return tuple(out)
+
+
+# sha256 of the reduce_letters outputs below, recorded before reduction
+# moved to one table-driven stack kernel
+REDUCE_DIGEST = "981c1426ccbc240d5bef09bdcbe7caa495f78b9ca99dad88afef38050032c316"
+
+
+def test_reduce_letters_digest_is_unchanged():
+    rng = random.Random(0x4ED0CE)
+    h = hashlib.sha256()
+    pinched = 0
+    for _ in range(300):
+        g = oracle.random_graph(rng, 3, 4, 6)
+        for _ in range(80):
+            letters = _random_walk_letters(rng, g, rng.randint(0, 16))
+            out = reduce_letters(g, letters)
+            pinched += oracle.edge_count(out) < oracle.edge_count(letters)
+            h.update(repr(out).encode())
+    assert pinched > 10_000  # most sequences exercise the pinch rule
+    assert h.hexdigest() == REDUCE_DIGEST
+
+
+def test_word_length_of_powers_matches_the_plain_route():
+    rng = random.Random(0x9047)
+    shortcut = 0
+    for text in (SEG23, LOOP23, BS14, THETA, UNITS):
+        p = pres(text)
+        for _ in range(60):
+            k = rng.choice([e for e in range(-50, 51) if e])
+            u = oracle.random_word(rng, p.generators, max_syllables=3)
+            core = rng.choice(
+                [((rng.choice(p.generators), k),), oracle.random_word(rng, p.generators)]
+            )
+            for word in (core, free_reduce(list(u) + list(core) + list(invert_word(u)))):
+                plain = translation_length(p, to_path_word(p, word))
+                assert word_length(p, word) == plain, (text, word)
+                shortcut += len(word) == 1
+    assert shortcut > 50
+
+
+def test_word_length_of_a_large_power_is_fast():
+    p = pres(BS13)
+    t0 = time.perf_counter()
+    assert word_length(p, parse_word("t_c^1000000")) == 1_000_000
+    assert word_length(p, parse_word("x_v^5 t_c^-1000000 x_v^-5")) == 1_000_000
+    assert time.perf_counter() - t0 < 0.05
+
+
+def test_word_length_rejects_unknown_generators_it_could_strip():
+    p = pres(SEG23)
+    with pytest.raises(UnknownGeneratorError):
+        word_length(p, parse_word("t_e x_a t_e^-1"))  # e is a tree edge
