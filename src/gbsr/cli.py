@@ -3,9 +3,14 @@
 Exit codes: 0 success, 1 domain errors (printed as `error: <Name>: ...`
 on stderr), 2 usage errors.  All output is deterministic for fixed
 inputs and flags; `--json` switches to a machine-readable shape.
+
+`main(argv)` may be called any number of times in one process; the
+argument parser is built on the first call and reused by every later
+one, so each call pays only for its own command.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -25,6 +30,7 @@ from .rigidity import ascending_modulus, check
 from .words import Presentation, format_word, parse_word, word_length
 
 
+@functools.cache
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="gbsr",

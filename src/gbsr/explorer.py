@@ -183,13 +183,15 @@ def _index_plan(nsymbols, radius):
     stages[i] is the prefix trie (see _trie) of the fresh primitive
     necklace representatives with core length i + 1, over syllables
     (symbol index, exponent); entries gives, per word in enumeration
-    order, (stage, position, power) of its cyclic core's primitive root,
-    position indexing that stage's leaves, or None when the core is empty.
+    order, (index, power) of its cyclic core's primitive root, index
+    counting the leaves of all stages in order, or None when the core
+    is empty.
     """
     letters = [(s, e) for s in range(nsymbols) for e in (1, -1)]
     stages = [[] for _ in range(radius)]
-    where = {}  # necklace key -> (stage, position)
-    shared = {}  # one entry tuple per distinct (key, power)
+    # every key of length L turns up among the words of length L, so the
+    # stages fill in order and a key's index is its order of discovery
+    index = {}  # necklace key -> index
     entries = []
     for length in range(1, radius + 1):
         for w in _reduced_words(letters, length):
@@ -199,11 +201,10 @@ def _index_plan(nsymbols, radius):
                 continue
             root, k = _primitive_root(core)
             key = _necklace_key(root)
-            if key not in where:
-                stage = stages[len(key) - 1]
-                where[key] = (len(key) - 1, len(stage))
-                stage.append(free_reduce(key))
-            entries.append(shared.setdefault((key, k), where[key] + (k,)))
+            if key not in index:
+                index[key] = len(index)
+                stages[len(key) - 1].append(free_reduce(key))
+            entries.append((index[key], k))
     return tuple(map(_trie, stages)), tuple(entries)
 
 
@@ -239,7 +240,8 @@ def _stage_lengths(state: MarkedState, stage):
 
 def _spread(entries, values):
     """Fingerprint from per-stage representative lengths."""
-    return tuple(0 if e is None else e[2] * values[e[0]][e[1]] for e in entries)
+    flat = [n for stage in values for n in stage]
+    return tuple([0 if e is None else e[1] * flat[e[0]] for e in entries])
 
 
 def fingerprint(state: MarkedState, radius: int):

@@ -193,28 +193,34 @@ def to_path_word(p: Presentation, word) -> PathWord:
 
     A vertex generator based elsewhere is conjugated along the tree:
     path to its vertex, the power there, path back.  A stable letter is
-    its single traversal closed up the same way.
+    its single traversal closed up the same way.  One stack is extended
+    syllable by syllable; a power of a stable letter whose closed-up
+    piece does not pinch against its own copy is appended in bulk.
     """
     g = p.graph
-    letters = []
+    stack = []
     for sym, exp in word:
         if not exp:
             continue
         kind, _, name = sym.partition("_")
         if kind == "x" and name in p.path_to:
             out = p.path_to[name]
-            letters.extend(out)
-            letters.append(("v", name, exp))
-            letters.extend(invert_path_letters(out))
+            _extend(g, stack, out + (("v", name, exp),) + invert_path_letters(out))
         elif kind == "t" and g.has_edge(name) and name not in p.tree:
             e = g.edge(name)
             fwd = p.path_to[e.vb] + (("e", name, -1),) + invert_path_letters(p.path_to[e.va])
             piece = fwd if exp > 0 else invert_path_letters(fwd)
-            for _ in range(abs(exp)):
-                letters.extend(piece)
+            twice = piece * 2
+            # piece is traversals only, so a pinch among its copies is a
+            # backtrack: if two copies do not pinch, no number of them does
+            if _extend(g, [], twice) == list(twice):
+                _append(g, stack, piece * abs(exp))
+            else:
+                for _ in range(abs(exp)):
+                    _extend(g, stack, piece)
         else:
             raise UnknownGeneratorError("%r is not a generator here" % sym)
-    return PathWord(p.base, reduce_letters(g, tuple(letters)))
+    return PathWord(p.base, tuple(stack))
 
 
 def path_to_generators(p: Presentation, pw: PathWord):
@@ -292,6 +298,22 @@ def _extend(g: GbsGraph, stack, letters):
             power += pop()[2]
         if power:
             push(("v", near_v, power))
+    return stack
+
+
+def _append(g: GbsGraph, stack, block):
+    """_extend(g, stack, block) for an already reduced block.
+
+    Only the block's head can pinch against the stack: once one of its
+    traversals is pushed unchanged, the rest of a reduced block can
+    never pinch, so it is copied onto the stack in bulk.
+    """
+    for i, letter in enumerate(block):
+        n = len(stack)
+        _extend(g, stack, (letter,))
+        if letter[0] == "e" and len(stack) > n:
+            stack.extend(block[i + 1:])
+            break
     return stack
 
 
@@ -383,8 +405,8 @@ def word_length(p: Presentation, word) -> int:
             word.append((sym, exp))
     if len(word) == 1:
         sym, exp = word[0]
-        return abs(exp) * translation_length(p, to_path_word(p, ((sym, 1),)))
-    return translation_length(p, to_path_word(p, word))
+        return abs(exp) * _seam_length(p.graph, to_path_word(p, ((sym, 1),)).letters)
+    return _seam_length(p.graph, to_path_word(p, word).letters)
 
 
 def normalize_word(p: Presentation, word):

@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from gbsr import cli
 from gbsr.cli import main
 
 LOOP23 = "vertex v\nedge c v 2 3 v\n"
@@ -223,3 +225,33 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
     assert main(["check"]) == 2
     capsys.readouterr()
+
+
+def test_repeated_calls_keep_their_own_flags(gbs, capsys):
+    path = gbs(LOOP16)
+    code, out, _ = run(capsys, "check", path, "--json")
+    assert code == 0 and json.loads(out)["rigid"] is False
+    code, out, _ = run(capsys, "check", path)
+    assert code == 0
+    assert out.splitlines()[0] == (
+        "reduced ascending not-slide-free not-rigid (s=6 is not 1 or prime)"
+    )
+
+
+def test_a_usage_error_does_not_spoil_the_next_call(gbs, capsys):
+    code, out, err = run(capsys, "expand", gbs(LOOP23), "v", "two")
+    assert code == 2 and out == "" and "invalid int value" in err
+    assert run(capsys, "length", gbs(LOOP23), "t_c") == (0, "1\n", "")
+
+
+def test_the_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_length_of_a_large_power_inside_a_word_is_fast(gbs, capsys):
+    path = gbs("vertex v\nedge c v 1 3 v\n")
+    t0 = time.perf_counter()
+    code = main(["length", path, "x_v t_c^1000000"])
+    elapsed = time.perf_counter() - t0
+    assert (code, capsys.readouterr().out) == (0, "1000000\n")
+    assert elapsed < 0.2

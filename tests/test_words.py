@@ -10,9 +10,12 @@ from gbsr.errors import MalformedWordError, UnknownGeneratorError
 from gbsr.graph import parse
 from gbsr.words import (
     Presentation,
+    _append,
+    _extend,
     cyclically_reduce_letters,
     format_word,
     free_reduce,
+    invert_path_letters,
     invert_word,
     is_elliptic,
     is_trivial,
@@ -367,3 +370,80 @@ def test_word_length_rejects_unknown_generators_it_could_strip():
     p = pres(SEG23)
     with pytest.raises(UnknownGeneratorError):
         word_length(p, parse_word("t_e x_a t_e^-1"))  # e is a tree edge
+
+
+# a loop away from the base: the closed-up piece of t_c backtracks
+# across e where two copies meet
+AWAY = "vertex a\nvertex b\nedge e a 2 3 b\nedge c b 2 4 b\n"
+
+
+def _copied_letters(p, word):
+    """Path letters of word with every power copied out in full and
+    nothing reduced: the construction to_path_word must agree with."""
+    letters = []
+    for sym, exp in word:
+        kind, _, name = sym.partition("_")
+        if kind == "x":
+            out = p.path_to[name]
+            letters += out + (("v", name, exp),) + invert_path_letters(out)
+        else:
+            e = p.graph.edge(name)
+            fwd = p.path_to[e.vb] + (("e", name, -1),) + invert_path_letters(p.path_to[e.va])
+            letters += (fwd if exp > 0 else invert_path_letters(fwd)) * abs(exp)
+    return tuple(letters)
+
+
+def _junction_free(p, sym):
+    e = p.graph.edge(sym[2:])
+    piece = p.path_to[e.vb] + (("e", e.eid, -1),) + invert_path_letters(p.path_to[e.va])
+    return reduce_letters(p.graph, piece * 2) == piece * 2
+
+
+def _seeded_presentations(rng):
+    for text in (LOOP23, BS13, THETA, UNITS, AWAY):
+        yield pres(text)
+    for _ in range(60):
+        yield Presentation(oracle.random_graph(rng, 3, 4, 6))
+
+
+def test_to_path_word_equals_reducing_the_copied_letters():
+    rng = random.Random(0x70BA7)
+    free = stuck = loops = 0
+    for p in _seeded_presentations(rng):
+        stable = [sym for sym in p.generators if sym.startswith("t_")]
+        loops += len(p.graph.vertices) == 1 and bool(stable)
+        for sym in stable:
+            if _junction_free(p, sym):
+                free += 1
+            else:
+                stuck += 1
+        for _ in range(20):
+            word = oracle.random_word(rng, p.generators, max_syllables=5, max_exp=50)
+            want = reduce_letters(p.graph, _copied_letters(p, word))
+            assert to_path_word(p, word).letters == want, word
+    assert free > 30 and stuck > 10 and loops > 10
+
+
+def test_append_equals_extend_on_reduced_blocks():
+    rng = random.Random(0xB10C)
+    head_pinched = 0
+    for _ in range(200):
+        g = oracle.random_graph(rng, 3, 4, 6)
+        for _ in range(20):
+            letters = _random_walk_letters(rng, g, rng.randint(0, 24))
+            cut = rng.randint(0, len(letters))
+            stack = list(reduce_letters(g, letters[:cut]))
+            block = reduce_letters(g, letters[cut:])
+            want = _extend(g, list(stack), block)
+            assert _append(g, list(stack), block) == want
+            head_pinched += len(want) < len(stack) + len(block)
+    assert head_pinched > 500
+
+
+def test_word_length_equals_the_oracle_on_powers():
+    rng = random.Random(0x1E47)
+    for p in _seeded_presentations(rng):
+        for _ in range(4):
+            word = oracle.random_word(rng, p.generators, max_syllables=4, max_exp=8)
+            letters = to_path_word(p, word).letters
+            assert word_length(p, word) == oracle.oracle_translation_length(p.graph, letters)
