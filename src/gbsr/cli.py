@@ -14,7 +14,7 @@ import functools
 import json
 import sys
 
-from .errors import GbsError
+from .errors import GbsError, UnreadableFileError
 from .explorer import ExploreBounds, explore
 from .graph import parse, parse_end, serialize, to_dot
 from .moves import (
@@ -87,7 +87,11 @@ def _load(path):
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
     except OSError as e:
-        raise GbsError(str(e))
+        raise UnreadableFileError(str(e)) from None
+    except UnicodeDecodeError as e:
+        raise UnreadableFileError(
+            "%s is not UTF-8 text (byte 0x%02x at offset %d)" % (path, e.object[e.start], e.start)
+        ) from None
     return parse(text)
 
 

@@ -46,6 +46,12 @@ class GbsSyntaxError(GbsError):
         self.line = line
 
 
+class UnreadableFileError(GbsError):
+    """A graph file that cannot be opened and read, or is not UTF-8 text."""
+
+    name = "UnreadableFile"
+
+
 # words
 
 class UnknownGeneratorError(GbsError):

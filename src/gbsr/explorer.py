@@ -24,6 +24,16 @@ generators and radius.  Each stage is evaluated along a prefix trie of
 its representatives: a trie node extends its parent's reduced stack by
 one image, so no shared prefix is reduced twice.
 
+Every slide or collapse child is reduced and classified, and the
+classes' counts count those classifications, so what can be saved is
+the cost of each one.  A popped state's images are built once, before
+its children are; a child stays lazy, and its reduced state is one
+composed step from it: the collapse chain of each concrete graph (the
+collapses, the final graph, one letter map and one prefix) is worked
+out once per `explore` call and kept in its graph pool.  Reading the
+reduced state's images then costs one Britton reduction per seed
+generator, through the child's move and the whole chain at once.
+
 Ascending states degenerate (their length function is the absolute
 value of a homomorphism, blind to induction moves), so one-loop (1, n)
 spaces are routed to an arithmetic criterion over divisors of n
@@ -40,7 +50,7 @@ define the searched subspace and do not.
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product
 
 from .errors import BoundsTooTightError, BrokenMarkingError, GbsError, NoViolationError
 from .graph import Edge, EdgeEnd, GbsGraph, serialize
@@ -51,10 +61,12 @@ from .moves import (
     MarkedState,
     MoveBounds,
     Slide,
-    _apply_move,
     _child,
+    _collapse,
     _divisors,
     _legal,
+    _pooled,
+    _prefix,
     apply_move,
     initial_state,
 )
@@ -317,10 +329,51 @@ def reduce_state(state: MarkedState) -> MarkedState:
 
 
 def _reduce(state, pool):
-    """reduce_state with every graph of the chain taken from pool."""
-    while (end := collapse_witness(state.graph)) is not None:
-        state = _apply_move(state, Collapse(end.edge), pool, False)
-    return state
+    """reduce_state with every graph of the chain taken from pool.
+
+    The collapse chain of each graph content is worked out once per pool
+    (see _collapse_chain), and the reduced state is one step from state.
+    """
+    g = state.graph
+    key = ("collapse chain", g.vertices, g.edges)
+    cached = pool.get(key)
+    if cached is None:
+        cached = pool[key] = _collapse_chain(g, pool)
+    moves, final, step = cached
+    if not moves:
+        return state
+    return MarkedState(final, state.history + moves, state.seed, parent=state, step=step)
+
+
+def _collapse_chain(g, pool):
+    """(moves, final graph, step) of the collapses reduce_state makes from
+    g, the step composed from the steps of all of them.
+
+    A collapse only renames and scales vertex powers and deletes its
+    edge's letters, so the composed letter map is a vertex -> (vertex,
+    factor) table plus the set of deleted edges.  The composed prefix is
+    P_k = pre_k + m_k(P_(k-1)), from each step's own tree path pre_k and
+    letter map m_k, so the composed step maps letters exactly as the
+    steps one after another do before any reduction.
+    """
+    start = g
+    moves, table, prefix = (), {v: (v, 1) for v in g.vertices}, ()
+    while (end := collapse_witness(g)) is not None:
+        mv = Collapse(end.edge)
+        vertices, edges, m, base = _collapse(g, mv)
+        g = _pooled(pool, vertices, edges)
+        table = {v: m(("v", w, f))[0][1:] for v, (w, f) in table.items()}
+        prefix = _prefix(g, base) + tuple(chain.from_iterable(map(m, prefix)))
+        moves += (mv,)
+    deleted = {e.eid for e in start.edges} - {e.eid for e in g.edges}
+
+    def letter_map(letter):
+        if letter[0] == "v":
+            w, f = table[letter[1]]
+            return (("v", w, f * letter[2]),)
+        return () if letter[1] in deleted else (letter,)
+
+    return moves, g, (letter_map, prefix)
 
 
 def ascending_equivalent(n: int, d: int) -> bool:
@@ -386,9 +439,9 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
     if bounds.max_depth < 0 or bounds.radius < 1:
         raise BoundsTooTightError("max_depth must be >= 0 and radius >= 1")
     max_edges = len(g0.edges) + bounds.max_extra_edges
-    # graph content -> (GbsGraph, Presentation), shared by every state
-    # this call builds, so that each concrete graph is built, validated
-    # and canonicalised once
+    # graph content -> GbsGraph, and -> its collapse chain, shared by
+    # every state this call builds, so that each concrete graph is built,
+    # validated, canonicalised and reduced once
     pool = {}
 
     base = _reduce(seed, pool)
@@ -414,6 +467,7 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
             if children:
                 clipped = True
             continue
+        state.images()  # once here, not once per child that reads them
         for mv, child in children:
             if isinstance(mv, (Slide, Collapse)):
                 rec, created = table.classify(_reduce(child, pool))

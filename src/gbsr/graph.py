@@ -73,7 +73,7 @@ class GbsGraph:
     [('e', 'A'), ('e', 'B')]
     """
 
-    __slots__ = ("vertices", "edges", "_by_id", "_ends", "_canon", "_pinches")
+    __slots__ = ("vertices", "edges", "_by_id", "_ends", "_canon", "_pinches", "_presentation")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable):
         self.vertices = tuple(sorted(set(vertices)))
@@ -96,6 +96,7 @@ class GbsGraph:
         self._ends = {v: tuple(sorted(lst)) for v, lst in ends.items()}
         self._canon = None
         self._pinches = None  # words._pinch_table, built on first use
+        self._presentation = None  # words._presentation, built on first use
         validate(self)
 
     # -- queries ----------------------------------------------------------

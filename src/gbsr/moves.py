@@ -7,13 +7,15 @@ the current graph, so that the group never changes while the graph does.
 Each move is one function that acts on both at once: it checks the
 move's legality, does the graph surgery, and returns the letter map
 sending path letters of the old graph to path letters of the new one.
-A child keeps that letter map; on demand it maps its parent's images
-letter by letter, re-bases them along the new spanning tree and
-Britton-reduces once.  Generator words are projected from the images
-only for output and for the consistency checks.  Enumeration only
-proposes candidate moves and keeps those that their move function
-accepts and whose result stays within the label cap, so legality and
-label arithmetic are written once.
+A child keeps that letter map and the prefix that re-bases mapped paths
+along the new spanning tree.  Its images are built when first read: the
+read walks up to the nearest ancestor whose images are built, maps
+those unreduced through every step in between and Britton-reduces once
+per generator, and the states in between stay lazy.  Generator words
+are projected from the images only for output and for the consistency
+checks.  Enumeration only proposes candidate moves and keeps those that
+their move function accepts and whose result stays within the label
+cap, so legality and label arithmetic are written once.
 
 The moves and their exact label arithmetic:
 
@@ -34,15 +36,19 @@ generators stay elliptic, the modular homomorphism keeps its values on
 the seed's cycle basis) are re-run after every verified move, so a
 wrong letter map cannot slip through silently.
 
-The GbsGraph and Presentation of a move's result come from a graph
-pool, a dict keyed on the graph content.  `apply_move` hands every call
-a fresh pool, so each public move builds and validates its graph
-afresh.  The explorer keeps one pool per `explore` call, so every state
-of that search with the same concrete graph shares one graph object,
-its validation and its cached canonical form.
+The GbsGraph of a move's result comes from a graph pool, a dict keyed
+on the graph content; its Presentation is built the first time
+something reads it and is kept on the graph.  A step whose mapped base
+is the new graph's base vertex has the empty prefix and needs no
+Presentation.  `apply_move` hands every call a fresh pool, so each
+public move builds and validates its graph afresh.  The explorer keeps
+one pool per `explore` call, so every state of that search with the
+same concrete graph shares one graph object, its validation, its
+presentation and its cached canonical form.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
 
 from .errors import (
@@ -63,6 +69,7 @@ from .words import (
     PathWord,
     Presentation,
     _extend,
+    _presentation,
     _seam_length,
     invert_path_letters,
     is_trivial,
@@ -113,40 +120,45 @@ class Induction:
 class MarkedState:
     """A graph plus a marking of the seed group in its fundamental group."""
 
-    __slots__ = (
-        "graph",
-        "presentation",
-        "history",
-        "seed",
-        "_images",
-        "_marking",
-        "_parent",
-        "_step",
-    )
+    __slots__ = ("graph", "history", "seed", "_images", "_marking", "_parent", "_step")
 
-    def __init__(self, graph, presentation, history, seed, images=None, parent=None, step=None):
+    def __init__(self, graph, history, seed, images=None, parent=None, step=None):
         self.graph = graph
-        self.presentation = presentation
         self.history = history
         self.seed = seed
         self._images = images
         self._marking = None
         self._parent = parent
-        self._step = step  # (letter map, base) of the move from the parent
+        self._step = step  # (letter map, start) of the step from the parent; see _prefix
+
+    @property
+    def presentation(self):
+        """The Presentation of graph, built when first read."""
+        return _presentation(self.graph)
 
     def images(self):
-        """Seed generator -> reduced based path letters of its image (lazy)."""
+        """Seed generator -> reduced based path letters of its image (lazy).
+
+        The first read walks up to the nearest ancestor whose images are
+        read already.  Each step below it maps the unreduced letters by
+        its letter map and wraps them in its prefix, and one Britton
+        reduction per generator ends the walk, so the states in between
+        stay lazy.
+        """
         if self._images is None:
-            parent = self._parent
-            letter_map, base = self._step
-            pre = self.presentation.path_to[base]
-            post = invert_path_letters(pre)
-            self._images = {
-                sym: reduce_letters(
-                    self.graph, pre + tuple(out for lt in letters for out in letter_map(lt)) + post
-                )
-                for sym, letters in parent.images().items()
-            }
+            steps = []
+            state = self
+            while state._images is None:
+                letter_map, start = state._step
+                pre = _prefix(state.graph, start)
+                steps.append((letter_map, pre, invert_path_letters(pre)))
+                state = state._parent
+            images = {}
+            for sym, letters in state._images.items():
+                for letter_map, pre, post in reversed(steps):
+                    letters = pre + tuple(chain.from_iterable(map(letter_map, letters))) + post
+                images[sym] = reduce_letters(self.graph, letters)
+            self._images = images
             self._parent = self._step = None
         return self._images
 
@@ -206,7 +218,7 @@ class _Seed:
 
 
 def initial_state(graph: GbsGraph) -> MarkedState:
-    p = Presentation(graph)
+    p = _presentation(graph)
     seed = _Seed(
         presentation=p,
         relators=p.relators(),
@@ -218,7 +230,7 @@ def initial_state(graph: GbsGraph) -> MarkedState:
         ),
     )
     images = {sym: to_path_word(p, ((sym, 1),)).letters for sym in p.generators}
-    return MarkedState(graph, p, (), seed, images=images)
+    return MarkedState(graph, (), seed, images=images)
 
 
 def modulus_fingerprint(state: MarkedState):
@@ -359,14 +371,26 @@ _MOVES = {Collapse: _collapse, Expansion: _expand, Slide: _slide, Induction: _in
 
 
 def _pooled(pool, vertices, edges):
-    """The (GbsGraph, Presentation) pair for this graph content: built and
-    validated on the first request, then shared by every later one."""
+    """The GbsGraph for this graph content: built and validated on the
+    first request, then shared by every later one.  Its Presentation is
+    built only when something reads it."""
     key = (tuple(sorted(vertices)), tuple(sorted(edges)))
-    hit = pool.get(key)
-    if hit is None:
-        graph = GbsGraph(vertices, edges)
-        hit = pool[key] = (graph, Presentation(graph))
-    return hit
+    graph = pool.get(key)
+    if graph is None:
+        graph = pool[key] = GbsGraph(vertices, edges)
+    return graph
+
+
+def _prefix(graph, start):
+    """The letters a step puts in front of its mapped paths in graph.
+
+    start is either that prefix itself (a tuple of letters) or the vertex
+    where the mapped paths start, whose prefix is the tree path to it from
+    the base; at the base that is (), which needs no Presentation.
+    """
+    if isinstance(start, tuple):
+        return start
+    return () if start == graph.vertices[0] else _presentation(graph).path_to[start]
 
 
 def _apply_move(state: MarkedState, move, pool: dict, verify: bool) -> MarkedState:
@@ -381,10 +405,8 @@ def _child(state: MarkedState, move, surgery, pool: dict, verify: bool) -> Marke
     """The state that move leads to, given the surgery its move function
     returned on state.graph."""
     vertices, edges, letter_map, base = surgery
-    new_graph, new_p = _pooled(pool, vertices, edges)
     out = MarkedState(
-        new_graph,
-        new_p,
+        _pooled(pool, vertices, edges),
         state.history + (move,),
         state.seed,
         parent=state,
@@ -399,7 +421,10 @@ def apply_move(state: MarkedState, move, verify: bool = True) -> MarkedState:
     """Apply one deformation move, returning the new marked state.
 
     The new graph and its presentation are always built afresh here.
+    The images of state are read first, so a chain of moves applied
+    here never leaves more than one step unreduced.
     """
+    state.images()
     return _apply_move(state, move, {}, verify)
 
 
@@ -526,5 +551,11 @@ def enumerate_moves(state: MarkedState, bounds: MoveBounds = MoveBounds()):
     collapses, slides, expansions (by vertex, index, moved subset), then
     inductions.  Expansions are only enumerated with index >= 2.  A move
     is within max_label when every label of its resulting graph is.
+
+    Every subset of the k ends at a vertex whose labels an index divides
+    is one expansion, so the list grows as 2^k per vertex and index: one
+    vertex with 8 loops labelled (6, 6) has 16 such ends for each of the
+    indices 2, 3 and 6, and 196,832 moves in all.  max_edges = the current
+    edge count leaves expansions out.
     """
     return [mv for mv, _ in _legal(state.graph, bounds)]

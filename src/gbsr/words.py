@@ -27,8 +27,8 @@ callers that share prefixes, like the explorer's trie evaluation of
 sample words, extend an already reduced stack instead of starting over.
 """
 
-from collections import deque
 from fractions import Fraction
+from operator import countOf, itemgetter
 import re
 from typing import NamedTuple
 
@@ -103,6 +103,14 @@ class Presentation:
                     rel.append(((t, 1), (xv, e.la), (t, -1), (xw, -e.lb)))
             self._rel = tuple(rel)
         return self._rel
+
+
+def _presentation(g: GbsGraph) -> Presentation:
+    """The Presentation of g, built on first use and kept on g."""
+    p = g._presentation
+    if p is None:
+        p = g._presentation = Presentation(g)
+    return p
 
 
 # -- generator words --------------------------------------------------------
@@ -259,7 +267,7 @@ def _pinch_table(g: GbsGraph):
 def _extend(g: GbsGraph, stack, letters):
     """Continue the stack pass of reduce_letters over letters.
 
-    stack is a reduced list or deque; it is extended in place and
+    stack is a reduced list; it is extended in place and
     returned.  A stack pass over prefix + rest is the stack of prefix
     continued over rest, so a reduced prefix is never reduced again.
     """
@@ -336,46 +344,47 @@ def is_trivial(p: Presentation, pw: PathWord) -> bool:
     return not _extend(p.graph, [], pw.letters)
 
 
-def _seam(g: GbsGraph, w):
-    """Cyclic reduction of the reduced list w: w itself unless a leading
-    power must rotate or a pinch applies across the seam, otherwise a
-    reduced deque.
+def _peel(g: GbsGraph, w):
+    """Cyclic reduction of the reduced closed list w, by index and without
+    a copy: (i, j, seam, pinches).
 
-    A leading power is rotated to the back, and the first traversal is
-    rotated to the back through _extend, which applies any pinch across
-    the seam; both ends stay reduced, so one pass suffices.
+    The powers at both ends of w meet at the seam and merge into one seam
+    power.  While the last traversal, the seam power and the first
+    traversal pinch, both traversals are peeled off and the pinch's power,
+    merged with the powers next to them, becomes the seam power.  The
+    cyclic reduction is w[i:j] followed by seam, a power letter or None,
+    and has 2 * pinches fewer edge letters than w.
     """
-    if not w:
-        return w
-    first = w[0]
-    if first[0] == "e":  # does it close a pinch against the end of w?
-        top = w[-1]
-        opener, power = (top, 0) if top[0] == "e" else (w[-2], top[2])
-        row = _pinch_table(g).get(opener)  # None when opener is a power
-        if row is None or row[0] != first or power % row[1]:
-            return w
-    w = deque(w)
-    while w:
-        if w[0][0] == "v":
-            _extend(g, w, (w.popleft(),))
-            if not w or w[0][0] == "v":
-                return w
-        n = len(w)
-        _extend(g, w, (w.popleft(),))
-        if len(w) == n:  # no pinch: the traversal went to the back unchanged
-            w.rotate(1)
-            return w
-    return w
+    i, j = 0, len(w)
+    vertex, power = None, 0
+    if j and w[0][0] == "v":
+        vertex, power, i = w[0][1], w[0][2], 1
+    if j > i and w[-1][0] == "v":
+        vertex, power, j = w[-1][1], power + w[-1][2], j - 1
+    table, pinches = _pinch_table(g), 0
+    while j - i >= 2:  # w[i] and w[j - 1] are distinct traversals
+        closer, far, near_v, near_l = table[w[j - 1]]
+        if closer != w[i] or power % far:
+            break
+        vertex, power = near_v, near_l * (power // far)
+        i, j, pinches = i + 1, j - 1, pinches + 1
+        if i < j and w[j - 1][0] == "v":
+            power, j = power + w[j - 1][2], j - 1
+        if i < j and w[i][0] == "v":
+            power, i = power + w[i][2], i + 1
+    return i, j, ("v", vertex, power) if power else None, pinches
 
 
 def _seam_length(g: GbsGraph, w):
     """Translation length of the element spelled by the reduced list w."""
-    return [letter[0] for letter in _seam(g, w)].count("e")
+    return countOf(map(itemgetter(0), w), "e") - 2 * _peel(g, w)[3]
 
 
 def cyclically_reduce_letters(g: GbsGraph, letters):
     """Reduce up to conjugation; the result may be based elsewhere."""
-    return tuple(_seam(g, _extend(g, [], letters)))
+    w = _extend(g, [], letters)
+    i, j, seam, _ = _peel(g, w)
+    return tuple(w[i:j]) + ((seam,) if seam else ())
 
 
 def translation_length(p: Presentation, pw: PathWord) -> int:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import gbsr
 from gbsr import cli
 from gbsr.cli import main
 
@@ -255,3 +260,22 @@ def test_length_of_a_large_power_inside_a_word_is_fast(gbs, capsys):
     elapsed = time.perf_counter() - t0
     assert (code, capsys.readouterr().out) == (0, "1000000\n")
     assert elapsed < 0.2
+
+
+def _shell_gbsr(*argv):
+    """Run the CLI in its own process, as a shell user does."""
+    env = dict(os.environ, PYTHONPATH=str(Path(gbsr.__file__).resolve().parent.parent))
+    return subprocess.run(
+        [sys.executable, "-m", "gbsr.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+def test_unreadable_files_are_named_domain_errors(tmp_path):
+    bad = tmp_path / "bad.gbs"
+    bad.write_bytes(b"vertex v\xff\n")
+    for path in (bad, tmp_path / "missing.gbs", tmp_path):
+        done = _shell_gbsr("check", str(path))
+        assert done.returncode == 1 and done.stdout == "", path
+        assert "Traceback" not in done.stderr, path
+        assert done.stderr.startswith("error: UnreadableFile: "), (path, done.stderr)
+        assert ("not UTF-8" in done.stderr) == (path == bad)

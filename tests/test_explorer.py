@@ -27,8 +27,17 @@ from gbsr.explorer import (
     witness_search,
 )
 from gbsr.graph import is_isomorphic, parse, parse_end, serialize
-from gbsr.moves import Slide, apply_move, initial_state
-from gbsr.rigidity import check, is_reduced
+from gbsr.moves import (
+    Collapse,
+    Expansion,
+    MoveBounds,
+    Slide,
+    _apply_move,
+    apply_move,
+    enumerate_moves,
+    initial_state,
+)
+from gbsr.rigidity import check, collapse_witness, is_reduced
 from gbsr.words import invert_path_letters, word_length
 
 BS26 = "vertex v\nedge c v 2 6 v\n"
@@ -380,3 +389,91 @@ def test_stage_lengths_inside_explore_match_the_oracle(monkeypatch):
     assert len({id(st) for st, _, _ in seen}) >= 25
     for st, stage, values in seen:
         assert values == _oracle_stage(st, stage)
+
+
+def _reduce_one_collapse_at_a_time(st):
+    """The reference for _reduce: one public collapse at a time, each
+    state's images read before the next move."""
+    st.images()
+    while (end := collapse_witness(st.graph)) is not None:
+        st = apply_move(st, Collapse(end.edge), verify=False)
+        st.images()
+    return st
+
+
+def test_reduce_composes_each_collapse_chain_exactly():
+    rng = random.Random(0xC0A1E5CE)
+    chains = long_chains = 0
+    for _ in range(150):
+        g = oracle.random_graph(rng, 3, 3, 4)
+        st = initial_state(g)
+        pool = {}  # one pool per walk, as explore keeps one
+        for _ in range(rng.randint(1, 4)):
+            children = _legal_children(st, len(g.edges) + 2, 16, pool)
+            if not children:
+                break
+            for _, child in rng.sample(children, min(8, len(children))):
+                got = _reduce(child, pool)
+                images = got.images()  # read while child and its parents are lazy
+                want = _reduce_one_collapse_at_a_time(child)
+                assert (got.graph.vertices, got.graph.edges) == (
+                    want.graph.vertices,
+                    want.graph.edges,
+                )
+                assert images == want.images()
+                assert got.history == want.history
+                collapses = len(got.history) - len(child.history)
+                chains += collapses >= 1
+                long_chains += collapses >= 2
+            st = rng.choice(children)[1]
+    assert chains > 2000 and long_chains > 1000
+
+
+def test_lazy_parents_give_the_images_of_read_ones():
+    rng = random.Random(0x1A2B)
+    bounds = MoveBounds(5, 24, 4)
+    walked = 0
+    for _ in range(120):
+        read = lazy = initial_state(oracle.random_graph(rng, 3, 3, 4))
+        pool = {}
+        middle = []
+        for _ in range(rng.randint(2, 5)):
+            moves = enumerate_moves(lazy, bounds)
+            if not moves:
+                break
+            mv = rng.choice(moves)
+            read = _apply_move(read, mv, pool, False)
+            read.images()
+            lazy = _apply_move(lazy, mv, pool, False)
+            middle.append(lazy)
+        assert lazy.images() == read.images()
+        assert lazy.history == read.history
+        # one reduction at the end; the states in between stay lazy
+        assert all(st._images is None for st in middle[:-1])
+        walked += len(middle) >= 3
+    assert walked > 50
+
+
+def test_second_reduce_of_a_pooled_graph_reuses_its_chain(monkeypatch):
+    seed = state("vertex a\nvertex b\nvertex c\nedge e a 3 1 b\nedge f b 2 1 c\nedge h c 5 7 c\n")
+    pool = {}
+    first = _reduce(seed, pool)
+    calls = []
+    monkeypatch.setattr(
+        gbsr.explorer, "collapse_witness", lambda g: calls.append(g) or collapse_witness(g)
+    )
+    second = _reduce(seed, pool)
+    assert calls == []
+    assert second is not first and second.graph is first.graph
+    assert second.history == first.history and len(first.history) == 2
+    assert second.images() == first.images() == reduce_state(seed).images()
+
+
+def test_pooled_expansion_children_build_no_presentation_until_read():
+    st = state(BS26)
+    children = [c for mv, c in _legal_children(st, 3, 36, {}) if isinstance(mv, Expansion)]
+    assert len(children) >= 4
+    assert all(c.graph._presentation is None for c in children)
+    # the new vertex u0 sorts before v, so the mapped base is off the new base
+    assert children[0].images() == apply_move(st, children[0].history[-1]).images()
+    assert children[0].graph._presentation is not None

@@ -12,6 +12,7 @@ from gbsr.words import (
     Presentation,
     _append,
     _extend,
+    _seam_length,
     cyclically_reduce_letters,
     format_word,
     free_reduce,
@@ -447,3 +448,32 @@ def test_word_length_equals_the_oracle_on_powers():
             word = oracle.random_word(rng, p.generators, max_syllables=4, max_exp=8)
             letters = to_path_word(p, word).letters
             assert word_length(p, word) == oracle.oracle_translation_length(p.graph, letters)
+
+
+# sha256 of the cyclically_reduce_letters outputs below, recorded before
+# the seam was peeled by index
+CYCLIC_DIGEST = "c4434cf9e7cdfe1224034d6e8b599ab275e4d23004003054de80ee602a5563dc"
+
+
+def test_seam_length_counts_the_edges_of_the_cyclic_reduction():
+    rng = random.Random(0x5EA3)
+    h = hashlib.sha256()
+    leading = pinched = twice = 0
+    for _ in range(200):
+        g = oracle.random_graph(rng, 3, 4, 6)
+        p = Presentation(g)
+        for _ in range(10):
+            word = oracle.random_word(rng, p.generators, max_syllables=5)
+            c = oracle.random_word(rng, p.generators, max_syllables=3)
+            conj = free_reduce(list(c) + list(word) + list(invert_word(c)))
+            w = list(reduce_letters(g, to_path_word(p, conj).letters))
+            cyc = cyclically_reduce_letters(g, w)
+            h.update(repr(cyc).encode())
+            n = _seam_length(g, w)
+            assert n == oracle.edge_count(cyc) == oracle.oracle_translation_length(g, w)
+            pinches = (oracle.edge_count(w) - n) // 2  # across the seam
+            leading += bool(w) and w[0][0] == "v"
+            pinched += pinches >= 1
+            twice += pinches >= 2
+    assert leading > 500 and pinched > 1000 and twice > 500
+    assert h.hexdigest() == CYCLIC_DIGEST
