@@ -27,12 +27,12 @@ one image, so no shared prefix is reduced twice.
 Every slide or collapse child is reduced and classified, and the
 classes' counts count those classifications, so what can be saved is
 the cost of each one.  A popped state's images are built once, before
-its children are; a child stays lazy, and its reduced state is one
-composed step from it: the collapse chain of each concrete graph (the
-collapses, the final graph, one letter map and one prefix) is worked
-out once per `explore` call and kept in its graph pool.  Reading the
-reduced state's images then costs one Britton reduction per seed
-generator, through the child's move and the whole chain at once.
+its children are; a child stays lazy, and so does each state of its
+collapse chain: the chain of each concrete graph (each collapse with
+its graph and its step) is worked out once per `explore` call and kept
+in its graph pool.  Reading the reduced state's images then costs one
+Britton reduction per seed generator, through the child's move and each
+collapse's own letter map in turn.
 
 Ascending states degenerate (their length function is the absolute
 value of a homomorphism, blind to induction moves), so one-loop (1, n)
@@ -50,7 +50,7 @@ define the searched subspace and do not.
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 
 from .errors import BoundsTooTightError, BrokenMarkingError, GbsError, NoViolationError
 from .graph import Edge, EdgeEnd, GbsGraph, serialize
@@ -66,7 +66,6 @@ from .moves import (
     _divisors,
     _legal,
     _pooled,
-    _prefix,
     apply_move,
     initial_state,
 )
@@ -88,6 +87,11 @@ class ExploreBounds:
     max_depth: int = 8
     radius: int = 4
     max_states: int = 5000
+
+
+# explore refuses a radius whose sample words outnumber this: every word
+# is enumerated, and the count grows by a factor 2n - 1 per step of radius
+_MAX_SAMPLE_WORDS = 200_000
 
 
 @dataclass(frozen=True)
@@ -331,49 +335,24 @@ def reduce_state(state: MarkedState) -> MarkedState:
 def _reduce(state, pool):
     """reduce_state with every graph of the chain taken from pool.
 
-    The collapse chain of each graph content is worked out once per pool
-    (see _collapse_chain), and the reduced state is one step from state.
+    The collapses reduce_state makes from a graph content, each with its
+    pooled graph and its step, are worked out once per pool; the reduced
+    state is one lazy state per collapse below state.
     """
     g = state.graph
     key = ("collapse chain", g.vertices, g.edges)
-    cached = pool.get(key)
-    if cached is None:
-        cached = pool[key] = _collapse_chain(g, pool)
-    moves, final, step = cached
-    if not moves:
-        return state
-    return MarkedState(final, state.history + moves, state.seed, parent=state, step=step)
-
-
-def _collapse_chain(g, pool):
-    """(moves, final graph, step) of the collapses reduce_state makes from
-    g, the step composed from the steps of all of them.
-
-    A collapse only renames and scales vertex powers and deletes its
-    edge's letters, so the composed letter map is a vertex -> (vertex,
-    factor) table plus the set of deleted edges.  The composed prefix is
-    P_k = pre_k + m_k(P_(k-1)), from each step's own tree path pre_k and
-    letter map m_k, so the composed step maps letters exactly as the
-    steps one after another do before any reduction.
-    """
-    start = g
-    moves, table, prefix = (), {v: (v, 1) for v in g.vertices}, ()
-    while (end := collapse_witness(g)) is not None:
-        mv = Collapse(end.edge)
-        vertices, edges, m, base = _collapse(g, mv)
-        g = _pooled(pool, vertices, edges)
-        table = {v: m(("v", w, f))[0][1:] for v, (w, f) in table.items()}
-        prefix = _prefix(g, base) + tuple(chain.from_iterable(map(m, prefix)))
-        moves += (mv,)
-    deleted = {e.eid for e in start.edges} - {e.eid for e in g.edges}
-
-    def letter_map(letter):
-        if letter[0] == "v":
-            w, f = table[letter[1]]
-            return (("v", w, f * letter[2]),)
-        return () if letter[1] in deleted else (letter,)
-
-    return moves, g, (letter_map, prefix)
+    steps = pool.get(key)
+    if steps is None:
+        steps = []
+        while (end := collapse_witness(g)) is not None:
+            mv = Collapse(end.edge)
+            vertices, edges, letter_map, base = _collapse(g, mv)
+            g = _pooled(pool, vertices, edges)
+            steps.append((mv, g, (letter_map, base)))
+        pool[key] = steps
+    for mv, g, step in steps:
+        state = MarkedState(g, state.history + (mv,), state.seed, parent=state, step=step)
+    return state
 
 
 def ascending_equivalent(n: int, d: int) -> bool:
@@ -438,6 +417,19 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
         )
     if bounds.max_depth < 0 or bounds.radius < 1:
         raise BoundsTooTightError("max_depth must be >= 0 and radius >= 1")
+    # 2n (2n - 1)^(k - 1) reduced words of length k over n generators,
+    # counted only until they pass the cap, so any radius is refused at once
+    n, words, k = len(seed.seed.presentation.generators), 0, 0
+    while k < bounds.radius and words <= _MAX_SAMPLE_WORDS:
+        k += 1
+        words += 2 * n * (2 * n - 1) ** (k - 1)
+    if words > _MAX_SAMPLE_WORDS:
+        raise BoundsTooTightError(
+            "radius %d samples %s%s words over %d seed generators, more than %s; "
+            "use radius %d or less"
+            % (bounds.radius, "" if k == bounds.radius else "at least ", format(words, ","),
+               n, format(_MAX_SAMPLE_WORDS, ","), k - 1)
+        )
     max_edges = len(g0.edges) + bounds.max_extra_edges
     # graph content -> GbsGraph, and -> its collapse chain, shared by
     # every state this call builds, so that each concrete graph is built,

@@ -7,11 +7,12 @@ the current graph, so that the group never changes while the graph does.
 Each move is one function that acts on both at once: it checks the
 move's legality, does the graph surgery, and returns the letter map
 sending path letters of the old graph to path letters of the new one.
-A child keeps that letter map and the prefix that re-bases mapped paths
-along the new spanning tree.  Its images are built when first read: the
-read walks up to the nearest ancestor whose images are built, maps
-those unreduced through every step in between and Britton-reduces once
-per generator, and the states in between stay lazy.  Generator words
+A child keeps that letter map and the vertex where mapped paths start,
+whose tree path re-bases them along the new spanning tree.  Its images
+are built when first read: the read walks up to the nearest ancestor
+whose images are built, maps those unreduced through every step in
+between and Britton-reduces once per generator, and the states in
+between stay lazy.  Generator words
 are projected from the images only for output and for the consistency
 checks.  Enumeration only proposes candidate moves and keeps those that
 their move function accepts and whose result stays within the label
@@ -39,7 +40,7 @@ wrong letter map cannot slip through silently.
 The GbsGraph of a move's result comes from a graph pool, a dict keyed
 on the graph content; its Presentation is built the first time
 something reads it and is kept on the graph.  A step whose mapped base
-is the new graph's base vertex has the empty prefix and needs no
+is the new graph's base vertex re-bases nothing and needs no
 Presentation.  `apply_move` hands every call a fresh pool, so each
 public move builds and validates its graph afresh.  The explorer keeps
 one pool per `explore` call, so every state of that search with the
@@ -129,7 +130,9 @@ class MarkedState:
         self._images = images
         self._marking = None
         self._parent = parent
-        self._step = step  # (letter map, start) of the step from the parent; see _prefix
+        # (letter map, base) of the step from the parent: base is the vertex
+        # where mapped paths start, and the tree path to it re-bases them
+        self._step = step
 
     @property
     def presentation(self):
@@ -149,8 +152,9 @@ class MarkedState:
             steps = []
             state = self
             while state._images is None:
-                letter_map, start = state._step
-                pre = _prefix(state.graph, start)
+                letter_map, base = state._step
+                g = state.graph
+                pre = () if base == g.vertices[0] else _presentation(g).path_to[base]
                 steps.append((letter_map, pre, invert_path_letters(pre)))
                 state = state._parent
             images = {}
@@ -379,18 +383,6 @@ def _pooled(pool, vertices, edges):
     if graph is None:
         graph = pool[key] = GbsGraph(vertices, edges)
     return graph
-
-
-def _prefix(graph, start):
-    """The letters a step puts in front of its mapped paths in graph.
-
-    start is either that prefix itself (a tuple of letters) or the vertex
-    where the mapped paths start, whose prefix is the tree path to it from
-    the base; at the base that is (), which needs no Presentation.
-    """
-    if isinstance(start, tuple):
-        return start
-    return () if start == graph.vertices[0] else _presentation(graph).path_to[start]
 
 
 def _apply_move(state: MarkedState, move, pool: dict, verify: bool) -> MarkedState:

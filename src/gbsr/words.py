@@ -55,7 +55,7 @@ class Presentation:
     ('t_e', 'x_v')
     """
 
-    __slots__ = ("graph", "base", "tree", "path_to", "generators", "_rel")
+    __slots__ = ("graph", "base", "tree", "path_to", "generators")
 
     def __init__(self, graph: GbsGraph):
         self.graph = graph
@@ -85,24 +85,21 @@ class Presentation:
         gens = ["x_%s" % v for v in graph.vertices]
         gens += ["t_%s" % e.eid for e in graph.edges if e.eid not in tree]
         self.generators = tuple(sorted(gens))
-        self._rel = None
 
     def relators(self):
         """One relator word per edge, as generator words freely equal to 1.
 
         Tree edge: x_v^p x_w^-q.  Non-tree edge: t_e x_v^p t_e^-1 x_w^-q.
         """
-        if self._rel is None:
-            rel = []
-            for e in self.graph.edges:
-                xv, xw = "x_" + e.va, "x_" + e.vb
-                if e.eid in self.tree:
-                    rel.append(((xv, e.la), (xw, -e.lb)))
-                else:
-                    t = "t_" + e.eid
-                    rel.append(((t, 1), (xv, e.la), (t, -1), (xw, -e.lb)))
-            self._rel = tuple(rel)
-        return self._rel
+        rel = []
+        for e in self.graph.edges:
+            xv, xw = "x_" + e.va, "x_" + e.vb
+            if e.eid in self.tree:
+                rel.append(((xv, e.la), (xw, -e.lb)))
+            else:
+                t = "t_" + e.eid
+                rel.append(((t, 1), (xv, e.la), (t, -1), (xw, -e.lb)))
+        return tuple(rel)
 
 
 def _presentation(g: GbsGraph) -> Presentation:

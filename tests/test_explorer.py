@@ -118,6 +118,18 @@ def test_explore_bounds_errors_and_clipping():
     assert rep.rigid == "inconclusive"
 
 
+def test_explore_refuses_an_oversized_radius_at_once():
+    # 2 seed generators: 2 * (3^r - 1) reduced words of length 1 to r
+    t0 = time.perf_counter()
+    with pytest.raises(BoundsTooTightError, match="radius 11 samples 354,292 words"):
+        explore(state(BS26), ExploreBounds(radius=11))
+    with pytest.raises(BoundsTooTightError, match="at least 354,292 words.*radius 10 or less"):
+        explore(state(BS26), ExploreBounds(radius=10**9))
+    with pytest.raises(BoundsTooTightError, match="at least 200,002 words"):
+        explore(state("vertex v\n"), ExploreBounds(radius=10**9))
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_explore_is_deterministic():
     a = explore(state(BS26)).to_json()
     b = explore(state(BS26)).to_json()
@@ -467,6 +479,29 @@ def test_second_reduce_of_a_pooled_graph_reuses_its_chain(monkeypatch):
     assert second is not first and second.graph is first.graph
     assert second.history == first.history and len(first.history) == 2
     assert second.images() == first.images() == reduce_state(seed).images()
+
+
+def test_reduce_leaves_one_lazy_state_per_collapse():
+    # each collapse of the second chain drops the graph's base vertex, so
+    # each of its steps re-bases the mapped paths along a tree path
+    for text in (
+        "vertex a\nvertex b\nvertex c\nedge e a 3 1 b\nedge f b 2 1 c\nedge h c 5 7 c\n",
+        "vertex a\nvertex b\nvertex c\nvertex d\nedge e a 1 3 d\nedge f b 1 5 d\nedge g c 2 7 d\n",
+    ):
+        seed = state(text)
+        reduced = _reduce(seed, {})
+        chain = []
+        st = reduced
+        while st is not seed:
+            chain.append(st)
+            st = st._parent
+        assert len(chain) == len(reduced.history) - len(seed.history) == 2
+        for st, parent in zip(chain, chain[1:] + [seed]):
+            assert st.history[:-1] == parent.history
+            assert isinstance(st.history[-1], Collapse)
+        assert reduced.images() == _reduce_one_collapse_at_a_time(seed).images()
+        assert all(st._images is None for st in chain[1:])
+        reduced.verify()
 
 
 def test_pooled_expansion_children_build_no_presentation_until_read():
