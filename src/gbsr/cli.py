@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain errors (printed as `error: <Name>: ...`
-on stderr), 2 usage errors.  All output is deterministic for fixed
-inputs and flags; `--json` switches to a machine-readable shape.
+on stderr) and a stdout closed by its reader (printed as nothing), 2
+usage errors.  All output is deterministic for fixed inputs and flags;
+`--json` switches to a machine-readable shape.
 
 `main(argv)` may be called any number of times in one process; the
 argument parser is built on the first call and reused by every later
@@ -12,6 +13,7 @@ one, so each call pays only for its own command.
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .errors import GbsError, UnreadableFileError
@@ -200,6 +202,18 @@ def _run_export_dot(args):
 
 
 def main(argv=None) -> int:
+    try:
+        return _main(argv)
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull,
+        # so that the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+
+
+def _main(argv):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -17,22 +17,26 @@ invariants); equal fingerprints are only evidence of sameness, so a
 Fingerprints are evaluated sparsely: translation length is invariant
 under conjugation and inversion and linear on powers, so only one
 primitive cyclic word per equivalence class is measured and the rest of
-the list is filled in from those values.  The same representatives,
-grouped by core length, drive the staged class comparison; both come
-from one enumeration of the sample words, cached per number of seed
-generators and radius.  Each stage is evaluated along a prefix trie of
-its representatives: a trie node extends its parent's reduced stack by
-one image, so no shared prefix is reduced twice.
+the list is filled in from those values, by one gather and a product
+for each power other than 1.  The same representatives, grouped by core
+length, drive the staged class comparison; both come from one
+enumeration of the sample words, cached per number of seed generators
+and radius.  Each stage is evaluated along a prefix trie of its
+representatives: a trie node extends its parent's reduced stack by one
+image, so no shared prefix is reduced twice.
 
 Every slide or collapse child is reduced and classified, and the
 classes' counts count those classifications, so what can be saved is
 the cost of each one.  A popped state's images are built once, before
-its children are; a child stays lazy, and so does each state of its
-collapse chain: the chain of each concrete graph (each collapse with
-its graph and its step) is worked out once per `explore` call and kept
-in its graph pool.  Reading the reduced state's images then costs one
-Britton reduction per seed generator, through the child's move and each
-collapse's own letter map in turn.
+its first child is, and its children are built as the loop reaches
+them: a "no" verdict builds no child past the one whose reduced state
+opens the second class, and the depth cap builds one child to learn
+that the search was clipped.  A child stays lazy, and so does each
+state of its collapse chain: the chain of each concrete graph (each
+collapse with its graph and its step) is worked out once per `explore`
+call and kept in its graph pool.  Reading the reduced state's images
+then costs one Britton reduction per seed generator, through the
+child's move and each collapse's own letter map in turn.
 
 Ascending states degenerate (their length function is the absolute
 value of a homomorphism, blind to induction moves), so one-loop (1, n)
@@ -50,7 +54,8 @@ define the searched subspace and do not.
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product
+from operator import itemgetter
 
 from .errors import BoundsTooTightError, BrokenMarkingError, GbsError, NoViolationError
 from .graph import Edge, EdgeEnd, GbsGraph, serialize
@@ -131,21 +136,27 @@ class ExploreReport:
 # is not the inverse of the first.
 
 def _reduced_words(letters, length):
+    """Freely reduced words of the given length over letters, in
+    lexicographic order of letter positions; one iterator per position
+    stands in for recursion, so any length works."""
+    if length == 0:
+        yield ()
+        return
     inv = {(s, e): (s, -e) for s, e in letters}
-    word = []
-
-    def rec(k):
-        if k == length:
-            yield tuple(word)
-            return
-        for let in letters:
-            if word and word[-1] == inv[let]:
-                continue
+    word, todo = [], [iter(letters)]
+    while todo:
+        let = next(todo[-1], None)
+        if let is None:
+            todo.pop()
+            if word:
+                word.pop()
+        elif not (word and word[-1] == inv[let]):
             word.append(let)
-            yield from rec(k + 1)
-            word.pop()
-
-    yield from rec(0)
+            if len(word) < length:
+                todo.append(iter(letters))
+            else:
+                yield tuple(word)
+                word.pop()
 
 
 def _cyclic_core(word):
@@ -226,14 +237,21 @@ def _index_plan(nsymbols, radius):
 
 @lru_cache(maxsize=64)
 def _sample_plan(symbols, radius):
-    """The index plan with its trie syllables spelled over symbols."""
+    """The index plan with its trie syllables spelled over symbols, and
+    its entries turned into a spreader (see _spread)."""
     stages, entries = _index_plan(len(symbols), radius)
     # one shared (symbol, exponent) pair per distinct syllable
     syllables = {s: (symbols[s[0]], s[1]) for nodes, _ in stages for _, s in nodes}
     named = tuple(
         (tuple((parent, syllables[s]) for parent, s in nodes), leaves) for nodes, leaves in stages
     )
-    return named, entries
+    # an empty core reads the 0 that _spread appends after the stage values
+    zero = sum(len(leaves) for _, leaves in stages)
+    index = [zero if e is None else e[0] for e in entries]
+    # itemgetter of one index returns the item itself, not a 1-tuple
+    gather = itemgetter(*index) if len(index) > 1 else lambda flat: (flat[index[0]],)
+    powers = tuple((i, e[1]) for i, e in enumerate(entries) if e is not None and e[1] != 1)
+    return named, (gather, powers)
 
 
 def _stage_lengths(state: MarkedState, stage):
@@ -254,10 +272,25 @@ def _stage_lengths(state: MarkedState, stage):
     return tuple(_seam_length(g, stacks[leaf]) for leaf in leaves)
 
 
-def _spread(entries, values):
-    """Fingerprint from per-stage representative lengths."""
-    flat = [n for stage in values for n in stage]
-    return tuple([0 if e is None else e[1] * flat[e[0]] for e in entries])
+def _spread(spreader, values):
+    """Fingerprint from per-stage representative lengths.
+
+    spreader is (gather, powers) from _sample_plan: one itemgetter call
+    reads every entry's primitive-root length off the concatenated stage
+    values (an empty core reads an appended 0), and only the entries in
+    powers, (position, power) pairs with a power other than 1, are then
+    multiplied.
+    """
+    gather, powers = spreader
+    flat = list(chain.from_iterable(values))
+    flat.append(0)
+    out = gather(flat)
+    if not powers:
+        return out
+    out = list(out)
+    for i, k in powers:
+        out[i] *= k
+    return tuple(out)
 
 
 def fingerprint(state: MarkedState, radius: int):
@@ -266,8 +299,8 @@ def fingerprint(state: MarkedState, radius: int):
     Evaluated through the state's marking; only primitive necklace
     representatives are measured, the rest follow from invariance.
     """
-    stages, entries = _sample_plan(state.seed.presentation.generators, radius)
-    return _spread(entries, [_stage_lengths(state, stage) for stage in stages])
+    stages, spreader = _sample_plan(state.seed.presentation.generators, radius)
+    return _spread(spreader, [_stage_lengths(state, stage) for stage in stages])
 
 
 # -- class bookkeeping -------------------------------------------------------
@@ -285,7 +318,7 @@ class _ClassTable:
     """Reduced states grouped by (canonical graph, staged fingerprint)."""
 
     def __init__(self, plan):
-        self.tries, self.entries = plan
+        self.tries, self.spreader = plan
         self.buckets = {}
         self.records = []
         self._memo = {}
@@ -322,7 +355,7 @@ class _ClassTable:
         return mine, True
 
     def fingerprint(self, rec):
-        return _spread(self.entries, [self._stage(rec, i) for i in range(len(self.tries))])
+        return _spread(self.spreader, [self._stage(rec, i) for i in range(len(self.tries))])
 
 
 # -- reduction and search ----------------------------------------------------
@@ -391,13 +424,16 @@ def _explore_ascending(seed, base, bounds):
     return report
 
 
+def _children(state, bounds, pool):
+    """(move, child) for every legal move within bounds, in enumeration
+    order; each child is built only when it is read."""
+    return ((mv, _child(state, mv, surgery, pool, False)) for mv, surgery in _legal(state.graph, bounds))
+
+
 def _legal_children(state, max_edges, max_label, pool):
-    """Children within the searched subspace, in enumeration order."""
-    inner = MoveBounds(max_edges=max_edges, max_label=max_label)
-    return [
-        (mv, _child(state, mv, surgery, pool, False))
-        for mv, surgery in _legal(state.graph, inner)
-    ]
+    """Children within the searched subspace, in enumeration order, all
+    built at once."""
+    return list(_children(state, MoveBounds(max_edges=max_edges, max_label=max_label), pool))
 
 
 def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
@@ -430,7 +466,7 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
             % (bounds.radius, "" if k == bounds.radius else "at least ", format(words, ","),
                n, format(_MAX_SAMPLE_WORDS, ","), k - 1)
         )
-    max_edges = len(g0.edges) + bounds.max_extra_edges
+    inner = MoveBounds(max_edges=len(g0.edges) + bounds.max_extra_edges, max_label=max_label)
     # graph content -> GbsGraph, and -> its collapse chain, shared by
     # every state this call builds, so that each concrete graph is built,
     # validated, canonicalised and reduced once
@@ -453,10 +489,12 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
         if popped > bounds.max_states:
             clipped = True
             break
-        children = _legal_children(state, max_edges, max_label, pool)
+        # built as the loop below reaches them: a "no" verdict stops at the
+        # first child whose reduced state opens a second class
+        children = _children(state, inner, pool)
         if state.depth >= bounds.max_depth:
             # depth cap: anything still reachable from here is unexplored
-            if children:
+            if next(children, None) is not None:
                 clipped = True
             continue
         state.images()  # once here, not once per child that reads them

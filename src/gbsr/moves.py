@@ -14,9 +14,10 @@ whose images are built, maps those unreduced through every step in
 between and Britton-reduces once per generator, and the states in
 between stay lazy.  Generator words
 are projected from the images only for output and for the consistency
-checks.  Enumeration only proposes candidate moves and keeps those that
-their move function accepts and whose result stays within the label
-cap, so legality and label arithmetic are written once.
+checks.  Enumeration only proposes candidate moves, one at a time, and
+keeps those that their move function accepts and whose result stays
+within the label cap, so legality and label arithmetic are written
+once and a caller that stops early pays for no candidate past it.
 
 The moves and their exact label arithmetic:
 
@@ -505,12 +506,12 @@ def _divisors(n: int):
     return sorted(out)
 
 
-def _legal(g: GbsGraph, bounds: MoveBounds):
-    """(move, surgery) for every legal move within bounds, in enumerate_moves
-    order.  Candidates are only proposed here; a candidate is kept when its
-    move function accepts it and every resulting label is within max_label."""
-    moves = [Collapse(e.eid) for e in g.edges]
-    moves += [Slide(moving, across) for _, moving, across in divisible_pairs(g)]
+def _candidates(g: GbsGraph, bounds: MoveBounds):
+    """Every candidate move in enumerate_moves order, proposed one at a time."""
+    for e in g.edges:
+        yield Collapse(e.eid)
+    for _, moving, across in divisible_pairs(g):
+        yield Slide(moving, across)
     if bounds.max_edges is None or len(g.edges) < bounds.max_edges:
         for v in g.vertices:
             ends = g.ends_at(v)
@@ -525,11 +526,20 @@ def _legal(g: GbsGraph, bounds: MoveBounds):
                 divisible = [end for end in ends if g.end_label(end) % p == 0]
                 for mask in range(1 << len(divisible)):
                     moved = tuple(divisible[i] for i in range(len(divisible)) if mask >> i & 1)
-                    moves.append(Expansion(v, p, moved))
+                    yield Expansion(v, p, moved)
     if len(g.vertices) == 1 and is_ascending(g):
-        moves += [Induction(d) for d in _divisors(ascending_modulus(g))]
+        for d in _divisors(ascending_modulus(g)):
+            yield Induction(d)
+
+
+def _legal(g: GbsGraph, bounds: MoveBounds):
+    """(move, surgery) for every legal move within bounds, in enumerate_moves
+    order.  Candidates are only proposed, one at a time (_candidates), so a
+    caller that stops early builds no candidate past the last one it read; a
+    candidate is kept when its move function accepts it and every resulting
+    label is within max_label."""
     cap = bounds.max_label
-    for mv in moves:
+    for mv in _candidates(g, bounds):
         try:
             surgery = _MOVES[type(mv)](g, mv)
         except GbsError:

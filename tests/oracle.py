@@ -3,10 +3,12 @@
 Everything here recomputes package results by a different route: the
 reducer is a global fixpoint scanner (the package does one stack pass),
 cyclic reduction tries every rotation (the package rotates only at the
-seam), primality comes from a sieve (the package runs Miller-Rabin and
-Baillie-PSW), ascending rigidity from a divisor scan, and random inputs
-are generated here so property tests do not depend on the package's own
-enumeration order.
+seam), sample words are enumerated by recursion (the package keeps one
+iterator per position), fingerprints are spread one entry at a time (the
+package gathers them in one call), primality comes from a sieve (the
+package runs Miller-Rabin and Baillie-PSW), ascending rigidity from a
+divisor scan, and random inputs are generated here so property tests do
+not depend on the package's own enumeration order.
 """
 
 import random
@@ -121,6 +123,69 @@ def oracle_ascending_equivalent(n, d, bound=8):
     """Brute scan of n^i = n^j * d over exact integers."""
     powers = [n**i for i in range(bound + 1)]
     return any(a == b * d for a in powers for b in powers)
+
+
+# -- sample words ------------------------------------------------------------
+
+def recursive_reduced_words(letters, length):
+    """Freely reduced words of the given length over letters (symbol, +1|-1),
+    one recursive call per position."""
+    inv = {(s, e): (s, -e) for s, e in letters}
+    word = []
+
+    def rec(k):
+        if k == length:
+            yield tuple(word)
+            return
+        for let in letters:
+            if word and word[-1] == inv[let]:
+                continue
+            word.append(let)
+            yield from rec(k + 1)
+            word.pop()
+
+    yield from rec(0)
+
+
+def oracle_index_plan(nsymbols, radius):
+    """The explorer's index plan recomputed from recursive_reduced_words:
+    (stages, entries), stages[i] listing the syllable words of the fresh
+    primitive necklace representatives of core length i + 1 in order of
+    discovery, entries (index, power) per word or None for an empty core."""
+    letters = [(s, e) for s in range(nsymbols) for e in (1, -1)]
+
+    def inverse(w):
+        return tuple((s, -e) for s, e in w[::-1])
+
+    stages, order, entries = [[] for _ in range(radius)], {}, []
+    for length in range(1, radius + 1):
+        for w in recursive_reduced_words(letters, length):
+            while len(w) >= 2 and w[0] == (w[-1][0], -w[-1][1]):
+                w = w[1:-1]
+            if not w:
+                entries.append(None)
+                continue
+            n = len(w)
+            p = min(q for q in range(1, n + 1) if n % q == 0 and w[:q] * (n // q) == w)
+            root = w[:p]
+            key = min(min(u[r:] + u[:r] for r in range(p)) for u in (root, inverse(root)))
+            if key not in order:
+                order[key] = len(order)
+                syllables = []
+                for s, e in key:  # a cyclically reduced word: one sign per run
+                    if syllables and syllables[-1][0] == s:
+                        syllables[-1] = (s, syllables[-1][1] + e)
+                    else:
+                        syllables.append((s, e))
+                stages[p - 1].append(tuple(syllables))
+            entries.append((order[key], n // p))
+    return stages, entries
+
+
+def oracle_spread(entries, values):
+    """Fingerprint from per-stage lengths, one entry at a time."""
+    flat = [n for stage in values for n in stage]
+    return tuple([0 if e is None else e[1] * flat[e[0]] for e in entries])
 
 
 # -- random inputs -----------------------------------------------------------

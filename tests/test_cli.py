@@ -279,3 +279,29 @@ def test_unreadable_files_are_named_domain_errors(tmp_path):
         assert "Traceback" not in done.stderr, path
         assert done.stderr.startswith("error: UnreadableFile: "), (path, done.stderr)
         assert ("not UTF-8" in done.stderr) == (path == bad)
+
+
+def test_explore_at_a_radius_past_the_recursion_limit(gbs, capsys):
+    # 2,000 sample words on one generator, each up to 1,000 letters long
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "explore", gbs("vertex v\n"), "--radius", "1000")
+    elapsed = time.perf_counter() - t0
+    assert (code, err) == (0, "") and out.splitlines()[0] == "rigid: yes"
+    assert elapsed < 5
+
+
+def test_a_stdout_closed_by_its_reader_ends_without_a_traceback(gbs):
+    # about 290 kB of JSON: more than a pipe holds, so the writer is still
+    # writing when the reader goes away
+    env = dict(os.environ, PYTHONPATH=str(Path(gbsr.__file__).resolve().parent.parent))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gbsr.cli", "explore", gbs(BS26), "--radius", "8", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, bufsize=0,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert first == b"{\n"
+    assert "Traceback" not in err and err == ""

@@ -18,6 +18,7 @@ from gbsr.explorer import (
     _reduced_words,
     _sample_plan,
     _soundness_check,
+    _spread,
     _stage_lengths,
     ascending_equivalent,
     enumerate_graphs,
@@ -33,6 +34,7 @@ from gbsr.moves import (
     MoveBounds,
     Slide,
     _apply_move,
+    _legal,
     apply_move,
     enumerate_moves,
     initial_state,
@@ -512,3 +514,66 @@ def test_pooled_expansion_children_build_no_presentation_until_read():
     # the new vertex u0 sorts before v, so the mapped base is off the new base
     assert children[0].images() == apply_move(st, children[0].history[-1]).images()
     assert children[0].graph._presentation is not None
+
+
+def test_reduced_words_and_index_plan_match_the_recursive_reference():
+    for nsymbols in range(1, 5):
+        letters = [(s, e) for s in range(nsymbols) for e in (1, -1)]
+        for length in range(5):
+            assert list(_reduced_words(letters, length)) == list(
+                oracle.recursive_reduced_words(letters, length)
+            )
+        for radius in range(1, 5):
+            stages, entries = _index_plan(nsymbols, radius)
+            want_stages, want_entries = oracle.oracle_index_plan(nsymbols, radius)
+            assert [_spelled(stage) for stage in stages] == want_stages
+            assert list(entries) == want_entries
+
+
+def test_spread_gathers_what_the_reference_spreads(monkeypatch):
+    rng = random.Random(0x5E7EAD)
+    for nsymbols in range(1, 5):
+        symbols = tuple("s%d" % i for i in range(nsymbols))
+        for radius in range(1, 5):
+            stages, entries = _index_plan(nsymbols, radius)
+            _, spreader = _sample_plan(symbols, radius)
+            values = [tuple(rng.randrange(1, 40) for _ in leaves) for _, leaves in stages]
+            got = _spread(spreader, values)
+            assert type(got) is tuple and got == oracle.oracle_spread(entries, values)
+    assert len(_index_plan(1, 1)[1]) == 2
+    # a one-entry plan, which no radius gives: itemgetter of one index
+    # returns the item itself
+    one = ((((0, (0, 1)),), (1,)),)
+    monkeypatch.setattr(gbsr.explorer, "_index_plan", lambda n, r: (one, ((0, 3),)))
+    _, spreader = _sample_plan.__wrapped__(("x_v",), 1)
+    assert _spread(spreader, [(5,)]) == (15,)
+
+
+def test_explore_builds_only_the_children_it_reads(monkeypatch):
+    built = []
+    real = gbsr.explorer._child
+
+    def counting(state, mv, *rest):
+        built.append((state, mv))
+        return real(state, mv, *rest)
+
+    monkeypatch.setattr(gbsr.explorer, "_child", counting)
+    report = explore(parse(BS26))
+    assert report.rigid == "no"
+    # the children read: every legal child of each state the search
+    # expanded, but of the last one only up to the witness's move
+    popped = list(dict.fromkeys(st for st, _ in built))
+    read, listed = [], 0
+    for st in popped:
+        moves = [mv for mv, _ in _legal(st.graph, MoveBounds(max_edges=3, max_label=36))]
+        listed += len(moves)
+        if st is popped[-1]:
+            moves = moves[: moves.index(report.witness[st.depth]) + 1]
+        read += [(st, mv) for mv in moves]
+    assert built == read
+    assert listed > len(read)
+
+    # at the depth cap one child is enough to know the search was clipped
+    built.clear()
+    assert explore(parse(BS26), ExploreBounds(max_depth=0)).rigid == "inconclusive"
+    assert len(built) == 1

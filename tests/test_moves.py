@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import gbsr.moves
 import oracle
 from gbsr.errors import (
     DifferentOriginError,
@@ -25,6 +26,7 @@ from gbsr.moves import (
     Slide,
     _apply_move,
     _divisors,
+    _legal,
     apply_move,
     collapse,
     enumerate_moves,
@@ -420,3 +422,20 @@ def test_divisors_of_a_large_prime_cube():
     t0 = time.perf_counter()
     assert _divisors(p**3) == [1, p, p**2, p**3]
     assert time.perf_counter() - t0 < 2.0
+
+
+def test_legal_proposes_candidates_one_at_a_time(monkeypatch):
+    made = []
+    real = gbsr.moves.Expansion
+
+    def counting(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gbsr.moves, "Expansion", counting)
+    g = parse("vertex v\n" + "".join("edge c%d v 6 6 v\n" % i for i in range(3)))
+    mv, _ = next(_legal(g, MoveBounds()))
+    assert mv == Slide(parse_end("c0.A"), parse_end("c1.A")) and made == []
+    moves = enumerate_moves(initial_state(g))
+    # 6 ends divisible by each of the indices 2, 3 and 6
+    assert len(made) == 3 * 2**6 == sum(isinstance(m, real) for m in moves)
