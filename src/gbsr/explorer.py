@@ -6,37 +6,24 @@ breadth-first search over moves, groups the reduced states it meets
 into classes, and reports whether more than one class of reduced tree
 exists within the search bounds.
 
-Class identity is (canonical quotient graph, translation-length
-fingerprint).  The fingerprint of a state lists the translation length
-of every freely reduced word of bounded length over the seed
-generators, computed through the state's marking.  Unequal fingerprints
+A class is keyed by (canonical quotient graph, representative lengths).
+Translation length is invariant under conjugation and inversion and
+linear on powers, so one primitive cyclic word per equivalence class of
+the freely reduced seed words of length <= radius is measured; the
+fingerprint spreads those lengths back over every word.  Unequal lengths
 prove the marked trees differ (length functions are equivariant-iso
-invariants); equal fingerprints are only evidence of sameness, so a
-"yes" verdict is relative to the bounds while a "no" verdict is final.
-
-Fingerprints are evaluated sparsely: translation length is invariant
-under conjugation and inversion and linear on powers, so only one
-primitive cyclic word per equivalence class is measured and the rest of
-the list is filled in from those values, by one gather and a product
-for each power other than 1.  The same representatives, grouped by core
-length, drive the staged class comparison; both come from one
-enumeration of the sample words, cached per number of seed generators
-and radius.  Each stage is evaluated along a prefix trie of its
-representatives: a trie node extends its parent's reduced stack by one
-image, so no shared prefix is reduced twice.
+invariants); equal ones are only evidence of sameness, so a "yes"
+verdict is relative to the bounds while a "no" verdict is final.  The
+representatives form one prefix trie over generator indices, cached per
+number of seed generators and radius, so no shared prefix is reduced
+twice.
 
 Every slide or collapse child is reduced and classified, and the
-classes' counts count those classifications, so what can be saved is
-the cost of each one.  A popped state's images are built once, before
-its first child is, and its children are built as the loop reaches
-them: a "no" verdict builds no child past the one whose reduced state
-opens the second class, and the depth cap builds one child to learn
-that the search was clipped.  A child stays lazy, and so does each
-state of its collapse chain: the chain of each concrete graph (each
-collapse with its graph and its step) is worked out once per `explore`
-call and kept in its graph pool.  Reading the reduced state's images
-then costs one Britton reduction per seed generator, through the
-child's move and each collapse's own letter map in turn.
+classes' counts count those classifications.  Children are built as the
+loop reaches them, so a "no" verdict builds nothing past its witness.
+A child and each state of its collapse chain stay lazy; the chain of
+each concrete graph is worked out once per `explore` call and kept in
+its graph pool.
 
 Ascending states degenerate (their length function is the absolute
 value of a homomorphism, blind to induction moves), so one-loop (1, n)
@@ -54,7 +41,7 @@ define the searched subspace and do not.
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 from operator import itemgetter
 
 from .errors import BoundsTooTightError, BrokenMarkingError, GbsError, NoViolationError
@@ -74,7 +61,7 @@ from .moves import (
     apply_move,
     initial_state,
 )
-from .rigidity import ascending_modulus, collapse_witness, is_ascending, is_reduced, nonascending_rigid
+from .rigidity import ascending_modulus, collapse_witness, is_ascending, nonascending_rigid
 from .words import _extend, _seam_length, free_reduce, invert_path_letters, invert_word
 
 
@@ -179,112 +166,77 @@ def _necklace_key(word):
 
 
 def _primitive_root(word):
+    """(root, k) with word = root^k and k largest; word is non-empty."""
     n = len(word)
     for p in range(1, n + 1):
         if n % p == 0 and word == word[p:] + word[:p]:
             return word[:p], n // p
-    return word, 1
-
-
-def _trie(reps):
-    """Prefix trie of syllable words: (nodes, leaves).
-
-    nodes lists (parent, syllable) in sorted word order; the empty root
-    is node 0 and nodes[k] is node k + 1, so a parent always comes
-    before its children.  leaves[i] is the node that spells reps[i].
-    """
-    nodes, index = [], {(): 0}
-    for rep in sorted(reps):
-        for j in range(1, len(rep) + 1):
-            if rep[:j] not in index:
-                index[rep[:j]] = len(nodes) + 1
-                nodes.append((index[rep[:j - 1]], rep[j - 1]))
-    return tuple(nodes), tuple(index[rep] for rep in reps)
 
 
 @lru_cache(maxsize=16)
-def _index_plan(nsymbols, radius):
+def _sample_plan(nsymbols, radius):
     """Enumerate the freely reduced words of length 1..radius over symbol
-    indices once: (stages, entries).
+    indices once: (trie, spreader).
 
-    stages[i] is the prefix trie (see _trie) of the fresh primitive
-    necklace representatives with core length i + 1, over syllables
-    (symbol index, exponent); entries gives, per word in enumeration
-    order, (index, power) of its cyclic core's primitive root, index
-    counting the leaves of all stages in order, or None when the core
-    is empty.
+    trie is (nodes, leaves), a prefix trie of the primitive necklace
+    representatives over syllables (symbol index, exponent): nodes lists
+    (parent, syllable), the empty root is node 0 and nodes[k] is node
+    k + 1, so a parent always comes before its children; leaves[i] is the
+    node that spells the i-th representative in order of discovery.
+    spreader is (gather, powers) for _spread.
     """
     letters = [(s, e) for s in range(nsymbols) for e in (1, -1)]
-    stages = [[] for _ in range(radius)]
-    # every key of length L turns up among the words of length L, so the
-    # stages fill in order and a key's index is its order of discovery
-    index = {}  # necklace key -> index
-    entries = []
+    nodes, node = [], {(): 0}  # syllable prefix -> node
+    index, leaves = {}, []  # necklace key -> position in leaves
+    roots, powers = [], []  # per word in enumeration order
     for length in range(1, radius + 1):
         for w in _reduced_words(letters, length):
-            core = _cyclic_core(w)
-            if not core:
-                entries.append(None)
-                continue
-            root, k = _primitive_root(core)
+            root, k = _primitive_root(_cyclic_core(w))
             key = _necklace_key(root)
             if key not in index:
-                index[key] = len(index)
-                stages[len(key) - 1].append(free_reduce(key))
-            entries.append((index[key], k))
-    return tuple(map(_trie, stages)), tuple(entries)
+                index[key] = len(leaves)
+                rep = free_reduce(key)
+                for j in range(1, len(rep) + 1):
+                    if rep[:j] not in node:
+                        node[rep[:j]] = len(nodes) + 1
+                        nodes.append((node[rep[:j - 1]], rep[j - 1]))
+                leaves.append(node[rep])
+            if k != 1:
+                powers.append((len(roots), k))
+            roots.append(index[key])
+    # the 2n words of length 1 make roots at least two long, so itemgetter
+    # returns a tuple
+    return (tuple(nodes), tuple(leaves)), (itemgetter(*roots), tuple(powers))
 
 
-@lru_cache(maxsize=64)
-def _sample_plan(symbols, radius):
-    """The index plan with its trie syllables spelled over symbols, and
-    its entries turned into a spreader (see _spread)."""
-    stages, entries = _index_plan(len(symbols), radius)
-    # one shared (symbol, exponent) pair per distinct syllable
-    syllables = {s: (symbols[s[0]], s[1]) for nodes, _ in stages for _, s in nodes}
-    named = tuple(
-        (tuple((parent, syllables[s]) for parent, s in nodes), leaves) for nodes, leaves in stages
-    )
-    # an empty core reads the 0 that _spread appends after the stage values
-    zero = sum(len(leaves) for _, leaves in stages)
-    index = [zero if e is None else e[0] for e in entries]
-    # itemgetter of one index returns the item itself, not a 1-tuple
-    gather = itemgetter(*index) if len(index) > 1 else lambda flat: (flat[index[0]],)
-    powers = tuple((i, e[1]) for i, e in enumerate(entries) if e is not None and e[1] != 1)
-    return named, (gather, powers)
+def _lengths(state: MarkedState, trie):
+    """Translation lengths of the trie's representatives, in leaf order.
 
-
-def _stage_lengths(state: MarkedState, stage):
-    """Translation lengths of one stage's representatives, in stage order.
-
-    One walk over the stage's trie: each node copies its parent's
-    reduced stack and extends it by the image of its syllable, so no
-    prefix is reduced twice; the lengths are read at the leaves.
+    One walk over the trie: each node copies its parent's reduced stack
+    and extends it by the image of its syllable, so no prefix is reduced
+    twice; the lengths are read at the leaves.
     """
-    nodes, leaves = stage
+    nodes, leaves = trie
     g = state.graph
-    images = state.images()
-    inverses = {sym: invert_path_letters(letters) for sym, letters in images.items()}
+    images = tuple(state.images().values())  # in seed-generator order
+    inverses = tuple(map(invert_path_letters, images))
     stacks = [[]]
-    for parent, (sym, exp) in nodes:
-        piece = images[sym] if exp > 0 else inverses[sym]
-        stacks.append(_extend(g, stacks[parent][:], piece * abs(exp)))
+    for parent, (s, e) in nodes:
+        piece = images[s] if e > 0 else inverses[s]
+        stacks.append(_extend(g, stacks[parent][:], piece * abs(e)))
     return tuple(_seam_length(g, stacks[leaf]) for leaf in leaves)
 
 
-def _spread(spreader, values):
-    """Fingerprint from per-stage representative lengths.
+def _spread(spreader, lengths):
+    """Fingerprint from the representatives' lengths.
 
     spreader is (gather, powers) from _sample_plan: one itemgetter call
-    reads every entry's primitive-root length off the concatenated stage
-    values (an empty core reads an appended 0), and only the entries in
+    reads every word's primitive-root length, and only the words in
     powers, (position, power) pairs with a power other than 1, are then
     multiplied.
     """
     gather, powers = spreader
-    flat = list(chain.from_iterable(values))
-    flat.append(0)
-    out = gather(flat)
+    out = gather(lengths)
     if not powers:
         return out
     out = list(out)
@@ -299,34 +251,28 @@ def fingerprint(state: MarkedState, radius: int):
     Evaluated through the state's marking; only primitive necklace
     representatives are measured, the rest follow from invariance.
     """
-    stages, spreader = _sample_plan(state.seed.presentation.generators, radius)
-    return _spread(spreader, [_stage_lengths(state, stage) for stage in stages])
+    trie, spreader = _sample_plan(len(state.seed.presentation.generators), radius)
+    return _spread(spreader, _lengths(state, trie))
 
 
 # -- class bookkeeping -------------------------------------------------------
 
 class _ClassRecord:
-    __slots__ = ("state", "count", "stages")
+    __slots__ = ("state", "count", "lengths")
 
-    def __init__(self, state, nstages):
+    def __init__(self, state, lengths):
         self.state = state
-        self.count = 1
-        self.stages = [None] * nstages
+        self.count = 0
+        self.lengths = lengths
 
 
 class _ClassTable:
-    """Reduced states grouped by (canonical graph, staged fingerprint)."""
+    """Reduced states grouped by (canonical graph, representative lengths)."""
 
     def __init__(self, plan):
-        self.tries, self.spreader = plan
-        self.buckets = {}
-        self.records = []
+        self.trie, self.spreader = plan
+        self.classes = {}  # (canonical form, lengths) -> record, in creation order
         self._memo = {}
-
-    def _stage(self, rec, i):
-        if rec.stages[i] is None:
-            rec.stages[i] = _stage_lengths(rec.state, self.tries[i])
-        return rec.stages[i]
 
     def classify(self, state):
         """Return (record, created).
@@ -337,25 +283,20 @@ class _ClassTable:
         anything over concrete names.
         """
         exact = (state.graph.vertices, state.graph.edges, tuple(state.images().values()))
-        hit = self._memo.get(exact)
-        if hit is not None:
-            hit.count += 1
-            return hit, False
-        mine = _ClassRecord(state, len(self.tries))
-        bucket = self.buckets.setdefault(state.graph.canonical_form(), [])
-        stages = range(len(self.tries))
-        for rec in bucket:
-            if all(self._stage(rec, i) == self._stage(mine, i) for i in stages):
-                rec.count += 1
-                self._memo[exact] = rec
-                return rec, False
-        bucket.append(mine)
-        self.records.append(mine)
-        self._memo[exact] = mine
-        return mine, True
+        rec = self._memo.get(exact)
+        created = False
+        if rec is None:
+            lengths = _lengths(state, self.trie)
+            key = (state.graph.canonical_form(), lengths)
+            rec = self.classes.get(key)
+            if created := rec is None:
+                rec = self.classes[key] = _ClassRecord(state, lengths)
+            self._memo[exact] = rec
+        rec.count += 1
+        return rec, created
 
     def fingerprint(self, rec):
-        return _spread(self.spreader, [self._stage(rec, i) for i in range(len(self.tries))])
+        return _spread(self.spreader, rec.lengths)
 
 
 # -- reduction and search ----------------------------------------------------
@@ -451,8 +392,8 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
         raise BoundsTooTightError(
             "seed label %d exceeds max_label %d" % (g0.max_label(), max_label)
         )
-    if bounds.max_depth < 0 or bounds.radius < 1:
-        raise BoundsTooTightError("max_depth must be >= 0 and radius >= 1")
+    if bounds.max_depth < 0 or bounds.max_extra_edges < 0 or bounds.radius < 1:
+        raise BoundsTooTightError("max_depth and max_extra_edges must be >= 0 and radius >= 1")
     # 2n (2n - 1)^(k - 1) reduced words of length k over n generators,
     # counted only until they pass the cap, so any radius is refused at once
     n, words, k = len(seed.seed.presentation.generators), 0, 0
@@ -476,7 +417,7 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
     if is_ascending(base.graph):
         return _explore_ascending(seed, base, bounds)
 
-    table = _ClassTable(_sample_plan(seed.seed.presentation.generators, bounds.radius))
+    table = _ClassTable(_sample_plan(len(seed.seed.presentation.generators), bounds.radius))
     table.classify(base)
     second = None
     clipped = False
@@ -521,7 +462,7 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
         witness = None
 
     classes = []
-    for rec in table.records:
+    for rec in table.classes.values():
         classes.append(
             ExploreClass(
                 graph=rec.state.graph,
@@ -562,6 +503,8 @@ def _candidate_states(state, E, F):
     def attempt(fn):
         try:
             out.append(fn())
+        except BrokenMarkingError:
+            raise
         except GbsError:
             pass
 
@@ -597,13 +540,11 @@ def witness_search(state: MarkedState, radius: int = 6):
     verdict = nonascending_rigid(state.graph)
     if verdict.rigid:
         raise NoViolationError("state satisfies the rigidity criterion")
-    table = _ClassTable(_sample_plan(state.seed.presentation.generators, radius))
+    table = _ClassTable(_sample_plan(len(state.seed.presentation.generators), radius))
     table.classify(state)
     for _, E, F, _tag in verdict.violations:
         for cand in _candidate_states(state, E, F):
             final = reduce_state(cand)
-            if not is_reduced(final.graph):
-                continue
             if table.classify(final)[1]:
                 return list(final.history[len(state.history):])
     return None

@@ -243,6 +243,7 @@ def parse(text: str) -> GbsGraph:
     vertices = []
     edges = []
     vseen = set()
+    eseen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -273,8 +274,9 @@ def parse(text: str) -> GbsGraph:
                 raise GbsSyntaxError("unknown vertex %r" % va, lineno)
             if vb not in vseen:
                 raise GbsSyntaxError("unknown vertex %r" % vb, lineno)
-            if any(eid == e[0] for e in edges):
+            if eid in eseen:
                 raise GbsSyntaxError("duplicate edge %r" % eid, lineno)
+            eseen.add(eid)
             edges.append((eid, va, la, vb, lb))
         else:
             raise GbsSyntaxError("unknown directive %r" % parts[0], lineno)

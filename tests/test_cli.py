@@ -194,6 +194,14 @@ def test_explore_depth_flag_clips(gbs, capsys):
     assert out.splitlines()[0] == "rigid: inconclusive"
 
 
+def test_explore_refuses_negative_bounds(gbs, capsys):
+    # BS(2,6) is not rigid: a negative edge allowance must not answer "yes"
+    for flag in ("--max-extra-edges", "--depth"):
+        code, out, err = run(capsys, "explore", gbs(BS26), flag, "-5")
+        assert code == 1 and out == ""
+        assert err.startswith("error: BoundsTooTight:")
+
+
 def test_export_dot(gbs, capsys):
     code, out, _ = run(capsys, "export-dot", gbs(LOOP23))
     assert code == 0

@@ -12,14 +12,13 @@ import gbsr.explorer
 from gbsr.explorer import (
     ExploreBounds,
     _ClassTable,
-    _index_plan,
     _legal_children,
+    _lengths,
     _reduce,
     _reduced_words,
     _sample_plan,
     _soundness_check,
     _spread,
-    _stage_lengths,
     ascending_equivalent,
     enumerate_graphs,
     explore,
@@ -31,6 +30,7 @@ from gbsr.graph import is_isomorphic, parse, parse_end, serialize
 from gbsr.moves import (
     Collapse,
     Expansion,
+    MarkedState,
     MoveBounds,
     Slide,
     _apply_move,
@@ -39,7 +39,7 @@ from gbsr.moves import (
     enumerate_moves,
     initial_state,
 )
-from gbsr.rigidity import check, collapse_witness, is_reduced
+from gbsr.rigidity import check, collapse_witness, is_reduced, nonascending_rigid
 from gbsr.words import invert_path_letters, word_length
 
 BS26 = "vertex v\nedge c v 2 6 v\n"
@@ -118,6 +118,13 @@ def test_explore_bounds_errors_and_clipping():
         explore(state(BS26), ExploreBounds(max_label=3))
     rep = explore(state(LOOP23), ExploreBounds(max_depth=0))
     assert rep.rigid == "inconclusive"
+
+
+def test_explore_refuses_a_negative_edge_allowance():
+    with pytest.raises(BoundsTooTightError, match="max_extra_edges"):
+        explore(state(BS26), ExploreBounds(max_extra_edges=-5))
+    assert explore(state(LOOP23), ExploreBounds(max_extra_edges=0)).rigid == "yes"
+    assert explore(state(BS26), ExploreBounds(max_extra_edges=1)).rigid == "no"
 
 
 def test_explore_refuses_an_oversized_radius_at_once():
@@ -203,6 +210,30 @@ def test_witness_search_unit_loop_valence():
     )
     moves = witness_search(state(g))
     assert moves is not None and len(moves) == 1
+
+
+def test_witness_search_slides_a_third_end_across_a_unit_loop_end():
+    text = "vertex v\nvertex w\nedge c v 1 2 v\nedge h v 3 5 w\n"
+    seed = state(text)
+    _, E, F, tag = nonascending_rigid(seed.graph).violations[0]
+    assert (tag, E, F) == ("same-loop", parse_end("c.B"), parse_end("c.A"))
+    moves = witness_search(seed)
+    assert [str(m) for m in moves] == ["slide h.A across c.A"]
+    st = seed
+    for mv in moves:
+        st = apply_move(st, mv, verify=True)
+    assert is_reduced(st.graph)
+    assert fingerprint(st, 4) != fingerprint(seed, 4)
+    assert explore(seed).rigid == "no"
+
+
+def test_witness_search_lets_a_broken_marking_through(monkeypatch):
+    def broken(st):
+        raise BrokenMarkingError("seed relator no longer dies")
+
+    monkeypatch.setattr(MarkedState, "verify", broken)
+    with pytest.raises(BrokenMarkingError):
+        witness_search(state(EQLOOP))
 
 
 def test_witness_search_raises_when_rigid():
@@ -310,24 +341,24 @@ def test_explore_semiprime_loop_is_fast():
     assert [c.count for c in report.classes] == [2, 1, 1]
 
 
-def test_classify_stops_at_the_first_stage_that_differs():
+def test_classify_separates_states_that_share_a_canonical_graph():
     # PATH22 and the path after sliding e1 across e0 share a canonical
-    # graph; their length stages first differ at core length 2
+    # graph; their representative lengths tell them apart
     seed = state(PATH22)
     slid = reduce_state(apply_move(seed, Slide(parse_end("e1.A"), parse_end("e0.A"))))
-    table = _ClassTable(_sample_plan(seed.seed.presentation.generators, 4))
+    table = _ClassTable(_sample_plan(len(seed.seed.presentation.generators), 4))
     first, _ = table.classify(seed)
     second, created = table.classify(slid)
     assert created and second is not first
-    assert first.stages[0] == second.stages[0]
-    assert first.stages[1] != second.stages[1]
-    assert first.stages[2:] == second.stages[2:] == [None, None]
+    assert first.lengths != second.lengths
     assert table.fingerprint(second) == fingerprint(slid, 4)
+    again, created = table.classify(slid)
+    assert again is second and not created and second.count == 2
 
 
-def _spelled(stage):
-    """The syllable word of each leaf of a stage trie, in stage order."""
-    nodes, leaves = stage
+def _spelled(trie):
+    """The syllable word of each leaf of a trie, in leaf order."""
+    nodes, leaves = trie
     out = []
     for leaf in leaves:
         word = []
@@ -338,34 +369,47 @@ def _spelled(stage):
     return out
 
 
-def _oracle_stage(st, stage):
-    """Stage values by the oracle, on the concatenated images."""
+def _named(st, word):
+    """A syllable word over generator indices spelled over the seed's names."""
+    symbols = st.seed.presentation.generators
+    return tuple((symbols[s], e) for s, e in word)
+
+
+def _oracle_lengths(st, trie):
+    """Representative lengths by the oracle, on the concatenated images."""
     images = st.images()
     values = []
-    for word in _spelled(stage):
+    for word in _spelled(trie):
         letters = []
-        for sym, exp in word:
+        for sym, exp in _named(st, word):
             piece = images[sym] if exp > 0 else invert_path_letters(images[sym])
             letters.extend(piece * abs(exp))
         values.append(oracle.oracle_translation_length(st.graph, letters))
     return tuple(values)
 
 
+def _entries(spreader, nleaves):
+    """(index, power) per sample word, read back off a spreader."""
+    gather, powers = spreader
+    k = dict(powers)
+    return [(i, k.get(pos, 1)) for pos, i in enumerate(gather(range(nleaves)))]
+
+
 def test_index_plan_tries_share_prefixes():
     for nsymbols in range(1, 5):
-        stages, _ = _index_plan(nsymbols, 4)
-        for i, (nodes, leaves) in enumerate(stages):
-            assert all(parent <= k for k, (parent, _) in enumerate(nodes))
-            assert len(set(nodes)) == len(nodes)  # one node per prefix
-            words = _spelled((nodes, leaves))
-            assert len(set(words)) == len(words)
-            assert all(sum(abs(e) for _, e in w) == i + 1 for w in words)
-            on_a_path = set()
-            for leaf in leaves:
-                while leaf:
-                    on_a_path.add(leaf)
-                    leaf = nodes[leaf - 1][0]
-            assert on_a_path == set(range(1, len(nodes) + 1))
+        (nodes, leaves), _ = _sample_plan(nsymbols, 4)
+        assert all(parent <= k for k, (parent, _) in enumerate(nodes))
+        assert len(set(nodes)) == len(nodes)  # one node per prefix
+        words = _spelled((nodes, leaves))
+        assert len(set(words)) == len(words)
+        sizes = [sum(abs(e) for _, e in w) for w in words]
+        assert sizes == sorted(sizes)
+        on_a_path = set()
+        for leaf in leaves:
+            while leaf:
+                on_a_path.add(leaf)
+                leaf = nodes[leaf - 1][0]
+        assert on_a_path == set(range(1, len(nodes) + 1))
 
 
 def test_stage_lengths_match_the_oracle_on_pooled_walks():
@@ -381,28 +425,27 @@ def test_stage_lengths_match_the_oracle_on_pooled_walks():
                 break
             st = _reduce(rng.choice(children)[1], pool)
         moved += bool(st.history)
-        stages, _ = _sample_plan(st.seed.presentation.generators, 4)
-        for stage in stages:
-            assert _stage_lengths(st, stage) == _oracle_stage(st, stage)
-            for word, value in zip(_spelled(stage), _stage_lengths(st, stage)):
-                assert st.seed_length(word) == value
+        trie, _ = _sample_plan(len(st.seed.presentation.generators), 4)
+        assert _lengths(st, trie) == _oracle_lengths(st, trie)
+        for word, value in zip(_spelled(trie), _lengths(st, trie)):
+            assert st.seed_length(_named(st, word)) == value
     assert moved > 150
 
 
 def test_stage_lengths_inside_explore_match_the_oracle(monkeypatch):
     seen = []
 
-    def recording(st, stage):
-        values = _stage_lengths(st, stage)
-        seen.append((st, stage, values))
+    def recording(st, trie):
+        values = _lengths(st, trie)
+        seen.append((st, trie, values))
         return values
 
-    monkeypatch.setattr(gbsr.explorer, "_stage_lengths", recording)
+    monkeypatch.setattr(gbsr.explorer, "_lengths", recording)
     for text in (PATH22, EQLOOP, BS26, LOOP23, "vertex a\nvertex b\nedge e a 2 3 b\nedge f a 2 5 b\n"):
         explore(parse(text), ExploreBounds(max_states=60))
     assert len({id(st) for st, _, _ in seen}) >= 25
-    for st, stage, values in seen:
-        assert values == _oracle_stage(st, stage)
+    for st, trie, values in seen:
+        assert values == _oracle_lengths(st, trie)
 
 
 def _reduce_one_collapse_at_a_time(st):
@@ -524,29 +567,23 @@ def test_reduced_words_and_index_plan_match_the_recursive_reference():
                 oracle.recursive_reduced_words(letters, length)
             )
         for radius in range(1, 5):
-            stages, entries = _index_plan(nsymbols, radius)
+            trie, spreader = _sample_plan(nsymbols, radius)
             want_stages, want_entries = oracle.oracle_index_plan(nsymbols, radius)
-            assert [_spelled(stage) for stage in stages] == want_stages
-            assert list(entries) == want_entries
+            assert _spelled(trie) == [w for stage in want_stages for w in stage]
+            assert _entries(spreader, len(trie[1])) == want_entries
 
 
-def test_spread_gathers_what_the_reference_spreads(monkeypatch):
+def test_spread_gathers_what_the_reference_spreads():
     rng = random.Random(0x5E7EAD)
     for nsymbols in range(1, 5):
-        symbols = tuple("s%d" % i for i in range(nsymbols))
         for radius in range(1, 5):
-            stages, entries = _index_plan(nsymbols, radius)
-            _, spreader = _sample_plan(symbols, radius)
-            values = [tuple(rng.randrange(1, 40) for _ in leaves) for _, leaves in stages]
+            (_, leaves), spreader = _sample_plan(nsymbols, radius)
+            _, entries = oracle.oracle_index_plan(nsymbols, radius)
+            values = tuple(rng.randrange(1, 40) for _ in leaves)
             got = _spread(spreader, values)
-            assert type(got) is tuple and got == oracle.oracle_spread(entries, values)
-    assert len(_index_plan(1, 1)[1]) == 2
-    # a one-entry plan, which no radius gives: itemgetter of one index
-    # returns the item itself
-    one = ((((0, (0, 1)),), (1,)),)
-    monkeypatch.setattr(gbsr.explorer, "_index_plan", lambda n, r: (one, ((0, 3),)))
-    _, spreader = _sample_plan.__wrapped__(("x_v",), 1)
-    assert _spread(spreader, [(5,)]) == (15,)
+            assert type(got) is tuple and got == oracle.oracle_spread(entries, [values])
+    # the smallest plan has two words, so the gather still gives a tuple
+    assert _spread(_sample_plan(1, 1)[1], (5,)) == (5, 5)
 
 
 def test_explore_builds_only_the_children_it_reads(monkeypatch):

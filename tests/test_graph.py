@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -51,6 +52,18 @@ def test_parse_line_numbers_in_errors():
         parse("vertex v\nedge c v 2 v\n")
     with pytest.raises(GbsSyntaxError):
         parse("frob v\n")
+
+
+def test_parse_is_linear_in_edges():
+    # 20,000 edge lines: a scan of the earlier edges per line took over 10 s
+    lines = ["vertex v"] + ["edge e%d v 2 3 v" % i for i in range(20000)]
+    t0 = time.perf_counter()
+    g = parse("\n".join(lines) + "\n")
+    assert time.perf_counter() - t0 < 2.0
+    assert len(g.edges) == 20000
+    with pytest.raises(GbsSyntaxError, match="duplicate edge 'e7'") as ei:
+        parse("\n".join(lines[:100] + ["edge e7 v 1 1 v"]) + "\n")
+    assert ei.value.line == 101
 
 
 def test_parse_rejects_bad_labels():
