@@ -12,12 +12,11 @@ whose tree path re-bases them along the new spanning tree.  Its images
 are built when first read: the read walks up to the nearest ancestor
 whose images are built, maps those unreduced through every step in
 between and Britton-reduces once per generator, and the states in
-between stay lazy.  Generator words
-are projected from the images only for output and for the consistency
-checks.  Enumeration only proposes candidate moves, one at a time, and
-keeps those that their move function accepts and whose result stays
-within the label cap, so legality and label arithmetic are written
-once and a caller that stops early pays for no candidate past it.
+between stay lazy.  Generator words are projected from the images only
+for output.  Enumeration only proposes candidate moves, one at a time,
+and keeps those that their move function accepts and whose result stays
+within the label cap, so legality and label arithmetic are written once
+and a caller that stops early pays for no candidate past it.
 
 The moves and their exact label arithmetic:
 
@@ -35,18 +34,16 @@ The moves and their exact label arithmetic:
 
 The marking's own consistency checks (seed relators die, seed vertex
 generators stay elliptic, the modular homomorphism keeps its values on
-the seed's cycle basis) are re-run after every verified move, so a
-wrong letter map cannot slip through silently.
+the seed's cycle basis) read the images themselves and are re-run after
+every verified move, so a wrong letter map cannot slip through silently.
 
 The GbsGraph of a move's result comes from a graph pool, a dict keyed
-on the graph content; its Presentation is built the first time
-something reads it and is kept on the graph.  A step whose mapped base
-is the new graph's base vertex re-bases nothing and needs no
-Presentation.  `apply_move` hands every call a fresh pool, so each
-public move builds and validates its graph afresh.  The explorer keeps
-one pool per `explore` call, so every state of that search with the
-same concrete graph shares one graph object, its validation, its
-presentation and its cached canonical form.
+on the graph content, and builds its Presentation only when something
+reads it; a step that keeps the base vertex re-bases nothing and reads none.
+`apply_move` hands every call a fresh pool, so each public move builds
+and validates its graph afresh.  The explorer keeps one pool per
+`explore` call, so states of that search with the same concrete graph
+share one graph object, its validation, presentation and canonical form.
 """
 
 from dataclasses import dataclass
@@ -70,17 +67,15 @@ from .rigidity import _is_prime, ascending_modulus, divisible_pairs, is_ascendin
 from .words import (
     PathWord,
     Presentation,
-    _extend,
     _presentation,
+    _read,
+    _read_length,
     _seam_length,
     invert_path_letters,
-    is_trivial,
+    modulus,
     path_to_generators,
     reduce_letters,
     substitute,
-    to_path_word,
-    word_length,
-    word_modulus,
 )
 
 
@@ -189,27 +184,23 @@ class MarkedState:
 
     def seed_length(self, word):
         """Translation length of a seed-generator word in the current tree."""
-        img = self.images()
-        stack = []
-        for sym, exp in word:
-            piece = img[sym] if exp > 0 else invert_path_letters(img[sym])
-            _extend(self.graph, stack, piece * abs(exp))
-        return _seam_length(self.graph, stack)
+        return _read_length(self.graph, self.images(), word)
 
     def verify(self):
-        """Re-check the marking invariants; raises BrokenMarkingError."""
-        p = self.presentation
+        """Re-check the marking invariants on images(); raises BrokenMarkingError."""
+        g, images = self.graph, self.images()
         for rel in self.seed.relators:
-            if not is_trivial(p, to_path_word(p, self.seed_word(rel))):
+            if _read(g, images, rel):
                 raise BrokenMarkingError(
                     "seed relator %r no longer dies after %s"
                     % (rel, [str(m) for m in self.history])
                 )
         for sym in self.seed.vertex_symbols:
-            if word_length(p, self.marking[sym]) != 0:
+            if _seam_length(g, images[sym]):
                 raise BrokenMarkingError("seed generator %s became hyperbolic" % sym)
+        p = self.presentation
         for sym, value in self.seed.modulus:
-            if word_modulus(p, self.marking[sym]) != value:
+            if modulus(p, PathWord(p.base, images[sym])) != value:
                 raise BrokenMarkingError("modular homomorphism drifted on %s" % sym)
         return self
 
@@ -224,24 +215,15 @@ class _Seed:
 
 def initial_state(graph: GbsGraph) -> MarkedState:
     p = _presentation(graph)
+    images = {sym: reduce_letters(graph, p.lifts[sym]) for sym in p.generators}
+    stable = tuple(s for s in p.generators if s.startswith("t_"))
     seed = _Seed(
         presentation=p,
         relators=p.relators(),
         vertex_symbols=tuple(s for s in p.generators if s.startswith("x_")),
-        modulus=tuple(
-            (s, word_modulus(p, ((s, 1),)))
-            for s in p.generators
-            if s.startswith("t_")
-        ),
+        modulus=tuple((s, modulus(p, PathWord(p.base, images[s]))) for s in stable),
     )
-    images = {sym: to_path_word(p, ((sym, 1),)).letters for sym in p.generators}
     return MarkedState(graph, (), seed, images=images)
-
-
-def modulus_fingerprint(state: MarkedState):
-    """Sorted modular-homomorphism values over the seed's cycle basis."""
-    p = state.presentation
-    return tuple(sorted(word_modulus(p, state.marking[sym]) for sym, _ in state.seed.modulus))
 
 
 # -- one function per move ---------------------------------------------------

@@ -25,6 +25,8 @@ All reduction is one stack pass driven by a per-graph pinch table.  The
 pass over prefix + rest is the pass over prefix continued over rest, so
 callers that share prefixes, like the explorer's trie evaluation of
 sample words, extend an already reduced stack instead of starting over.
+One reader turns generator words into path letters through a table of
+pieces: a presentation's lifts or a marked state's seed images.
 """
 
 from fractions import Fraction
@@ -44,7 +46,7 @@ class PathWord(NamedTuple):
 
 
 class Presentation:
-    """Generators, relators and tree paths derived from a graph.
+    """Generators with their lifts, relators and tree paths of a graph.
 
     The spanning tree is grown breadth-first from the least vertex,
     scanning edges in id order, so everything here is deterministic.
@@ -55,7 +57,7 @@ class Presentation:
     ('t_e', 'x_v')
     """
 
-    __slots__ = ("graph", "base", "tree", "path_to", "generators")
+    __slots__ = ("graph", "base", "tree", "path_to", "lifts", "generators")
 
     def __init__(self, graph: GbsGraph):
         self.graph = graph
@@ -82,9 +84,14 @@ class Presentation:
             frontier = nxt
         self.tree = frozenset(tree)
         self.path_to = path_to
-        gens = ["x_%s" % v for v in graph.vertices]
-        gens += ["t_%s" % e.eid for e in graph.edges if e.eid not in tree]
-        self.generators = tuple(sorted(gens))
+        # generator -> unreduced path letters, closed up along the tree
+        self.lifts = {"x_" + v: out + (("v", v, 1),) + invert_path_letters(out)
+                      for v, out in path_to.items()}
+        for e in graph.edges:
+            if e.eid not in tree:
+                back = invert_path_letters(path_to[e.va])
+                self.lifts["t_" + e.eid] = path_to[e.vb] + (("e", e.eid, -1),) + back
+        self.generators = tuple(sorted(self.lifts))
 
     def relators(self):
         """One relator word per edge, as generator words freely equal to 1.
@@ -191,41 +198,6 @@ def substitute(word, table):
 def invert_path_letters(letters):
     """Inverse of a path letter sequence (works for mixed v/e letters)."""
     return tuple((kind, name, -val) for kind, name, val in reversed(letters))
-
-
-def to_path_word(p: Presentation, word) -> PathWord:
-    """Turn a generator word into a based closed path word.
-
-    A vertex generator based elsewhere is conjugated along the tree:
-    path to its vertex, the power there, path back.  A stable letter is
-    its single traversal closed up the same way.  One stack is extended
-    syllable by syllable; a power of a stable letter whose closed-up
-    piece does not pinch against its own copy is appended in bulk.
-    """
-    g = p.graph
-    stack = []
-    for sym, exp in word:
-        if not exp:
-            continue
-        kind, _, name = sym.partition("_")
-        if kind == "x" and name in p.path_to:
-            out = p.path_to[name]
-            _extend(g, stack, out + (("v", name, exp),) + invert_path_letters(out))
-        elif kind == "t" and g.has_edge(name) and name not in p.tree:
-            e = g.edge(name)
-            fwd = p.path_to[e.vb] + (("e", name, -1),) + invert_path_letters(p.path_to[e.va])
-            piece = fwd if exp > 0 else invert_path_letters(fwd)
-            twice = piece * 2
-            # piece is traversals only, so a pinch among its copies is a
-            # backtrack: if two copies do not pinch, no number of them does
-            if _extend(g, [], twice) == list(twice):
-                _append(g, stack, piece * abs(exp))
-            else:
-                for _ in range(abs(exp)):
-                    _extend(g, stack, piece)
-        else:
-            raise UnknownGeneratorError("%r is not a generator here" % sym)
-    return PathWord(p.base, tuple(stack))
 
 
 def path_to_generators(p: Presentation, pw: PathWord):
@@ -393,16 +365,44 @@ def is_elliptic(p: Presentation, pw: PathWord) -> bool:
     return translation_length(p, pw) == 0
 
 
-def word_length(p: Presentation, word) -> int:
-    """Translation length of a generator word.
+# -- generator words read through pieces ------------------------------------
+
+def _read(g: GbsGraph, pieces, word):
+    """The reduced stack of a generator word, each symbol read as pieces
+    gives it: a presentation's lifts or a marked state's images.
+
+    A power of a piece u (v, a, e) u^-1 is u (v, a, e k) u^-1.  Another
+    piece is appended in bulk when two of its copies do not pinch (a
+    pinch reads at most three letters, so it would lie within two
+    copies), and extended once per copy otherwise.
+    """
+    stack = []
+    for sym, k in word:
+        if not k:
+            continue
+        piece, h = pieces[sym], len(pieces[sym]) // 2
+        u, rest = piece[:h], piece[h + 1:]
+        if len(piece) % 2 and piece[h][0] == "v" and u == invert_path_letters(rest):
+            _extend(g, stack, u + (("v", piece[h][1], piece[h][2] * k),) + rest)
+            continue
+        if k < 0:
+            piece, k = invert_path_letters(piece), -k
+        twice = piece * 2
+        if k > 1 and _extend(g, [], twice) == list(twice):
+            _append(g, stack, piece * k)
+        else:
+            for _ in range(k):
+                _extend(g, stack, piece)
+    return stack
+
+
+def _read_length(g: GbsGraph, pieces, word) -> int:
+    """Translation length of a generator word read through pieces.
 
     Conjugation does not change length, so matching first and last
     syllables are merged first; a power s^k left alone has length
     |k| times that of s, whatever the size of k.
     """
-    for sym, _ in word:
-        if sym not in p.generators:
-            raise UnknownGeneratorError("%r is not a generator here" % sym)
     word = list(word)
     while len(word) >= 2 and word[0][0] == word[-1][0]:
         sym, exp = word.pop()
@@ -411,8 +411,26 @@ def word_length(p: Presentation, word) -> int:
             word.append((sym, exp))
     if len(word) == 1:
         sym, exp = word[0]
-        return abs(exp) * _seam_length(p.graph, to_path_word(p, ((sym, 1),)).letters)
-    return _seam_length(p.graph, to_path_word(p, word).letters)
+        return abs(exp) * _seam_length(g, _read(g, pieces, ((sym, 1),)))
+    return _seam_length(g, _read(g, pieces, word))
+
+
+def _lifts(p: Presentation, word):
+    """p.lifts, once every symbol of word is known to be a generator of p."""
+    for sym, _ in word:
+        if sym not in p.lifts:
+            raise UnknownGeneratorError("%r is not a generator here" % sym)
+    return p.lifts
+
+
+def to_path_word(p: Presentation, word) -> PathWord:
+    """A generator word as a based closed path word, read through p.lifts."""
+    return PathWord(p.base, tuple(_read(p.graph, _lifts(p, word), word)))
+
+
+def word_length(p: Presentation, word) -> int:
+    """Translation length of a generator word."""
+    return _read_length(p.graph, _lifts(p, word), word)
 
 
 def normalize_word(p: Presentation, word):

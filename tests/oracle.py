@@ -7,11 +7,14 @@ seam), sample words are enumerated by recursion (the package keeps one
 iterator per position), fingerprints are spread one entry at a time (the
 package gathers them in one call), primality comes from a sieve (the
 package runs Miller-Rabin and Baillie-PSW), ascending rigidity from a
-divisor scan, and random inputs are generated here so property tests do
-not depend on the package's own enumeration order.
+divisor scan, modular-homomorphism values from the projected generator
+words (the package reads them off path letters), and random inputs are
+generated here so property tests do not depend on the package's own
+enumeration order.
 """
 
 import random
+from fractions import Fraction
 
 from gbsr.graph import GbsGraph
 
@@ -186,6 +189,35 @@ def oracle_spread(entries, values):
     """Fingerprint from per-stage lengths, one entry at a time."""
     flat = [n for stage in values for n in stage]
     return tuple([0 if e is None else e[1] * flat[e[0]] for e in entries])
+
+
+# -- markings ----------------------------------------------------------------
+
+def modulus_fingerprint(state):
+    """Sorted modular-homomorphism values over the seed's cycle basis.
+
+    Read off state.marking: x_v contributes 1, and t_e contributes, per
+    power, the value on the cycle it closes, the tree path to vb, e from
+    B to A (lb / la) and the tree path back from va.  A traversal from
+    side A to side B contributes la / lb.
+    """
+    g, path_to = state.graph, state.presentation.path_to
+
+    def tree_path(v):
+        q = Fraction(1)
+        for _, eid, sign in path_to[v]:
+            q *= Fraction(g.edge(eid).la, g.edge(eid).lb) ** sign
+        return q
+
+    values = []
+    for sym, _ in state.seed.modulus:
+        q = Fraction(1)
+        for gen, exp in state.marking[sym]:
+            if gen.startswith("t_"):
+                e = g.edge(gen[2:])
+                q *= (tree_path(e.vb) * Fraction(e.lb, e.la) / tree_path(e.va)) ** exp
+        values.append(q)
+    return tuple(sorted(values))
 
 
 # -- random inputs -----------------------------------------------------------

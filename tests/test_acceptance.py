@@ -6,6 +6,7 @@ import random
 import time
 
 import oracle
+from oracle import modulus_fingerprint
 from gbsr.explorer import (
     ascending_equivalent,
     enumerate_graphs,
@@ -22,7 +23,6 @@ from gbsr.moves import (
     apply_move,
     enumerate_moves,
     initial_state,
-    modulus_fingerprint,
 )
 from gbsr.rigidity import check, is_reduced
 from gbsr.words import Presentation, parse_word, word_length

@@ -1,13 +1,16 @@
 import hashlib
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import gbsr.moves
 import oracle
+from oracle import modulus_fingerprint
 from gbsr.errors import (
+    BrokenMarkingError,
     DifferentOriginError,
     NotAscendingError,
     NotCollapsibleError,
@@ -22,6 +25,7 @@ from gbsr.moves import (
     Collapse,
     Expansion,
     Induction,
+    MarkedState,
     MoveBounds,
     Slide,
     _apply_move,
@@ -33,7 +37,6 @@ from gbsr.moves import (
     expand,
     induct,
     initial_state,
-    modulus_fingerprint,
     slide,
 )
 from gbsr.words import format_word, invert_path_letters, reduce_letters, to_path_word
@@ -439,3 +442,51 @@ def test_legal_proposes_candidates_one_at_a_time(monkeypatch):
     moves = enumerate_moves(initial_state(g))
     # 6 ends divisible by each of the indices 2, 3 and 6
     assert len(made) == 3 * 2**6 == sum(isinstance(m, real) for m in moves)
+
+
+def test_verify_reads_no_generator_word():
+    st = state("vertex v\nvertex w\nedge e v 2 6 w\nedge c v 2 3 v\n")
+    for mv in enumerate_moves(st, MoveBounds(max_edges=3, max_label=36)):
+        child = apply_move(st, mv, verify=True)
+        assert child._marking is None, mv
+
+
+def _tampered(st, emptied=(), **images):
+    """st's graph with the named seed clauses emptied and some images
+    replaced."""
+    seed = replace(st.seed, **{clause: () for clause in emptied})
+    return MarkedState(st.graph, st.history, seed, images=dict(st.images(), **images))
+
+
+def test_verify_catches_a_relator_that_no_longer_dies():
+    st = state("vertex v\nvertex w\nedge e v 2 3 w\n")
+    assert _tampered(st).verify()
+    square = reduce_letters(st.graph, st.images()["x_v"] * 2)
+    with pytest.raises(BrokenMarkingError, match="seed relator .* no longer dies"):
+        _tampered(st, x_v=square).verify()
+
+
+def test_verify_catches_a_vertex_generator_that_became_hyperbolic():
+    st = state("vertex v\nedge c v 2 3 v\n")
+    assert _tampered(st, ["relators"]).verify()
+    with pytest.raises(BrokenMarkingError, match="seed generator x_v became hyperbolic"):
+        _tampered(st, ["relators"], x_v=st.images()["t_c"]).verify()
+
+
+def test_verify_catches_a_drifted_modulus():
+    st = state("vertex v\nedge c v 1 3 v\n")
+    emptied = ["relators", "vertex_symbols"]
+    assert _tampered(st, emptied).verify()
+    square = reduce_letters(st.graph, st.images()["t_c"] * 2)
+    with pytest.raises(BrokenMarkingError, match="modular homomorphism drifted on t_c"):
+        _tampered(st, emptied, t_c=square).verify()
+
+
+def test_seed_length_of_a_large_power_is_fast():
+    st = induct(state("vertex v\nedge c v 1 6 v\n"), 2)
+    t0 = time.perf_counter()
+    assert st.seed_length((("x_v", 10**6),)) == 0
+    assert time.perf_counter() - t0 < 0.1
+    # checked only once the power above is fast: a copying reader would
+    # try to allocate this one
+    assert st.seed_length((("t_c", 10**12),)) == 10**12
