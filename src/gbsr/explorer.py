@@ -25,6 +25,13 @@ A child and each state of its collapse chain stay lazy; the chain of
 each concrete graph is worked out once per `explore` call and kept in
 its graph pool.
 
+The soundness replay rebuilds each class representative from the seed
+through the public `apply_move` with verification on, and compares its
+whole fingerprint with the report's.  Lengths are a pure function of the
+exact marked state (concrete graph and images), so the replay reads the
+lengths of a state the search already measured from the class table,
+and each exact marked state is measured once per `explore` call.
+
 Ascending states degenerate (their length function is the absolute
 value of a homomorphism, blind to induction moves), so one-loop (1, n)
 spaces are routed to an arithmetic criterion over divisors of n
@@ -266,23 +273,28 @@ class _ClassRecord:
         self.lengths = lengths
 
 
+def _exact(state):
+    """The key of a marked state: the concrete labelled graph, not its
+    isomorphism class, since path letters only mean anything over
+    concrete names, and the images in seed-generator order."""
+    return (state.graph.vertices, state.graph.edges, tuple(state.images().values()))
+
+
 class _ClassTable:
     """Reduced states grouped by (canonical graph, representative lengths)."""
 
     def __init__(self, plan):
         self.trie, self.spreader = plan
         self.classes = {}  # (canonical form, lengths) -> record, in creation order
-        self._memo = {}
+        self._memo = {}  # exact key -> record; record.lengths are the key's
 
     def classify(self, state):
         """Return (record, created).
 
         An exact (graph, images) pair already classified via another
-        route skips the length queries.  The key holds the concrete
-        labelled graph, not its isomorphism class: path letters only mean
-        anything over concrete names.
+        route skips the length queries.
         """
-        exact = (state.graph.vertices, state.graph.edges, tuple(state.images().values()))
+        exact = _exact(state)
         rec = self._memo.get(exact)
         created = False
         if rec is None:
@@ -297,6 +309,12 @@ class _ClassTable:
 
     def fingerprint(self, rec):
         return _spread(self.spreader, rec.lengths)
+
+    def lengths(self, state):
+        """_lengths(state, trie), read from the memo when the exact state
+        was classified already; counts nothing."""
+        rec = self._memo.get(_exact(state))
+        return _lengths(state, self.trie) if rec is None else rec.lengths
 
 
 # -- reduction and search ----------------------------------------------------
@@ -473,18 +491,30 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
         )
     classes.sort(key=lambda c: (c.graph.canonical_form(), c.fingerprint))
     report = ExploreReport(tuple(classes), rigid, witness)
-    _soundness_check(seed, report, bounds)
+    _soundness_check(seed, report, bounds, table)
     return report
 
 
-def _soundness_check(seed, report, bounds):
+def _soundness_check(seed, report, bounds, table=None):
     """Replay each class representative with full marking verification and
-    recompute its whole fingerprint from scratch."""
+    compare its whole fingerprint with the report's.
+
+    The replay rebuilds every graph and image from the seed.  With
+    explore's table the lengths of a replayed state are read from its
+    memo when the search already measured that exact (graph, images)
+    pair; without one an empty table stands in, so every fingerprint is
+    recomputed from scratch.  The lengths are a pure function of that
+    pair and the trie, so the comparison comes out the same, and a
+    replay that reaches another marking misses the memo and is measured
+    afresh.
+    """
+    if table is None:
+        table = _ClassTable(_sample_plan(len(seed.seed.presentation.generators), bounds.radius))
     for cls in report.classes:
         state = seed
         for mv in cls.representative_moves[len(seed.history):]:
             state = apply_move(state, mv, verify=True)
-        if fingerprint(state, bounds.radius) != cls.fingerprint:
+        if _spread(table.spreader, table.lengths(state)) != cls.fingerprint:
             raise BrokenMarkingError(
                 "fingerprint replay mismatch after %s" % [str(m) for m in cls.representative_moves]
             )

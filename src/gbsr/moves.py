@@ -464,10 +464,26 @@ def _rho(n: int) -> int:
             return f
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1: Newton's method from a power of two
+    above the root, exact on integers of any size."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _divisors(n: int):
     """The divisors of n >= 1 in ascending order, multiplied out from its
-    prime factors: trial division below 100, then _rho splits every
-    composite cofactor until each part is prime."""
+    prime factors: trial division below 100, then every composite
+    cofactor is split, as r^k when it is an exact power and otherwise
+    by _rho, until each part is prime.
+
+    The power test makes p^k quick for any prime p; a product of two
+    distinct large primes p < q still costs _rho about sqrt(p) steps.
+    """
     exps, p = {}, 2
     while p < 100 and p * p <= n:
         while n % p == 0:
@@ -479,6 +495,12 @@ def _divisors(n: int):
         m = todo.pop()
         if _is_prime(m):
             exps[m] = exps.get(m, 0) + 1
+            continue
+        for k in range(2, m.bit_length()):
+            r = _iroot(m, k)
+            if r**k == m:
+                todo += [r] * k
+                break
         else:
             f = _rho(m)
             todo += [f, m // f]

@@ -443,9 +443,76 @@ def test_stage_lengths_inside_explore_match_the_oracle(monkeypatch):
     monkeypatch.setattr(gbsr.explorer, "_lengths", recording)
     for text in (PATH22, EQLOOP, BS26, LOOP23, "vertex a\nvertex b\nedge e a 2 3 b\nedge f a 2 5 b\n"):
         explore(parse(text), ExploreBounds(max_states=60))
-    assert len({id(st) for st, _, _ in seen}) >= 25
+    exact = {(st.graph.vertices, st.graph.edges, tuple(st.images().values()), trie) for st, trie, _ in seen}
+    assert len(exact) >= 22
     for st, trie, values in seen:
         assert values == _oracle_lengths(st, trie)
+
+
+def _exact_key(st):
+    return (st.graph.vertices, st.graph.edges, tuple(st.images().values()))
+
+
+def test_explore_measures_each_exact_state_once(monkeypatch):
+    # the replay reads the lengths the search measured; on BS(2,6) the
+    # search measures 6 states and the replay none of its 2 classes again
+    calls, replaying = [], []
+
+    def recording(st, trie):
+        calls.append((_exact_key(st), bool(replaying)))
+        return _lengths(st, trie)
+
+    def replay(*args):
+        replaying.append(True)
+        try:
+            return _soundness_check(*args)
+        finally:
+            replaying.pop()
+
+    monkeypatch.setattr(gbsr.explorer, "_lengths", recording)
+    monkeypatch.setattr(gbsr.explorer, "_soundness_check", replay)
+    report = explore(state(BS26))
+    assert report.rigid == "no" and len(report.classes) == 2
+    assert not any(during for _, during in calls)
+    assert len(calls) == len({key for key, _ in calls}) == 6
+
+
+def test_class_table_memo_holds_the_lengths_of_its_keys(monkeypatch):
+    tables = []
+
+    class Recording(_ClassTable):
+        def __init__(self, plan):
+            super().__init__(plan)
+            self.inserted = {}
+            tables.append(self)
+
+        def classify(self, st):
+            self.inserted.setdefault(_exact_key(st), st)
+            return super().classify(st)
+
+    monkeypatch.setattr(gbsr.explorer, "_ClassTable", Recording)
+    for text in (PATH22, EQLOOP, BS26, LOOP23, "vertex a\nvertex b\nedge e a 2 3 b\nedge f a 2 5 b\n"):
+        explore(state(text), ExploreBounds(max_states=60))
+    assert sum(len(t._memo) for t in tables) >= 20
+    for t in tables:
+        assert t._memo.keys() == t.inserted.keys()
+        for key, rec in t._memo.items():
+            st = t.inserted[key]
+            assert rec.lengths == _lengths(st, t.trie)
+            assert t.lengths(st) is rec.lengths
+
+
+def test_soundness_replay_catches_a_wrong_search_marking(monkeypatch):
+    # every reduced state the search classifies carries the images of its
+    # two seed generators swapped; the replay rebuilds the true marking
+    def swapped(st, pool):
+        red = _reduce(st, pool)
+        (a, ia), (b, ib) = red.images().items()
+        return MarkedState(red.graph, red.history, red.seed, images={a: ib, b: ia})
+
+    monkeypatch.setattr(gbsr.explorer, "_reduce", swapped)
+    with pytest.raises(BrokenMarkingError):
+        explore(state(BS26))
 
 
 def _reduce_one_collapse_at_a_time(st):

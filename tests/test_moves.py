@@ -427,6 +427,17 @@ def test_divisors_of_a_large_prime_cube():
     assert time.perf_counter() - t0 < 2.0
 
 
+@pytest.mark.parametrize("cofactor, power", [(1, 2), (1, 3), (6, 2)])
+def test_divisors_split_a_power_of_a_large_prime_quickly(cofactor, power):
+    # _rho alone needs about sqrt(p) steps on p^k
+    p = 100000000000000000039
+    small = [d for d in range(1, cofactor + 1) if cofactor % d == 0]
+    expected = sorted(d * p**i for d in small for i in range(power + 1))
+    t0 = time.perf_counter()
+    assert _divisors(cofactor * p**power) == expected
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_legal_proposes_candidates_one_at_a_time(monkeypatch):
     made = []
     real = gbsr.moves.Expansion
