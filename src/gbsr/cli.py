@@ -19,14 +19,7 @@ import sys
 from .errors import GbsError, UnreadableFileError
 from .explorer import ExploreBounds, explore
 from .graph import parse, parse_end, serialize, to_dot
-from .moves import (
-    Collapse,
-    Expansion,
-    Induction,
-    Slide,
-    apply_move,
-    initial_state,
-)
+from .moves import collapse, expand, induct, initial_state, slide
 from .explorer import reduce_state
 from .rigidity import ascending_modulus, check
 from .words import Presentation, format_word, parse_word, word_length
@@ -71,10 +64,11 @@ def _build_parser():
 
     sp = sub.add_parser("explore")
     sp.add_argument("file")
-    sp.add_argument("--max-extra-edges", type=int, default=2)
-    sp.add_argument("--max-label", type=int, default=None)
-    sp.add_argument("--depth", type=int, default=8)
-    sp.add_argument("--radius", type=int, default=4)
+    defaults = ExploreBounds()
+    sp.add_argument("--max-extra-edges", type=int, default=defaults.max_extra_edges)
+    sp.add_argument("--max-label", type=int, default=defaults.max_label)
+    sp.add_argument("--depth", type=int, default=defaults.max_depth)
+    sp.add_argument("--radius", type=int, default=defaults.radius)
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("length")
@@ -149,14 +143,13 @@ def _run_state_command(args):
     if args.command == "reduce":
         state = reduce_state(state)
     elif args.command == "collapse":
-        state = apply_move(state, Collapse(args.edge))
+        state = collapse(state, args.edge)
     elif args.command == "expand":
-        ends = tuple(parse_end(e) for e in args.ends)
-        state = apply_move(state, Expansion(args.vertex, args.p, ends))
+        state = expand(state, args.vertex, args.p, map(parse_end, args.ends))
     elif args.command == "slide":
-        state = apply_move(state, Slide(parse_end(args.moving), parse_end(args.across)))
+        state = slide(state, parse_end(args.moving), parse_end(args.across))
     elif args.command == "induct":
-        state = apply_move(state, Induction(args.d))
+        state = induct(state, args.d)
     _print_state(state, args.json)
     return 0
 

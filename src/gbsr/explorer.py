@@ -13,10 +13,18 @@ the freely reduced seed words of length <= radius is measured; the
 fingerprint spreads those lengths back over every word.  Unequal lengths
 prove the marked trees differ (length functions are equivariant-iso
 invariants); equal ones are only evidence of sameness, so a "yes"
-verdict is relative to the bounds while a "no" verdict is final.  The
-representatives form one prefix trie over generator indices, cached per
-number of seed generators and radius, so no shared prefix is reduced
-twice.
+verdict is relative to the bounds while a "no" verdict is final.
+
+Sample words are strings: the letter (symbol s, sign e) is the
+character chr(2s + (e > 0)), so strings compare as letter tuples do and
+a letter's inverse flips its last bit (str.translate).  Each length's
+words extend the last length's by every letter but the inverse of
+their last, in one comprehension: words come by length, then
+lexicographically with (s, +1) before (s, -1).  The primitive root of a
+cyclic core is its least period, (core + core).find(core, 1), and the
+necklace key is the least rotation of the root or its inverse.  The
+representatives form one prefix trie over syllables, cached per number
+of seed generators and radius, so no shared prefix is reduced twice.
 
 Every slide or collapse child is reduced and classified, and the
 classes' counts count those classifications.  Children are built as the
@@ -69,7 +77,7 @@ from .moves import (
     initial_state,
 )
 from .rigidity import ascending_modulus, collapse_witness, is_ascending, nonascending_rigid
-from .words import _extend, _seam_length, free_reduce, invert_path_letters, invert_word
+from .words import _extend, _seam_length, free_reduce, invert_path_letters
 
 
 @dataclass(frozen=True)
@@ -124,61 +132,6 @@ class ExploreReport:
 
 
 # -- sample words ------------------------------------------------------------
-#
-# Letters are (symbol, +1|-1).  A word is freely reduced if no letter is
-# followed by its inverse; it is a cyclic word when also the last letter
-# is not the inverse of the first.
-
-def _reduced_words(letters, length):
-    """Freely reduced words of the given length over letters, in
-    lexicographic order of letter positions; one iterator per position
-    stands in for recursion, so any length works."""
-    if length == 0:
-        yield ()
-        return
-    inv = {(s, e): (s, -e) for s, e in letters}
-    word, todo = [], [iter(letters)]
-    while todo:
-        let = next(todo[-1], None)
-        if let is None:
-            todo.pop()
-            if word:
-                word.pop()
-        elif not (word and word[-1] == inv[let]):
-            word.append(let)
-            if len(word) < length:
-                todo.append(iter(letters))
-            else:
-                yield tuple(word)
-                word.pop()
-
-
-def _cyclic_core(word):
-    """Strip cancelling first/last letters: w = u c u^-1 with c cyclic."""
-    i, j = 0, len(word)
-    while j - i >= 2 and word[i] == (word[j - 1][0], -word[j - 1][1]):
-        i, j = i + 1, j - 1
-    return word[i:j]
-
-
-def _necklace_key(word):
-    """Least rotation of the word or its inverse; a conjugacy-and-inversion key."""
-    best = None
-    for w in (word, invert_word(word)):
-        for r in range(len(w)):
-            rot = w[r:] + w[:r]
-            if best is None or rot < best:
-                best = rot
-    return best
-
-
-def _primitive_root(word):
-    """(root, k) with word = root^k and k largest; word is non-empty."""
-    n = len(word)
-    for p in range(1, n + 1):
-        if n % p == 0 and word == word[p:] + word[:p]:
-            return word[:p], n // p
-
 
 @lru_cache(maxsize=16)
 def _sample_plan(nsymbols, radius):
@@ -192,24 +145,34 @@ def _sample_plan(nsymbols, radius):
     node that spells the i-th representative in order of discovery.
     spreader is (gather, powers) for _spread.
     """
-    letters = [(s, e) for s in range(nsymbols) for e in (1, -1)]
+    letters = [chr(2 * s + e) for s in range(nsymbols) for e in (1, 0)]
+    flip = {i: i ^ 1 for i in range(2 * nsymbols)}  # a str.translate table
+    follow = {c: [d for d in letters if d != c.translate(flip)] for c in ["", *letters]}
     nodes, node = [], {(): 0}  # syllable prefix -> node
     index, leaves = {}, []  # necklace key -> position in leaves
     roots, powers = [], []  # per word in enumeration order
-    for length in range(1, radius + 1):
-        for w in _reduced_words(letters, length):
-            root, k = _primitive_root(_cyclic_core(w))
-            key = _necklace_key(root)
+    level = [""]
+    for _ in range(radius):
+        level = [w + d for w in level for d in follow[w[-1:]]]
+        for w in level:
+            i = 0  # w = u core u^-1; a reduced word's core is never empty
+            while ord(w[i]) ^ ord(w[~i]) == 1:
+                i += 1
+            core = w[i:len(w) - i]
+            p = (core + core).find(core, 1)  # the least period divides len(core)
+            root = core[:p]
+            inverse = root[::-1].translate(flip)
+            key = min(u[r:r + p] for u in (root + root, inverse + inverse) for r in range(p))
             if key not in index:
                 index[key] = len(leaves)
-                rep = free_reduce(key)
+                rep = free_reduce((ord(c) >> 1, ord(c) % 2 * 2 - 1) for c in key)
                 for j in range(1, len(rep) + 1):
                     if rep[:j] not in node:
                         node[rep[:j]] = len(nodes) + 1
                         nodes.append((node[rep[:j - 1]], rep[j - 1]))
                 leaves.append(node[rep])
-            if k != 1:
-                powers.append((len(roots), k))
+            if p != len(core):
+                powers.append((len(roots), len(core) // p))
             roots.append(index[key])
     # the 2n words of length 1 make roots at least two long, so itemgetter
     # returns a tuple

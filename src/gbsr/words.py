@@ -136,9 +136,13 @@ def parse_word(text: str):
         m = _TOKEN.match(tok)
         if not m:
             raise MalformedWordError("bad token %r" % tok)
-        exp = int(m.group(3)) if m.group(3) is not None else 1
+        sym, digits = m.group(1) + "_" + m.group(2), m.group(3) or "1"
+        try:
+            exp = int(digits)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise MalformedWordError("exponent of %s has too many digits" % sym) from None
         if exp:
-            out.append((m.group(1) + "_" + m.group(2), exp))
+            out.append((sym, exp))
     return free_reduce(out)
 
 

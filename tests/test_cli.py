@@ -10,6 +10,9 @@ import pytest
 import gbsr
 from gbsr import cli
 from gbsr.cli import main
+from gbsr.explorer import ExploreBounds
+from gbsr.graph import parse, parse_end
+from gbsr.moves import expand, initial_state
 
 LOOP23 = "vertex v\nedge c v 2 3 v\n"
 LOOP16 = "vertex v\nedge c v 1 6 v\n"
@@ -128,6 +131,13 @@ def test_expand_moves_named_end(gbs, capsys):
         "  t_c = t_d0^-1\n"
         "  x_v = x_v\n"
     )
+
+
+def test_expand_records_its_ends_sorted_once(gbs, capsys):
+    code, out, _ = run(capsys, "expand", gbs(BS26), "v", "2", "c.B", "c.A", "c.B", "--json")
+    assert code == 0
+    want = expand(initial_state(parse(BS26)), "v", 2, [parse_end("c.B"), parse_end("c.A")])
+    assert json.loads(out)["moves"] == [str(m) for m in want.history] == ["expand v 2 c.A c.B"]
 
 
 def test_slide_updates_labels(gbs, capsys):
@@ -261,6 +271,13 @@ def test_the_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()
 
 
+def test_explore_flags_default_to_the_explore_bounds():
+    args = cli._build_parser().parse_args(["explore", "g.gbs"])
+    flags = (args.max_extra_edges, args.max_label, args.depth, args.radius)
+    d = ExploreBounds()
+    assert flags == (d.max_extra_edges, d.max_label, d.max_depth, d.radius)
+
+
 def test_length_of_a_large_power_inside_a_word_is_fast(gbs, capsys):
     path = gbs("vertex v\nedge c v 1 3 v\n")
     t0 = time.perf_counter()
@@ -287,6 +304,12 @@ def test_unreadable_files_are_named_domain_errors(tmp_path):
         assert "Traceback" not in done.stderr, path
         assert done.stderr.startswith("error: UnreadableFile: "), (path, done.stderr)
         assert ("not UTF-8" in done.stderr) == (path == bad)
+
+
+def test_an_exponent_too_long_for_int_is_a_malformed_word(gbs):
+    done = _shell_gbsr("length", gbs(LOOP23), "x_v^" + "9" * 5000)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("error: MalformedWord: ") and "Traceback" not in done.stderr
 
 
 def test_explore_at_a_radius_past_the_recursion_limit(gbs, capsys):

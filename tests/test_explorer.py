@@ -15,7 +15,6 @@ from gbsr.explorer import (
     _legal_children,
     _lengths,
     _reduce,
-    _reduced_words,
     _sample_plan,
     _soundness_check,
     _spread,
@@ -139,6 +138,14 @@ def test_explore_refuses_an_oversized_radius_at_once():
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_explore_samples_long_words_on_one_generator_quickly():
+    # 10,000 sample words, up to 5000 letters long
+    t0 = time.perf_counter()
+    rep = explore(state("vertex v\n"), ExploreBounds(radius=5000))
+    assert time.perf_counter() - t0 < 2.0
+    assert rep.rigid == "yes" and len(rep.classes[0].fingerprint) == 10_000
+
+
 def test_explore_is_deterministic():
     a = explore(state(BS26)).to_json()
     b = explore(state(BS26)).to_json()
@@ -162,7 +169,7 @@ def test_fingerprint_sparse_evaluation_matches_direct():
         letters = [(s, e) for s in symbols for e in (1, -1)]
         direct = []
         for length in range(1, 4):
-            for w in _reduced_words(letters, length):
+            for w in oracle.recursive_reduced_words(letters, length):
                 word = _merge(w)
                 direct.append(word_length(st.presentation, st.seed_word(word)))
         assert list(fp) == direct
@@ -627,17 +634,13 @@ def test_pooled_expansion_children_build_no_presentation_until_read():
 
 
 def test_reduced_words_and_index_plan_match_the_recursive_reference():
-    for nsymbols in range(1, 5):
-        letters = [(s, e) for s in range(nsymbols) for e in (1, -1)]
-        for length in range(5):
-            assert list(_reduced_words(letters, length)) == list(
-                oracle.recursive_reduced_words(letters, length)
-            )
-        for radius in range(1, 5):
-            trie, spreader = _sample_plan(nsymbols, radius)
-            want_stages, want_entries = oracle.oracle_index_plan(nsymbols, radius)
-            assert _spelled(trie) == [w for stage in want_stages for w in stage]
-            assert _entries(spreader, len(trie[1])) == want_entries
+    # many symbols, long one-symbol words, and deeper plans on 2 and 3 symbols
+    extra = [(6, 2), (1, 60), (2, 7), (3, 5)]
+    for nsymbols, radius in [(n, r) for n in range(1, 5) for r in range(1, 5)] + extra:
+        trie, spreader = _sample_plan(nsymbols, radius)
+        want_stages, want_entries = oracle.oracle_index_plan(nsymbols, radius)
+        assert _spelled(trie) == [w for stage in want_stages for w in stage]
+        assert _entries(spreader, len(trie[1])) == want_entries
 
 
 def test_spread_gathers_what_the_reference_spreads():

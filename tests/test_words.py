@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -54,6 +55,14 @@ def test_parse_and_format_words():
         parse_word("y_v")
     with pytest.raises(MalformedWordError):
         parse_word("x_v^")
+
+
+def test_an_exponent_past_the_int_digit_limit_is_malformed():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit == 0:
+        pytest.skip("int() converts any number of digits here")
+    with pytest.raises(MalformedWordError, match="exponent of x_v has too many digits"):
+        parse_word("t_c x_v^-" + "9" * (limit + 1))
 
 
 def test_free_reduce_and_invert():
