@@ -62,6 +62,10 @@ class MalformedWordError(GbsError):
     name = "MalformedWord"
 
 
+class WordTooLongError(GbsError):
+    name = "WordTooLong"
+
+
 # deformation moves
 
 class NotCollapsibleError(GbsError):

@@ -301,9 +301,9 @@ def _reduce(state, pool):
         steps = []
         while (end := collapse_witness(g)) is not None:
             mv = Collapse(end.edge)
-            vertices, edges, letter_map, base = _collapse(g, mv)
+            vertices, edges, tables, base = _collapse(g, mv)
             g = _pooled(pool, vertices, edges)
-            steps.append((mv, g, (letter_map, base)))
+            steps.append((mv, g, (tables, base)))
         pool[key] = steps
     for mv, g, step in steps:
         state = MarkedState(g, state.history + (mv,), state.seed, parent=state, step=step)

@@ -10,7 +10,8 @@ Vertex and edge names are ordinary strings, ordered lexicographically
 wherever a deterministic order is required.
 """
 
-from itertools import permutations, product
+from itertools import chain, permutations, product
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -77,23 +78,19 @@ class GbsGraph:
 
     def __init__(self, vertices: Iterable[str], edges: Iterable):
         self.vertices = tuple(sorted(set(vertices)))
-        es = []
-        for e in edges:
-            es.append(e if isinstance(e, Edge) else Edge(*e))
-        es.sort(key=lambda e: e.eid)
-        self.edges = tuple(es)
+        self.edges = tuple(sorted([e if isinstance(e, Edge) else Edge(*e) for e in edges], key=itemgetter(0)))
         self._by_id = {e.eid: e for e in self.edges}
         if len(self._by_id) != len(self.edges):
             raise GbsSyntaxError("duplicate edge id")
+        # edges come in id order, so each vertex's ends come in (edge, side) order
         ends = {v: [] for v in self.vertices}
-        for e in self.edges:
-            if e.va not in ends:
-                raise UnknownVertexError("edge %s attached at unknown vertex %s" % (e.eid, e.va))
-            if e.vb not in ends:
-                raise UnknownVertexError("edge %s attached at unknown vertex %s" % (e.eid, e.vb))
-            ends[e.va].append(EdgeEnd(e.eid, "A"))
-            ends[e.vb].append(EdgeEnd(e.eid, "B"))
-        self._ends = {v: tuple(sorted(lst)) for v, lst in ends.items()}
+        for eid, va, _, vb, _ in self.edges:
+            if va not in ends or vb not in ends:
+                unknown = vb if va in ends else va
+                raise UnknownVertexError("edge %s attached at unknown vertex %s" % (eid, unknown))
+            ends[va].append(EdgeEnd(eid, "A"))
+            ends[vb].append(EdgeEnd(eid, "B"))
+        self._ends = {v: tuple(lst) for v, lst in ends.items()}
         self._canon = None
         self._pinches = None  # words._pinch_table, built on first use
         self._presentation = None  # words._presentation, built on first use
@@ -154,39 +151,25 @@ class GbsGraph:
         return self._canon
 
 
-def _vertex_invariant(g: GbsGraph, v: str):
-    sig = []
-    for end in g.ends_at(v):
-        e = g.edge(end.edge)
-        near = e.la if end.side == "A" else e.lb
-        far = e.lb if end.side == "A" else e.la
-        sig.append((near, far, e.is_loop))
-    return (len(sig), tuple(sorted(sig)))
-
-
 def _canonical_key(g: GbsGraph) -> bytes:
+    # vertex invariant: (degree, sorted (near label, far label, loop) per end)
+    sig = {v: [] for v in g.vertices}
+    for _, va, la, vb, lb in g.edges:
+        sig[va].append((la, lb, va == vb))
+        sig[vb].append((lb, la, va == vb))
     groups = {}
-    for v in g.vertices:
-        groups.setdefault(_vertex_invariant(g, v), []).append(v)
-    ordered = sorted(groups.items())
-    offsets = []
-    base = 0
-    for _, members in ordered:
-        offsets.append((base, members))
-        base += len(members)
-    best = None
-    for assignment in product(*(permutations(ms) for _, ms in ordered)):
-        index = {}
-        for (off, _), perm in zip(offsets, assignment):
-            for i, v in enumerate(perm):
-                index[v] = off + i
+    for v, ends in sig.items():
+        ends.sort()
+        groups.setdefault((len(ends), tuple(ends)), []).append(v)
+    n, best = len(g.vertices), None
+    for assignment in product(*(permutations(groups[k]) for k in sorted(groups))):
+        index = dict(zip(chain.from_iterable(assignment), range(n)))
         rows = []
-        for e in g.edges:
-            a = (index[e.va], e.la)
-            b = (index[e.vb], e.lb)
-            rows.append(a + b if a <= b else b + a)
+        for _, va, la, vb, lb in g.edges:
+            a, b = index[va], index[vb]
+            rows.append((a, la, b, lb) if (a, la) <= (b, lb) else (b, lb, a, la))
         rows.sort()
-        key = (len(g.vertices), tuple(rows))
+        key = (n, tuple(rows))
         if best is None or key < best:
             best = key
     return repr(best).encode()
@@ -207,11 +190,11 @@ def validate(g: GbsGraph) -> None:
                 )
     seen = {g.vertices[0]}
     queue = [g.vertices[0]]
+    by_id, ends = g._by_id, g._ends
     while queue:
-        v = queue.pop()
-        for end in g.ends_at(v):
-            e = g.edge(end.edge)
-            w = e.vb if end.side == "A" else e.va
+        for eid, side in ends[queue.pop()]:
+            e = by_id[eid]
+            w = e.vb if side == "A" else e.va
             if w not in seen:
                 seen.add(w)
                 queue.append(w)

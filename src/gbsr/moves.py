@@ -6,17 +6,19 @@ the current graph, so that the group never changes while the graph does.
 
 Each move is one function that acts on both at once: it checks the
 move's legality, does the graph surgery, and returns the letter map
-sending path letters of the old graph to path letters of the new one.
-A child keeps that letter map and the vertex where mapped paths start,
-whose tree path re-bases them along the new spanning tree.  Its images
-are built when first read: the read walks up to the nearest ancestor
-whose images are built, maps those unreduced through every step in
-between and Britton-reduces once per generator, and the states in
-between stay lazy.  Generator words are projected from the images only
-for output.  Enumeration only proposes candidate moves, one at a time,
-and keeps those that their move function accepts and whose result stays
-within the label cap, so legality and label arithmetic are written once
-and a caller that stops early pays for no candidate past it.
+sending path letters of the old graph to path letters of the new one,
+as two tables that list only the letters the move changes: traversal
+letters, and vertices it renames or scales.  A child keeps those tables
+and the vertex where mapped paths start, whose tree path re-bases them
+along the new spanning tree.  Its images are built when first read: the
+read walks up to the nearest ancestor whose images are built, maps those
+unreduced through every step in between with one dict lookup per letter
+and Britton-reduces once per generator, and the states in between stay
+lazy.  Generator words are projected from the images only for output.
+Enumeration only proposes candidate moves, one at a time, and keeps
+those that their move function accepts and whose result stays within
+the label cap, so legality and label arithmetic are written once and a
+caller that stops early pays for no candidate past it.
 
 The moves and their exact label arithmetic:
 
@@ -35,7 +37,7 @@ The moves and their exact label arithmetic:
 The marking's own consistency checks (seed relators die, seed vertex
 generators stay elliptic, the modular homomorphism keeps its values on
 the seed's cycle basis) read the images themselves and are re-run after
-every verified move, so a wrong letter map cannot slip through silently.
+every verified move, so a wrong letter table cannot slip through silently.
 
 The GbsGraph of a move's result comes from a graph pool, a dict keyed
 on the graph content, and builds its Presentation only when something
@@ -47,7 +49,6 @@ share one graph object, its validation, presentation and canonical form.
 """
 
 from dataclasses import dataclass
-from itertools import chain
 from math import gcd
 
 from .errors import (
@@ -126,8 +127,9 @@ class MarkedState:
         self._images = images
         self._marking = None
         self._parent = parent
-        # (letter map, base) of the step from the parent: base is the vertex
-        # where mapped paths start, and the tree path to it re-bases them
+        # ((edge table, vertex table), base) of the step from the parent:
+        # base is the vertex where mapped paths start, and the tree path to
+        # it re-bases them
         self._step = step
 
     @property
@@ -139,24 +141,43 @@ class MarkedState:
         """Seed generator -> reduced based path letters of its image (lazy).
 
         The first read walks up to the nearest ancestor whose images are
-        read already.  Each step below it maps the unreduced letters by
-        its letter map and wraps them in its prefix, and one Britton
-        reduction per generator ends the walk, so the states in between
-        stay lazy.
+        read already.  Each step below it maps the unreduced letters
+        through its tables, one dict lookup per letter, and wraps them in
+        its prefix, and one Britton reduction per generator ends the
+        walk, so the states in between stay lazy.
         """
         if self._images is None:
             steps = []
             state = self
             while state._images is None:
-                letter_map, base = state._step
+                (edges, vertices), base = state._step
                 g = state.graph
                 pre = () if base == g.vertices[0] else _presentation(g).path_to[base]
-                steps.append((letter_map, pre, invert_path_letters(pre)))
+                steps.append((edges, vertices, pre, invert_path_letters(pre) if pre else ()))
                 state = state._parent
+            steps.reverse()
             images = {}
             for sym, letters in state._images.items():
-                for letter_map, pre, post in reversed(steps):
-                    letters = pre + tuple(chain.from_iterable(map(letter_map, letters))) + post
+                for edges, vertices, pre, post in steps:
+                    out = list(pre)
+                    for letter in letters:
+                        if letter[0] == "e":
+                            hit = edges.get(letter)
+                            if hit is None:
+                                out.append(letter)
+                            else:
+                                out += hit
+                        else:
+                            hit = vertices.get(letter[1])
+                            if hit is None:
+                                out.append(letter)
+                            else:
+                                before, name, k, after = hit
+                                out += before
+                                out.append(("v", name, letter[2] * k))
+                                out += after
+                    out += post
+                    letters = out
                 images[sym] = reduce_letters(self.graph, letters)
             self._images = images
             self._parent = self._step = None
@@ -229,9 +250,13 @@ def initial_state(graph: GbsGraph) -> MarkedState:
 # -- one function per move ---------------------------------------------------
 #
 # Each takes (g, move), raises the move's named domain errors, and returns
-# (vertices, edges, letter_map, base): the new graph's content, a map
-# sending each path letter of g to a tuple of path letters of the new
-# graph, and the new vertex at which mapped paths based at g's base start.
+# (vertices, edges, (edge table, vertex table), base): the new graph's
+# content, the letter map as two tables, and the new vertex at which
+# mapped paths based at g's base start.  The edge table sends each
+# traversal letter of g that the move changes to its replacement tuple;
+# the vertex table sends each vertex that the move renames or scales to
+# (before, name, factor, after), so ("v", vertex, m) becomes before +
+# (("v", name, m * factor),) + after.  Every other letter maps to itself.
 
 def _collapse(g: GbsGraph, move):
     eid = move.edge
@@ -246,19 +271,17 @@ def _collapse(g: GbsGraph, move):
         raise NotCollapsibleError("edge %s has no end labelled 1" % eid)
     edges = []
     for f in g.edges:
-        if f.eid == eid:
-            continue
-        va, la = (keep, f.la * p) if f.va == drop else (f.va, f.la)
-        vb, lb = (keep, f.lb * p) if f.vb == drop else (f.vb, f.lb)
-        edges.append(Edge(f.eid, va, la, vb, lb))
-
-    def letter_map(letter):  # the merged generator x_drop is x_keep^p
-        if letter[0] == "v":
-            return (("v", keep, p * letter[2]),) if letter[1] == drop else (letter,)
-        return () if letter[1] == eid else (letter,)
-
+        if f.va == drop or f.vb == drop:
+            if f.eid == eid:
+                continue
+            va, la = (keep, f.la * p) if f.va == drop else (f.va, f.la)
+            vb, lb = (keep, f.lb * p) if f.vb == drop else (f.vb, f.lb)
+            f = Edge(f.eid, va, la, vb, lb)
+        edges.append(f)
+    # the merged generator x_drop is x_keep^p
+    tables = {("e", eid, 1): (), ("e", eid, -1): ()}, {drop: ((), keep, p, ())}
     base = g.vertices[0]
-    return [v for v in g.vertices if v != drop], edges, letter_map, keep if base == drop else base
+    return [v for v in g.vertices if v != drop], edges, tables, keep if base == drop else base
 
 
 def _fresh(prefix, taken):
@@ -284,23 +307,21 @@ def _expand(g: GbsGraph, move):
     d = _fresh("d", {e.eid for e in g.edges})
     edges = []
     for f in g.edges:
-        va, la, vb, lb = f.va, f.la, f.vb, f.lb
-        if EdgeEnd(f.eid, "A") in moved:
-            va, la = u, la // p
-        if EdgeEnd(f.eid, "B") in moved:
-            vb, lb = u, lb // p
-        edges.append(Edge(f.eid, va, la, vb, lb))
+        a, b = EdgeEnd(f.eid, "A") in moved, EdgeEnd(f.eid, "B") in moved
+        if a or b:
+            f = Edge(f.eid, u if a else f.va, f.la // p if a else f.la,
+                     u if b else f.vb, f.lb // p if b else f.lb)
+        edges.append(f)
     edges.append(Edge(d, vertex, p, u, 1))
-    into_u, outof_u = ("e", d, 1), ("e", d, -1)  # v -> u across d, and back
-
-    def letter_map(letter):
-        if letter[0] == "v":
-            return (letter,)
-        src = EdgeEnd(letter[1], "A" if letter[2] == 1 else "B")
-        out = (into_u, letter) if src in moved else (letter,)
-        return out + (outof_u,) if src.other in moved else out
-
-    return list(g.vertices) + [u], edges, letter_map, g.vertices[0]
+    # a traversal leaving a moved end first crosses d from v to u, and
+    # one arriving at a moved end crosses d back
+    table = {}
+    for f, side in moved:
+        leave = ("e", f, 1 if side == "A" else -1)
+        arrive = ("e", f, -leave[2])
+        table[leave] = (("e", d, 1),) + table.get(leave, (leave,))
+        table[arrive] = table.get(arrive, (arrive,)) + (("e", d, -1),)
+    return list(g.vertices) + [u], edges, (table, {}), g.vertices[0]
 
 
 def _slide(g: GbsGraph, move):
@@ -324,16 +345,10 @@ def _slide(g: GbsGraph, move):
                 f = Edge(f.eid, f.va, f.la, w, new_label)
         edges.append(f)
     sign = 1 if across.side == "A" else -1  # across traversed origin -> far
-    step_in, step_out = ("e", across.edge, sign), ("e", across.edge, -sign)
-
-    def letter_map(letter):
-        if letter[0] == "v" or letter[1] != moving.edge:
-            return (letter,)
-        if ("A" if letter[2] == 1 else "B") == moving.side:  # leaves the moved end
-            return (step_in, letter)
-        return (letter, step_out)
-
-    return g.vertices, edges, letter_map, g.vertices[0]
+    leave = ("e", moving.edge, 1 if moving.side == "A" else -1)  # leaves the moved end
+    arrive = ("e", moving.edge, -leave[2])
+    table = {leave: (("e", across.edge, sign), leave), arrive: (arrive, ("e", across.edge, -sign))}
+    return g.vertices, edges, (table, {}), g.vertices[0]
 
 
 def _induct(g: GbsGraph, move):
@@ -344,14 +359,9 @@ def _induct(g: GbsGraph, move):
         raise NotDivisorError("%d does not divide %d" % (move.d, n))
     e = g.edges[0]
     sign = 1 if e.la == 1 else -1  # ("e", eid, sign) leaves the unit end: t^-1
-    k = n // move.d
-
-    def letter_map(letter):
-        if letter[0] == "v":  # x^m -> t^-1 x^(m k) t
-            return (("e", e.eid, sign), ("v", letter[1], letter[2] * k), ("e", e.eid, -sign))
-        return (letter,)
-
-    return g.vertices, g.edges, letter_map, g.vertices[0]
+    v = g.vertices[0]  # x^m -> t^-1 x^(m n/d) t
+    vertices = {v: ((("e", e.eid, sign),), v, n // move.d, (("e", e.eid, -sign),))}
+    return g.vertices, g.edges, ({}, vertices), v
 
 
 _MOVES = {Collapse: _collapse, Expansion: _expand, Slide: _slide, Induction: _induct}
@@ -379,13 +389,13 @@ def _apply_move(state: MarkedState, move, pool: dict, verify: bool) -> MarkedSta
 def _child(state: MarkedState, move, surgery, pool: dict, verify: bool) -> MarkedState:
     """The state that move leads to, given the surgery its move function
     returned on state.graph."""
-    vertices, edges, letter_map, base = surgery
+    vertices, edges, tables, base = surgery
     out = MarkedState(
         _pooled(pool, vertices, edges),
         state.history + (move,),
         state.seed,
         parent=state,
-        step=(letter_map, base),
+        step=(tables, base),
     )
     if verify:
         out.verify()

@@ -34,7 +34,7 @@ from operator import countOf, itemgetter
 import re
 from typing import NamedTuple
 
-from .errors import MalformedWordError, UnknownGeneratorError
+from .errors import MalformedWordError, UnknownGeneratorError, WordTooLongError
 from .graph import GbsGraph
 
 
@@ -371,6 +371,11 @@ def is_elliptic(p: Presentation, pw: PathWord) -> bool:
 
 # -- generator words read through pieces ------------------------------------
 
+# _read refuses a power it would spell out letter by letter past this many
+# letters: the CLI peaks at about 60 MB of memory on 2e6 of them
+_MAX_POWER_LETTERS = 2_000_000
+
+
 def _read(g: GbsGraph, pieces, word):
     """The reduced stack of a generator word, each symbol read as pieces
     gives it: a presentation's lifts or a marked state's images.
@@ -378,7 +383,8 @@ def _read(g: GbsGraph, pieces, word):
     A power of a piece u (v, a, e) u^-1 is u (v, a, e k) u^-1.  Another
     piece is appended in bulk when two of its copies do not pinch (a
     pinch reads at most three letters, so it would lie within two
-    copies), and extended once per copy otherwise.
+    copies), and extended once per copy otherwise; either way a power
+    past _MAX_POWER_LETTERS letters raises WordTooLongError first.
     """
     stack = []
     for sym, k in word:
@@ -391,6 +397,9 @@ def _read(g: GbsGraph, pieces, word):
             continue
         if k < 0:
             piece, k = invert_path_letters(piece), -k
+        if k * len(piece) > _MAX_POWER_LETTERS:
+            raise WordTooLongError("a power of %s spells more than %s path letters"
+                                   % (sym, format(_MAX_POWER_LETTERS, ",")))
         twice = piece * 2
         if k > 1 and _extend(g, [], twice) == list(twice):
             _append(g, stack, piece * k)

@@ -220,6 +220,68 @@ def modulus_fingerprint(state):
     return tuple(sorted(values))
 
 
+# -- marking transport -------------------------------------------------------
+
+def oracle_transport(g, move, h, letters):
+    """Letters of a path based at g's least vertex, carried through move
+    into h (the graph the move makes of g) one letter at a time, and
+    re-based along h's spanning tree; unreduced.
+
+    Written from the move definitions, not from the package's tables: a
+    collapse deletes its edge and sends x_drop^m to x_keep^(p m); an
+    expansion routes a traversal of a moved end through the new unit
+    edge d (v to u before leaving, u to v after arriving); a slide routes
+    a traversal of the moved end across the edge it slid over; an
+    induction along k sends x^m to t^-1 x^(m n / k) t, t leaving the
+    loop's unit end.
+    """
+    from gbsr.moves import Collapse, Expansion, Induction, Slide
+    from gbsr.words import Presentation
+
+    def end(letter, leaving):
+        """The edge end a traversal leaves (or arrives at)."""
+        return (letter[1], "A" if (letter[2] == 1) == leaving else "B")
+
+    start = g.vertices[0]
+    if isinstance(move, Collapse):
+        e = g.edge(move.edge)
+        keep, drop, p = (e.va, e.vb, e.la) if e.lb == 1 else (e.vb, e.va, e.lb)
+        start = keep if start == drop else start
+    elif isinstance(move, Expansion):
+        (d,) = {e.eid for e in h.edges} - {e.eid for e in g.edges}
+        detour, ends = ("e", d, 1), {(x.edge, x.side) for x in move.moved}
+    elif isinstance(move, Slide):
+        detour = ("e", move.across.edge, 1 if move.across.side == "A" else -1)
+        ends = {(move.moving.edge, move.moving.side)}
+    elif isinstance(move, Induction):
+        e = g.edges[0]
+        t = ("e", e.eid, 1 if e.la == 1 else -1)
+        factor = max(e.la, e.lb) // move.d
+    else:
+        raise TypeError(move)
+    out = []
+    for letter in letters:
+        kind, name, val = letter
+        if isinstance(move, Collapse):
+            if kind == "v" and name == drop:
+                out.append(("v", keep, p * val))
+            elif not (kind == "e" and name == move.edge):
+                out.append(letter)
+        elif isinstance(move, Induction):
+            if kind == "v":
+                out += [t, ("v", name, val * factor), ("e", t[1], -t[2])]
+            else:
+                out.append(letter)
+        else:
+            if kind == "e" and end(letter, True) in ends:
+                out.append(detour)
+            out.append(letter)
+            if kind == "e" and end(letter, False) in ends:
+                out.append(("e", detour[1], -detour[2]))
+    pre = Presentation(h).path_to[start]
+    return pre + tuple(out) + tuple((k, x, -v) for k, x, v in reversed(pre))
+
+
 # -- random inputs -----------------------------------------------------------
 
 def random_graph(rng: random.Random, max_vertices=3, max_edges=3, max_label=6):

@@ -312,6 +312,13 @@ def test_an_exponent_too_long_for_int_is_a_malformed_word(gbs):
     assert done.stderr.startswith("error: MalformedWord: ") and "Traceback" not in done.stderr
 
 
+def test_a_power_too_long_to_spell_out_is_a_named_error(gbs):
+    # t_c^(10^4000 - 1) next to another syllable would be spelled out letter
+    # by letter; the letter budget refuses it before anything is allocated
+    done = _shell_gbsr("length", gbs("vertex v\nedge c v 1 3 v\n"), "x_v t_c^" + "9" * 4000)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("error: WordTooLong: ") and "Traceback" not in done.stderr
+
 def test_explore_at_a_radius_past_the_recursion_limit(gbs, capsys):
     # 2,000 sample words on one generator, each up to 1,000 letters long
     t0 = time.perf_counter()

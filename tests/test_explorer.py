@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import time
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -25,7 +26,7 @@ from gbsr.explorer import (
     reduce_state,
     witness_search,
 )
-from gbsr.graph import is_isomorphic, parse, parse_end, serialize
+from gbsr.graph import GbsGraph, is_isomorphic, parse, parse_end, serialize
 from gbsr.moves import (
     Collapse,
     Expansion,
@@ -39,7 +40,7 @@ from gbsr.moves import (
     initial_state,
 )
 from gbsr.rigidity import check, collapse_witness, is_reduced, nonascending_rigid
-from gbsr.words import invert_path_letters, word_length
+from gbsr.words import invert_path_letters, reduce_letters, word_length
 
 BS26 = "vertex v\nedge c v 2 6 v\n"
 LOOP23 = "vertex v\nedge c v 2 3 v\n"
@@ -684,3 +685,68 @@ def test_explore_builds_only_the_children_it_reads(monkeypatch):
     built.clear()
     assert explore(parse(BS26), ExploreBounds(max_depth=0)).rigid == "inconclusive"
     assert len(built) == 1
+
+
+def _lazy_walk(st):
+    """st and its lazy ancestors, oldest first, from the nearest ancestor
+    whose images are read."""
+    walk = [st]
+    while walk[-1]._images is None:
+        walk.append(walk[-1]._parent)
+    return walk[::-1]
+
+
+def test_pooled_transport_matches_the_oracle():
+    # each pooled child, and the reduced state of its collapse chain, is
+    # read once through the package's tables; the oracle carries the read
+    # parent's images through the same moves letter by letter and reduces
+    # once at the end
+    rng = random.Random(0x7A45)
+    seeds = [oracle.random_graph(rng, 3, 3, 6) for _ in range(80)]
+    seeds += [parse("vertex v\nedge c v %d %d v\n" % ab) for ab in ((1, 12), (8, 1), (1, 30), (60, 1), (1, 36))]
+    seen = Counter()
+    for g in seeds:
+        st, pool = initial_state(g), {}
+        for _ in range(rng.randint(1, 3)):
+            st.images()
+            children = _legal_children(st, len(g.edges) + 2, 36, pool)
+            if not children:
+                break
+            for _, child in rng.sample(children, min(8, len(children))):
+                reduced = _reduce(child, pool)
+                walk = _lazy_walk(reduced)
+                assert walk[0] is st and walk[1] is child
+                letters = dict(st.images())
+                want = {}
+                for before, after in zip(walk, walk[1:]):
+                    mv = after.history[-1]
+                    seen[type(mv).__name__] += 1
+                    if isinstance(mv, Collapse):
+                        e = before.graph.edge(mv.edge)
+                        seen["re-basing collapse"] += (e.vb if e.lb == 1 else e.va) == before.graph.vertices[0]
+                    letters = {
+                        sym: oracle.oracle_transport(before.graph, mv, after.graph, w)
+                        for sym, w in letters.items()
+                    }
+                    if after is child:
+                        want[child] = {sym: reduce_letters(child.graph, w) for sym, w in letters.items()}
+                want[reduced] = {sym: reduce_letters(reduced.graph, w) for sym, w in letters.items()}
+                assert reduced.images() == want[reduced]
+                assert child.images() == want[child]
+            st = rng.choice(children)[1]
+    assert min(seen[k] for k in ("Collapse", "Expansion", "Slide", "Induction")) >= 10
+    assert seen["re-basing collapse"] >= 20
+
+
+def test_explore_keeps_no_cache_across_calls(monkeypatch):
+    # the pool lives for one call: a second explore of the same parsed graph
+    # object builds every graph again
+    g = parse(LOOP23)
+    built = []
+    init = GbsGraph.__init__
+    monkeypatch.setattr(GbsGraph, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+    first = explore(initial_state(g))
+    n = len(built)
+    second = explore(initial_state(g))
+    assert first.rigid == second.rigid == "yes" and n > 50
+    assert len(built) == 2 * n

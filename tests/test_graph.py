@@ -1,8 +1,10 @@
+import hashlib
 import random
 import time
 
 import pytest
 
+import oracle
 from gbsr.errors import (
     DisconnectedError,
     EmptyGraphError,
@@ -10,6 +12,7 @@ from gbsr.errors import (
     NonPositiveLabelError,
     UnknownEdgeError,
 )
+from gbsr.explorer import enumerate_graphs
 from gbsr.graph import (
     EdgeEnd,
     GbsGraph,
@@ -161,3 +164,16 @@ def test_to_dot_mentions_everything():
     assert dot.startswith("graph")
     assert '"a"' in dot and '"b"' in dot
     assert "2" in dot and "3" in dot
+
+
+def test_canonical_forms_are_pinned():
+    # the bytes order explore's classes, so they must not drift; the digest
+    # was recorded before _canonical_key read its vertex invariants in one
+    # pass over the edges
+    h = hashlib.sha256()
+    for g in enumerate_graphs(2, 4):
+        h.update(g.canonical_form() + b"\n")
+    rng = random.Random(20260)
+    for _ in range(300):
+        h.update(oracle.random_graph(rng, 4, 5, 6).canonical_form() + b"\n")
+    assert h.hexdigest() == "b49e6cbf0cab49ac6db9c06ea7d0016577656c97e88736db775749a4507c1227"

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import oracle
-from gbsr.errors import MalformedWordError, UnknownGeneratorError
+from gbsr.errors import MalformedWordError, UnknownGeneratorError, WordTooLongError
 from gbsr.graph import parse
 from gbsr.words import (
     Presentation,
@@ -64,6 +64,15 @@ def test_an_exponent_past_the_int_digit_limit_is_malformed():
     with pytest.raises(MalformedWordError, match="exponent of x_v has too many digits"):
         parse_word("t_c x_v^-" + "9" * (limit + 1))
 
+
+def test_a_power_past_the_letter_budget_is_refused():
+    p = Presentation(parse("vertex v\nedge c v 1 3 v\n"))
+    assert word_length(p, parse_word("x_v t_c^-1000000")) == 1000000
+    with pytest.raises(WordTooLongError, match="a power of t_c spells more than 2,000,000"):
+        word_length(p, parse_word("x_v t_c^-2000001"))
+    # a lone power is measured once, and a power of x_v is one letter
+    assert word_length(p, parse_word("t_c^-2000001")) == 2000001
+    assert word_length(p, parse_word("x_v^2000001 t_c")) == 1
 
 def test_free_reduce_and_invert():
     assert free_reduce([("a", 1), ("a", -1), ("b", 2)]) == (("b", 2),)
