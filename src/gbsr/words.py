@@ -371,8 +371,8 @@ def is_elliptic(p: Presentation, pw: PathWord) -> bool:
 
 # -- generator words read through pieces ------------------------------------
 
-# _read refuses a power it would spell out letter by letter past this many
-# letters: the CLI peaks at about 60 MB of memory on 2e6 of them
+# _read refuses a word whose powers would spell out past this many letters
+# in all: the CLI peaks at about 60 MB of memory on 2e6 of them
 _MAX_POWER_LETTERS = 2_000_000
 
 
@@ -383,10 +383,11 @@ def _read(g: GbsGraph, pieces, word):
     A power of a piece u (v, a, e) u^-1 is u (v, a, e k) u^-1.  Another
     piece is appended in bulk when two of its copies do not pinch (a
     pinch reads at most three letters, so it would lie within two
-    copies), and extended once per copy otherwise; either way a power
-    past _MAX_POWER_LETTERS letters raises WordTooLongError first.
+    copies), and extended once per copy otherwise.  A power that takes
+    the letters spelled out so far past _MAX_POWER_LETTERS raises
+    WordTooLongError first.
     """
-    stack = []
+    stack, spelled = [], 0
     for sym, k in word:
         if not k:
             continue
@@ -397,8 +398,9 @@ def _read(g: GbsGraph, pieces, word):
             continue
         if k < 0:
             piece, k = invert_path_letters(piece), -k
-        if k * len(piece) > _MAX_POWER_LETTERS:
-            raise WordTooLongError("a power of %s spells more than %s path letters"
+        spelled += k * len(piece)
+        if spelled > _MAX_POWER_LETTERS:
+            raise WordTooLongError("a power of %s takes the word past %s path letters"
                                    % (sym, format(_MAX_POWER_LETTERS, ",")))
         twice = piece * 2
         if k > 1 and _extend(g, [], twice) == list(twice):

@@ -65,14 +65,22 @@ def test_an_exponent_past_the_int_digit_limit_is_malformed():
         parse_word("t_c x_v^-" + "9" * (limit + 1))
 
 
-def test_a_power_past_the_letter_budget_is_refused():
+@pytest.mark.parametrize("text", ["x_v t_c^-2000001", "x_v t_c^700000 " * 3])
+def test_a_power_past_the_letter_budget_is_refused(text):
+    # the budget counts the letters every power of the word spells out
+    p = Presentation(parse("vertex v\nedge c v 1 3 v\n"))
+    with pytest.raises(WordTooLongError, match="a power of t_c takes the word past 2,000,000"):
+        word_length(p, parse_word(text))
+
+
+def test_words_inside_the_letter_budget_are_measured():
     p = Presentation(parse("vertex v\nedge c v 1 3 v\n"))
     assert word_length(p, parse_word("x_v t_c^-1000000")) == 1000000
-    with pytest.raises(WordTooLongError, match="a power of t_c spells more than 2,000,000"):
-        word_length(p, parse_word("x_v t_c^-2000001"))
+    assert word_length(p, parse_word("x_v t_c^600000 " * 3)) == 1800000
     # a lone power is measured once, and a power of x_v is one letter
     assert word_length(p, parse_word("t_c^-2000001")) == 2000001
     assert word_length(p, parse_word("x_v^2000001 t_c")) == 1
+
 
 def test_free_reduce_and_invert():
     assert free_reduce([("a", 1), ("a", -1), ("b", 2)]) == (("b", 2),)

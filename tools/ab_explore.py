@@ -1,18 +1,18 @@
 """In-process A/B timing of `explore` against a base revision.
 
-    python3 tools/ab_explore.py [BASE] [--runs 3] [--out BENCH_transport.json]
+    python3 tools/ab_explore.py BASE [--out BENCH_transport.json]
 
-Run from the root of a checkout.  BASE (default HEAD) is unpacked with
-`git archive` into a temporary directory; its `src/gbsr` and this
-checkout's `src/gbsr` are imported side by side in one process, under
-the names `ab_base` and `ab_head`.  Each operation is the sweep
+Run from the root of a checkout.  BASE, a git revision such as HEAD~1,
+is unpacked with `git archive` into a temporary directory; its
+`src/gbsr` and this checkout's `src/gbsr` are imported side by side in
+one process, under the names `ab_base` and `ab_head`.  Each operation is the sweep
 benchmark's: `explore(initial_state(g))` plus `check(g)`.  They run on
 every graph of the two corpora that `benchmark/corpus.py` builds, 1,293
 graphs for `sweep-2e` and 559 for `sweep-3e`, alternating base and head
 graph by graph and swapping which side goes first on every run, so both
 sides see the same machine state.
 
-Per graph and side the script keeps the minimum over `--runs` runs of
+Per graph and side the script keeps the minimum over RUNS runs of
 the operation's wall time, and, in a second run with timers wrapped
 around `MarkedState.images`, `GbsGraph.__init__` and
 `GbsGraph.canonical_form`, the minimum of each layer's inclusive time.
@@ -39,6 +39,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "benchmark"))
 import corpus  # noqa: E402
 
+RUNS = 3
 CORPORA = {"sweep-2e": ((0, 1, 2), 6), "sweep-3e": ((3,), 3)}
 LAYERS = (("images", "moves", "MarkedState", "images"),
           ("GbsGraph.__init__", "graph", "GbsGraph", "__init__"),
@@ -90,7 +91,7 @@ class Layers:
         return dict(self.spent)
 
 
-def sweep(sides, graphs, runs):
+def sweep(sides, graphs):
     """Time every graph on both sides; return per-side totals and digests."""
     names = list(sides)
     inputs = {side: [sides[side].parse(corpus.to_text(g)) for g in graphs] for side in names}
@@ -100,7 +101,7 @@ def sweep(sides, graphs, runs):
     for i in range(len(graphs)):
         best = {side: float("inf") for side in names}
         best_layers = {side: None for side in names}
-        for run in range(runs):
+        for run in range(RUNS):
             for side in (names if run % 2 == 0 else names[::-1]):
                 pkg, g = sides[side], inputs[side][i]
                 start = time.perf_counter()
@@ -126,12 +127,9 @@ def sweep(sides, graphs, runs):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("base", nargs="?", default="HEAD", help="git revision to compare against")
-    parser.add_argument("--runs", type=int, default=3, help="runs per operation and side (>= 3)")
+    parser.add_argument("base", help="git revision to compare against, such as HEAD~1")
     parser.add_argument("--out", default="BENCH_transport.json", help="where to write the JSON")
     args = parser.parse_args(argv)
-    if args.runs < 3:
-        parser.error("--runs must be at least 3")
     commit = subprocess.run(["git", "rev-parse", args.base], cwd=ROOT, check=True,
                             capture_output=True, text=True).stdout.strip()
     with tempfile.TemporaryDirectory() as tmp:
@@ -146,12 +144,12 @@ def main(argv=None):
             "head": "the working tree of this checkout",
             "host": {"python": platform.python_version(), "machine": platform.machine(),
                      "cpus": os.cpu_count()},
-            "runs": args.runs,
+            "runs": RUNS,
             "workloads": {},
         }
         for workload, (edge_counts, max_label) in CORPORA.items():
             graphs = corpus.reduced_graphs(edge_counts, max_label)
-            out = sweep(sides, graphs, args.runs)
+            out = sweep(sides, graphs)
             out["graphs"] = len(graphs)
             out["digests_equal"] = out["base"]["digest"] == out["head"]["digest"]
             out["head_over_base"] = {"total": round(out["head"]["total_s"] / out["base"]["total_s"], 4)}
