@@ -17,10 +17,9 @@ import os
 import sys
 
 from .errors import GbsError, UnreadableFileError
-from .explorer import ExploreBounds, explore
+from .explorer import ExploreBounds, explore, reduce_state
 from .graph import parse, parse_end, serialize, to_dot
 from .moves import collapse, expand, induct, initial_state, slide
-from .explorer import reduce_state
 from .rigidity import ascending_modulus, check
 from .words import Presentation, format_word, parse_word, word_length
 

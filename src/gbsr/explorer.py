@@ -51,6 +51,9 @@ closed form leaves d = d' or {d, d'} = {1, n}.
 Search-budget caps (depth, an overall state budget) turn an unfinished
 single-class search into "inconclusive"; the edge-count and label caps
 define the searched subspace and do not.
+
+witness_search returns explore's witness at the given radius, so it has
+explore's refusal of more than 200,000 sample words and its replay.
 """
 
 from collections import deque
@@ -60,10 +63,9 @@ from itertools import combinations_with_replacement, product
 from operator import itemgetter
 
 from .errors import BoundsTooTightError, BrokenMarkingError, GbsError, NoViolationError
-from .graph import Edge, EdgeEnd, GbsGraph, serialize
+from .graph import Edge, GbsGraph, serialize
 from .moves import (
     Collapse,
-    Expansion,
     Induction,
     MarkedState,
     MoveBounds,
@@ -485,62 +487,16 @@ def _soundness_check(seed, report, bounds, table=None):
 
 # -- constructive non-rigidity witnesses --------------------------------------
 
-def _candidate_states(state, E, F):
-    """Deformation endpoints that should leave the seed's class, per the
-    case analysis: plain slide, slide across the loop's other end, the
-    expansion composite for a violating pair on one loop, and slides of
-    third ends across a unit loop end."""
-    g = state.graph
-    out = []
-
-    def attempt(fn):
-        try:
-            out.append(fn())
-        except BrokenMarkingError:
-            raise
-        except GbsError:
-            pass
-
-    if E.edge != F.edge:
-        attempt(lambda: apply_move(state, Slide(E, F)))
-        if g.is_loop(F.edge):
-            attempt(lambda: apply_move(state, Slide(E, F.other)))
-    else:
-        lf = g.end_label(F)
-        if lf >= 2:
-            def composite():
-                v = g.end_vertex(F)
-                s1 = apply_move(state, Expansion(v, lf, ()))
-                new = [e for e in s1.graph.edges if not g.has_edge(e.eid)][0]
-                s2 = apply_move(s1, Slide(E, EdgeEnd(new.eid, "A")))
-                s3 = apply_move(s2, Slide(F, EdgeEnd(new.eid, "A")))
-                return apply_move(s3, Slide(EdgeEnd(new.eid, "B"), F))
-
-            attempt(composite)
-        else:
-            for h in g.ends_at(g.end_vertex(F)):
-                if h.edge != F.edge:
-                    attempt(lambda h=h: apply_move(state, Slide(h, F)))
-    return out
-
-
-def witness_search(state: MarkedState, radius: int = 6):
-    """A move sequence from a reduced non-ascending state to a reduced
-    state in a different class, or None if no candidate verifies.
+def witness_search(state: MarkedState, radius: int = ExploreBounds.radius):
+    """explore's witness from state, less state's own history: the moves
+    to a reduced state in a second class, or None if explore finds none.
 
     Raises NoViolationError when the closed-form criterion says rigid.
     """
-    verdict = nonascending_rigid(state.graph)
-    if verdict.rigid:
+    if nonascending_rigid(state.graph).rigid:
         raise NoViolationError("state satisfies the rigidity criterion")
-    table = _ClassTable(_sample_plan(len(state.seed.presentation.generators), radius))
-    table.classify(state)
-    for _, E, F, _tag in verdict.violations:
-        for cand in _candidate_states(state, E, F):
-            final = reduce_state(cand)
-            if table.classify(final)[1]:
-                return list(final.history[len(state.history):])
-    return None
+    witness = explore(state, ExploreBounds(radius=radius)).witness
+    return None if witness is None else list(witness[len(state.history):])
 
 
 # -- corpus ------------------------------------------------------------------

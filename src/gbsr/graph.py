@@ -104,9 +104,6 @@ class GbsGraph:
         except KeyError:
             raise UnknownEdgeError("no edge named %r" % eid) from None
 
-    def has_edge(self, eid: str) -> bool:
-        return eid in self._by_id
-
     def ends_at(self, v: str):
         """All edge ends attached at v, in deterministic (edge, side) order.
 
@@ -124,9 +121,6 @@ class GbsGraph:
     def end_label(self, end: EdgeEnd) -> int:
         e = self.edge(end.edge)
         return e.la if end.side == "A" else e.lb
-
-    def is_loop(self, eid: str) -> bool:
-        return self.edge(eid).is_loop
 
     def max_label(self) -> int:
         return max((max(e.la, e.lb) for e in self.edges), default=1)

@@ -39,7 +39,7 @@ from gbsr.moves import (
     enumerate_moves,
     initial_state,
 )
-from gbsr.rigidity import check, collapse_witness, is_reduced, nonascending_rigid
+from gbsr.rigidity import check, collapse_witness, is_ascending, is_reduced, nonascending_rigid
 from gbsr.words import invert_path_letters, reduce_letters, word_length
 
 BS26 = "vertex v\nedge c v 2 6 v\n"
@@ -247,6 +247,57 @@ def test_witness_search_lets_a_broken_marking_through(monkeypatch):
 def test_witness_search_raises_when_rigid():
     with pytest.raises(NoViolationError):
         witness_search(state(LOOP23))
+
+
+def _replay_witness(seed, moves):
+    """Replay moves from seed with verification; the reduced end state."""
+    st = seed
+    for mv in moves:
+        st = apply_move(st, mv, verify=True)
+    return reduce_state(st)
+
+
+def test_witness_search_on_every_non_rigid_two_edge_graph():
+    first_moves = Counter()
+    for g in enumerate_graphs(2, 6):
+        if not is_reduced(g) or is_ascending(g):
+            continue
+        violations = check(g).violations
+        if not violations:
+            continue
+        seed = initial_state(g)
+        moves = witness_search(seed)
+        assert moves, serialize(g)
+        first = moves[0]
+        if isinstance(first, Slide):
+            assert (first.moving, first.across) in {(E, F) for _, E, F, _ in violations}, serialize(g)
+        else:
+            assert isinstance(first, Expansion), serialize(g)
+            assert first.vertex in {v for v, _, _, _ in violations}, serialize(g)
+        first_moves[type(first).__name__] += 1
+        final = _replay_witness(seed, moves)
+        assert is_reduced(final.graph), serialize(g)
+        assert fingerprint(final, 4) != fingerprint(seed, 4), serialize(g)
+    # 872 non-rigid graphs
+    assert first_moves == {"Slide": 837, "Expansion": 35}
+
+
+def test_witness_search_on_five_generators_uses_explores_radius_cap():
+    seed = state(
+        "vertex v\nedge a v 2 4 v\nedge b v 3 5 v\nedge c v 5 7 v\nedge d v 7 11 v\n"
+    )
+    t0 = time.perf_counter()
+    moves = witness_search(seed)
+    assert time.perf_counter() - t0 < 1.0
+    assert [str(m) for m in moves] == ["slide b.B across c.A"]
+    final = _replay_witness(seed, moves)
+    assert is_reduced(final.graph)
+    assert fingerprint(final, 4) != fingerprint(seed, 4)
+    # radius 6 samples 664,300 words over five generators: refused at once
+    t0 = time.perf_counter()
+    with pytest.raises(BoundsTooTightError):
+        witness_search(seed, radius=6)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_ascending_equivalent_cases():
