@@ -24,7 +24,10 @@ lexicographically with (s, +1) before (s, -1).  The primitive root of a
 cyclic core is its least period, (core + core).find(core, 1), and the
 necklace key is the least rotation of the root or its inverse.  The
 representatives form one prefix trie over syllables, cached per number
-of seed generators and radius, so no shared prefix is reduced twice.
+of seed generators and radius (closed form on one generator).  _lengths
+walks it in one fused loop: a reduced block per syllable, the stack pass
+over a block's head only with the rest appended in bulk, and a pinch
+count at each leaf, so no shared prefix is reduced twice.
 
 Every slide or collapse child is reduced and classified, and the
 classes' counts count those classifications.  Children are built as the
@@ -60,7 +63,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from operator import itemgetter
+from operator import countOf, itemgetter
 
 from .errors import BoundsTooTightError, BrokenMarkingError, GbsError, NoViolationError
 from .graph import Edge, GbsGraph, serialize
@@ -79,7 +82,7 @@ from .moves import (
     initial_state,
 )
 from .rigidity import ascending_modulus, collapse_witness, is_ascending, nonascending_rigid
-from .words import _extend, _seam_length, free_reduce, invert_path_letters
+from .words import _pinch_table, free_reduce, invert_path_letters, reduce_letters
 
 
 @dataclass(frozen=True)
@@ -147,6 +150,9 @@ def _sample_plan(nsymbols, radius):
     node that spells the i-th representative in order of discovery.
     spreader is (gather, powers) for _spread.
     """
+    if nsymbols == 1:  # words x^k, x^-k: one representative x^-1, word i its (i//2 + 1)-th power
+        return ((((0, (0, -1)),), (1,)),
+                (itemgetter(*[0] * 2 * radius), tuple((i, i // 2 + 1) for i in range(2, 2 * radius))))
     letters = [chr(2 * s + e) for s in range(nsymbols) for e in (1, 0)]
     flip = {i: i ^ 1 for i in range(2 * nsymbols)}  # a str.translate table
     follow = {c: [d for d in letters if d != c.translate(flip)] for c in ["", *letters]}
@@ -184,19 +190,63 @@ def _sample_plan(nsymbols, radius):
 def _lengths(state: MarkedState, trie):
     """Translation lengths of the trie's representatives, in leaf order.
 
-    One walk over the trie: each node copies its parent's reduced stack
-    and extends it by the image of its syllable, so no prefix is reduced
-    twice; the lengths are read at the leaves.
+    One fused loop restating words._extend and words._peel, with no call
+    per node or leaf.  A syllable s^e has one reduced block: the image of
+    s (images are reduced), its inverse or their reduced power.  A node
+    runs the stack pass over its block's head only: once a traversal of
+    the block is pushed unchanged the rest cannot pinch (words._append)
+    and is appended as it is.  A node's edge-letter count is its parent's
+    plus its block's less 2 per pinch, and a leaf's that less 2 per pinch
+    peeled off the seam.
     """
     nodes, leaves = trie
     g = state.graph
+    pinches = _pinch_table(g)
     images = tuple(state.images().values())  # in seed-generator order
-    inverses = tuple(map(invert_path_letters, images))
-    stacks = [[]]
-    for parent, (s, e) in nodes:
-        piece = images[s] if e > 0 else inverses[s]
-        stacks.append(_extend(g, stacks[parent][:], piece * abs(e)))
-    return tuple(_seam_length(g, stacks[leaf]) for leaf in leaves)
+    blocks, kind = {}, itemgetter(0)
+    stacks, counts = [(("", None, 0),) * 2], [0]  # two stand-in letters: stack[-2] exists
+    for parent, syllable in nodes:
+        entry = blocks.get(syllable)
+        if entry is None:
+            s, e = syllable
+            block = images[s] if e > 0 else invert_path_letters(images[s])
+            if abs(e) > 1:
+                block = reduce_letters(g, block * abs(e))
+            entry = blocks[syllable] = block, countOf(map(kind, block), "e")
+        block, stack, count = entry[0], stacks[parent], entry[1] + counts[parent]
+        i = 0
+        for letter in block:
+            top = stack[-1]
+            if letter[0] == "e":  # a pinch leaves a power, merged below as a block's is
+                k = -1 if top[0] == "e" else -2  # the opener, before any power
+                pinch, power = pinches.get(stack[k]), (top[2] if k == -2 else 0)
+                if pinch is None or pinch[0] != letter or power % pinch[1]:
+                    stack += block[i:]
+                    break
+                stack, count = stack[:k], count - 2
+                letter, top = ("v", pinch[2], pinch[3] * (power // pinch[1])), stack[-1]
+            if top[0] == "v" and top[1] == letter[1]:
+                stack, letter = stack[:-1], ("v", letter[1], top[2] + letter[2])
+            if letter[2]:
+                stack += (letter,)
+            i += 1
+        stacks.append(stack)
+        counts.append(count)
+    out = []
+    for leaf in leaves:  # _peel's loop over the seam, counting pinches only
+        w, count = stacks[leaf], counts[leaf]
+        i, j, power = 2, len(w), 0
+        while True:
+            if i < j and w[j - 1][0] == "v":
+                power, j = power + w[j - 1][2], j - 1
+            if i < j and w[i][0] == "v":
+                power, i = power + w[i][2], i + 1
+            pinch = pinches[w[j - 1]] if j - i >= 2 else None
+            if pinch is None or pinch[0] != w[i] or power % pinch[1]:
+                break
+            power, i, j, count = pinch[3] * (power // pinch[1]), i + 1, j - 1, count - 2
+        out.append(count)
+    return tuple(out)
 
 
 def _spread(spreader, lengths):

@@ -23,8 +23,8 @@ cyclic reduction; an element is elliptic iff that count is zero.
 
 All reduction is one stack pass driven by a per-graph pinch table.  The
 pass over prefix + rest is the pass over prefix continued over rest, so
-callers that share prefixes, like the explorer's trie evaluation of
-sample words, extend an already reduced stack instead of starting over.
+callers that share prefixes extend an already reduced stack instead of
+starting over; the explorer's trie evaluation restates the pass inline.
 One reader turns generator words into path letters through a table of
 pieces: a presentation's lifts or a marked state's seed images.
 """

@@ -801,3 +801,58 @@ def test_explore_keeps_no_cache_across_calls(monkeypatch):
     second = explore(initial_state(g))
     assert first.rigid == second.rigid == "yes" and n > 50
     assert len(built) == 2 * n
+
+
+def _node_pinches(st, trie):
+    """Pinches the stack pass makes at each trie node when it extends the
+    parent's reduced stack by the node's reduced block, counted from
+    reduce_letters alone: the parent's edge letters plus the block's less
+    the node's, halved."""
+    nodes, _ = trie
+    g, images = st.graph, tuple(st.images().values())
+    edges = oracle.edge_count
+    stacks, out = [()], []
+    for parent, (s, e) in nodes:
+        piece = images[s] if e > 0 else invert_path_letters(images[s])
+        block = reduce_letters(g, piece * abs(e))
+        stacks.append(reduce_letters(g, stacks[parent] + block))
+        out.append((edges(stacks[parent]) + edges(block) - edges(stacks[-1])) // 2)
+    return out
+
+
+def test_lengths_kernel_matches_the_oracle_on_five_generators():
+    # 4-edge graphs (5 seed generators) with labels up to 8, walked a few
+    # pooled moves so the images grow; radius 3
+    rng = random.Random(0xF05ED)
+    twice = states = 0
+    while states < 60:
+        g = oracle.random_graph(rng, 3, 4, 8)
+        if len(g.edges) != 4:
+            continue
+        st, pool = initial_state(g), {}
+        for _ in range(rng.randint(1, 4)):
+            children = _legal_children(st, len(g.edges) + 1, 16, pool)
+            if not children:
+                break
+            st = _reduce(rng.choice(children)[1], pool)
+        states += 1
+        trie, _ = _sample_plan(len(st.seed.presentation.generators), 3)
+        snapshot = {sym: list(letters) for sym, letters in st.images().items()}
+        values = _lengths(st, trie)
+        # e = +-1 blocks are the image tuples themselves: none was touched
+        assert {sym: list(letters) for sym, letters in st.images().items()} == snapshot
+        assert values == _oracle_lengths(st, trie)
+        for word, value in zip(_spelled(trie), values):
+            assert st.seed_length(_named(st, word)) == value
+        twice += sum(k >= 2 for k in _node_pinches(st, trie))
+    # the kernel's head loop runs on after a pinch at many nodes
+    assert twice >= 100
+
+
+def test_explore_on_one_generator_at_radius_100000_is_fast():
+    # 200,000 sample words up to 100,000 letters long, from the closed-form
+    # one-generator plan (about 0.2 s on a 2-core x86-64 host)
+    t0 = time.perf_counter()
+    rep = explore(state("vertex v\n"), ExploreBounds(radius=100_000))
+    assert time.perf_counter() - t0 < 2.0
+    assert rep.rigid == "yes" and rep.classes[0].fingerprint == (0,) * 200_000

@@ -14,8 +14,9 @@ sides see the same machine state.
 
 Per graph and side the script keeps the minimum over RUNS runs of
 the operation's wall time, and, in a second run with timers wrapped
-around `MarkedState.images`, `GbsGraph.__init__` and
-`GbsGraph.canonical_form`, the minimum of each layer's inclusive time.
+around `MarkedState.images`, `GbsGraph.__init__`,
+`GbsGraph.canonical_form` and the module function `explorer._lengths`
+(fingerprint evaluation), the minimum of each layer's inclusive time.
 The totals are sums of those minima.  It also hashes
 `json.dumps(report.to_json(), sort_keys=True)` over every graph on both
 sides, so a speedup that changed a report shows up as unequal digests.
@@ -43,7 +44,8 @@ RUNS = 3
 CORPORA = {"sweep-2e": ((0, 1, 2), 6), "sweep-3e": ((3,), 3)}
 LAYERS = (("images", "moves", "MarkedState", "images"),
           ("GbsGraph.__init__", "graph", "GbsGraph", "__init__"),
-          ("canonical_form", "graph", "GbsGraph", "canonical_form"))
+          ("canonical_form", "graph", "GbsGraph", "canonical_form"),
+          ("_lengths", "explorer", None, "_lengths"))
 
 
 def load(name, src):
@@ -57,13 +59,15 @@ def load(name, src):
 
 
 class Layers:
-    """Inclusive-time timers around the LAYERS methods of one package."""
+    """Inclusive-time timers around the LAYERS of one package: methods of
+    a class, or module functions where the class is None."""
 
     def __init__(self, package):
         self.spent = dict.fromkeys([name for name, *_ in LAYERS], 0.0)
         self.patches = []
         for name, module, cls, attr in LAYERS:
-            owner = getattr(sys.modules["%s.%s" % (package.__name__, module)], cls)
+            owner = sys.modules["%s.%s" % (package.__name__, module)]
+            owner = owner if cls is None else getattr(owner, cls)
             self.patches.append((owner, attr, owner.__dict__[attr], self._timed(name, owner.__dict__[attr])))
 
     def _timed(self, name, fn):
