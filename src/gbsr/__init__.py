@@ -8,6 +8,8 @@ and cross-checks the decision procedure against a bounded brute-force
 exploration of the deformation space.
 """
 
+import types
+
 from .errors import (
     AscendingCaseError,
     BoundsTooTightError,
@@ -98,80 +100,6 @@ from .words import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AscendingCaseError",
-    "BoundsTooTightError",
-    "BrokenMarkingError",
-    "Collapse",
-    "DifferentOriginError",
-    "DisconnectedError",
-    "Edge",
-    "EdgeEnd",
-    "EmptyGraphError",
-    "Expansion",
-    "ExploreBounds",
-    "ExploreClass",
-    "ExploreReport",
-    "GbsError",
-    "GbsGraph",
-    "GbsSyntaxError",
-    "Induction",
-    "MalformedWordError",
-    "MarkedState",
-    "MoveBounds",
-    "NoViolationError",
-    "NonPositiveLabelError",
-    "NotAscendingError",
-    "NotCollapsibleError",
-    "NotDivisibleError",
-    "NotDivisorError",
-    "NotReducedError",
-    "PathWord",
-    "Presentation",
-    "RigidityVerdict",
-    "SameEdgeError",
-    "Slide",
-    "UnknownEdgeError",
-    "UnknownGeneratorError",
-    "UnknownVertexError",
-    "UnreadableFileError",
-    "WordTooLongError",
-    "WrongOriginError",
-    "apply_move",
-    "ascending_equivalent",
-    "ascending_modulus",
-    "ascending_rigid",
-    "check",
-    "collapse",
-    "enumerate_graphs",
-    "enumerate_moves",
-    "expand",
-    "explore",
-    "fingerprint",
-    "format_word",
-    "free_reduce",
-    "induct",
-    "initial_state",
-    "invert_word",
-    "is_ascending",
-    "is_elliptic",
-    "is_isomorphic",
-    "is_reduced",
-    "is_strongly_slide_free",
-    "is_trivial",
-    "nonascending_rigid",
-    "normalize_word",
-    "parse",
-    "parse_end",
-    "parse_word",
-    "reduce",
-    "reduce_state",
-    "serialize",
-    "slide",
-    "to_dot",
-    "translation_length",
-    "validate",
-    "witness_search",
-    "word_length",
-    "word_modulus",
-]
+# the public API is exactly what the imports above bind
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

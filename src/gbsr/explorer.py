@@ -81,7 +81,7 @@ from .moves import (
     apply_move,
     initial_state,
 )
-from .rigidity import ascending_modulus, collapse_witness, is_ascending, nonascending_rigid
+from .rigidity import ascending_modulus, check, collapse_witness, is_ascending
 from .words import _pinch_table, free_reduce, invert_path_letters, reduce_letters
 
 
@@ -258,10 +258,7 @@ def _spread(spreader, lengths):
     multiplied.
     """
     gather, powers = spreader
-    out = gather(lengths)
-    if not powers:
-        return out
-    out = list(out)
+    out = list(gather(lengths))
     for i, k in powers:
         out[i] *= k
     return tuple(out)
@@ -374,9 +371,10 @@ def ascending_equivalent(n: int, d: int) -> bool:
 
 def _explore_ascending(seed, base, bounds):
     n = ascending_modulus(base.graph)
-    # divisors d, d' of n are equivalent iff d = d' or {d, d'} = {1, n};
-    # the group containing 1 is the seed class
-    groups = [sorted({1, n})] + [[d] for d in _divisors(n)[1:-1]]
+    # the seed class first, then each divisor that gives another tree alone
+    divisors = _divisors(n)
+    groups = [[d for d in divisors if ascending_equivalent(n, d)]]
+    groups += [[d] for d in divisors if not ascending_equivalent(n, d)]
     classes = []
     witness = None
     for grp in groups:
@@ -541,9 +539,10 @@ def witness_search(state: MarkedState, radius: int = ExploreBounds.radius):
     """explore's witness from state, less state's own history: the moves
     to a reduced state in a second class, or None if explore finds none.
 
-    Raises NoViolationError when the closed-form criterion says rigid.
+    Takes any graph check calls not rigid, reduced or not, ascending or
+    not; raises NoViolationError when check says rigid.
     """
-    if nonascending_rigid(state.graph).rigid:
+    if check(state.graph).rigid:
         raise NoViolationError("state satisfies the rigidity criterion")
     witness = explore(state, ExploreBounds(radius=radius)).witness
     return None if witness is None else list(witness[len(state.history):])

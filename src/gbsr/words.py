@@ -389,8 +389,6 @@ def _read(g: GbsGraph, pieces, word):
     """
     stack, spelled = [], 0
     for sym, k in word:
-        if not k:
-            continue
         piece, h = pieces[sym], len(pieces[sym]) // 2
         u, rest = piece[:h], piece[h + 1:]
         if len(piece) % 2 and piece[h][0] == "v" and u == invert_path_letters(rest):

@@ -223,6 +223,20 @@ def test_export_dot(gbs, capsys):
     )
 
 
+def test_export_dot_json_wraps_the_dot_text(gbs, capsys):
+    path = gbs(LOOP23)
+    code, out, err = run(capsys, "export-dot", path, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"dot": run(capsys, "export-dot", path)[1]}
+
+
+def test_expand_at_an_unknown_vertex_or_index_0_exits_1(gbs, capsys):
+    code, out, err = run(capsys, "expand", gbs(BS26), "w", "2")
+    assert (code, out) == (1, "") and err.startswith("error: UnknownVertex:")
+    code, out, err = run(capsys, "expand", gbs(BS26), "v", "0", "c.B")
+    assert (code, out) == (1, "") and err.startswith("error: NotDivisible:")
+
+
 def test_domain_errors_exit_1(gbs, capsys):
     code, out, err = run(capsys, "check", gbs("vertex v\nedge c v 0 3 v\n"))
     assert code == 1 and out == ""

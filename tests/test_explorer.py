@@ -30,6 +30,7 @@ from gbsr.graph import GbsGraph, is_isomorphic, parse, parse_end, serialize
 from gbsr.moves import (
     Collapse,
     Expansion,
+    Induction,
     MarkedState,
     MoveBounds,
     Slide,
@@ -118,6 +119,11 @@ def test_explore_bounds_errors_and_clipping():
         explore(state(BS26), ExploreBounds(max_label=3))
     rep = explore(state(LOOP23), ExploreBounds(max_depth=0))
     assert rep.rigid == "inconclusive"
+
+
+def test_explore_clipped_by_the_state_budget_is_inconclusive():
+    rep = explore(state("vertex v\nedge c v 2 2 v\n"), ExploreBounds(max_states=1))
+    assert rep.rigid == "inconclusive" and rep.witness is None
 
 
 def test_explore_refuses_a_negative_edge_allowance():
@@ -247,6 +253,21 @@ def test_witness_search_lets_a_broken_marking_through(monkeypatch):
 def test_witness_search_raises_when_rigid():
     with pytest.raises(NoViolationError):
         witness_search(state(LOOP23))
+
+
+def test_witness_search_takes_every_graph_check_calls_non_rigid():
+    # an ascending loop with a composite modulus: check says not rigid
+    assert witness_search(state("vertex v\nedge c v 1 6 v\n")) == [Induction(2)]
+    # a graph that is not reduced: explore reduces it first
+    moves = witness_search(state("vertex a\nvertex b\nedge e a 1 2 b\nedge c a 2 4 a\n"))
+    assert [str(m) for m in moves] == ["expand a 2 c.B", "slide d0.A across c.A", "collapse e"]
+    with pytest.raises(NoViolationError):
+        witness_search(state("vertex v\nedge c v 1 5 v\n"))
+    rigid = [g for g in enumerate_graphs(2, 4) if check(g).rigid]
+    assert any(is_ascending(g) for g in rigid) and not all(is_ascending(g) for g in rigid)
+    for g in rigid:
+        with pytest.raises(NoViolationError):
+            witness_search(initial_state(g))
 
 
 def _replay_witness(seed, moves):

@@ -11,6 +11,7 @@ from gbsr.errors import (
     GbsSyntaxError,
     NonPositiveLabelError,
     UnknownEdgeError,
+    UnknownVertexError,
 )
 from gbsr.explorer import enumerate_graphs
 from gbsr.graph import (
@@ -121,6 +122,28 @@ def test_unknown_edge():
     g = parse(BS26)
     with pytest.raises(UnknownEdgeError):
         g.edge("zzz")
+
+
+def test_graph_constructor_refuses_what_parse_catches_first():
+    with pytest.raises(GbsSyntaxError, match="duplicate edge id"):
+        GbsGraph(["v"], [("e", "v", 1, "v", 2), ("e", "v", 2, "v", 3)])
+    with pytest.raises(UnknownVertexError, match="edge e attached at unknown vertex w"):
+        GbsGraph(["v"], [("e", "v", 1, "w", 2)])
+    with pytest.raises(UnknownVertexError, match="edge e attached at unknown vertex w"):
+        GbsGraph(["v"], [("e", "w", 1, "v", 2)])
+
+
+def test_ends_at_unknown_vertex():
+    with pytest.raises(UnknownVertexError):
+        parse(BS26).ends_at("w")
+
+
+def test_parse_rejects_bad_vertex_lines_and_names():
+    with pytest.raises(GbsSyntaxError, match="expected 'vertex <name>'"):
+        parse("vertex a b\n")
+    for text in ("vertex a-b\n", "vertex v\nedge c! v 2 3 v\n"):
+        with pytest.raises(GbsSyntaxError, match="bad name"):
+            parse(text)
 
 
 def test_isomorphism_respects_labels_not_names():

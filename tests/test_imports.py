@@ -1,8 +1,10 @@
-"""Every module-level import in the package is read, and the package
-exports every domain error."""
+"""Every module-level import in the package is read, the package
+exports every domain error, and its export list is what a star import
+binds."""
 
 import ast
 import inspect
+import types
 from pathlib import Path
 
 import gbsr
@@ -45,3 +47,11 @@ def test_package_exports_every_domain_error():
     for cls in errors:
         assert cls.__name__ in gbsr.__all__, cls.__name__
         assert getattr(gbsr, cls.__name__) is cls, cls.__name__
+
+
+def test_star_import_binds_exactly_the_sorted_export_list():
+    namespace = {}
+    exec("from gbsr import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == gbsr.__all__ == sorted(gbsr.__all__)
+    assert not any(isinstance(getattr(gbsr, name), types.ModuleType) for name in gbsr.__all__)
