@@ -73,6 +73,7 @@ from .moves import (
     MarkedState,
     MoveBounds,
     Slide,
+    _TrustedPool,
     _child,
     _collapse,
     _divisors,
@@ -339,13 +340,13 @@ def reduce_state(state: MarkedState) -> MarkedState:
 def _reduce(state, pool):
     """reduce_state with every graph of the chain taken from pool.
 
-    The collapses reduce_state makes from a graph content, each with its
-    pooled graph and its step, are worked out once per pool; the reduced
+    The collapses reduce_state makes from a graph, each with its pooled
+    graph and its step, are worked out once per pool and kept under the
+    graph object, which the pool makes one per content; the reduced
     state is one lazy state per collapse below state.
     """
     g = state.graph
-    key = ("collapse chain", g.vertices, g.edges)
-    steps = pool.get(key)
+    steps = pool.get(g)
     if steps is None:
         steps = []
         while (end := collapse_witness(g)) is not None:
@@ -353,7 +354,7 @@ def _reduce(state, pool):
             vertices, edges, tables, base = _collapse(g, mv)
             g = _pooled(pool, vertices, edges)
             steps.append((mv, g, (tables, base)))
-        pool[key] = steps
+        pool[state.graph] = steps
     for mv, g, step in steps:
         state = MarkedState(g, state.history + (mv,), state.seed, parent=state, step=step)
     return state
@@ -439,10 +440,11 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
                n, format(_MAX_SAMPLE_WORDS, ","), k - 1)
         )
     inner = MoveBounds(max_edges=len(g0.edges) + bounds.max_extra_edges, max_label=max_label)
-    # graph content -> GbsGraph, and -> its collapse chain, shared by
-    # every state this call builds, so that each concrete graph is built,
-    # validated, canonicalised and reduced once
-    pool = {}
+    # graph content -> GbsGraph, and GbsGraph -> its collapse chain,
+    # shared by every state this call builds, so that each concrete graph
+    # is built, canonicalised and reduced once; every graph in it comes
+    # from a move on a valid graph, so none is validated again
+    pool = _TrustedPool()
 
     base = _reduce(seed, pool)
     if is_ascending(base.graph):

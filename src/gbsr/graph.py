@@ -76,24 +76,24 @@ class GbsGraph:
 
     __slots__ = ("vertices", "edges", "_by_id", "_ends", "_canon", "_pinches", "_presentation")
 
-    def __init__(self, vertices: Iterable[str], edges: Iterable):
+    def __init__(self, vertices: Iterable[str], edges: Iterable, _trusted=False):
+        self._canon = None
+        self._pinches = None  # words._pinch_table, built on first use
+        self._presentation = None  # words._presentation, built on first use
+        if _trusted:
+            # a graph a move made from a valid graph (moves._TrustedPool says
+            # why it is valid): vertices and edges come as sorted tuples,
+            # edges in id order, and the end lists are built on first read
+            self.vertices, self.edges = vertices, edges
+            self._by_id = {e.eid: e for e in edges}
+            self._ends = None
+            return
         self.vertices = tuple(sorted(set(vertices)))
         self.edges = tuple(sorted([e if isinstance(e, Edge) else Edge(*e) for e in edges], key=itemgetter(0)))
         self._by_id = {e.eid: e for e in self.edges}
         if len(self._by_id) != len(self.edges):
             raise GbsSyntaxError("duplicate edge id")
-        # edges come in id order, so each vertex's ends come in (edge, side) order
-        ends = {v: [] for v in self.vertices}
-        for eid, va, _, vb, _ in self.edges:
-            if va not in ends or vb not in ends:
-                unknown = vb if va in ends else va
-                raise UnknownVertexError("edge %s attached at unknown vertex %s" % (eid, unknown))
-            ends[va].append(EdgeEnd(eid, "A"))
-            ends[vb].append(EdgeEnd(eid, "B"))
-        self._ends = {v: tuple(lst) for v, lst in ends.items()}
-        self._canon = None
-        self._pinches = None  # words._pinch_table, built on first use
-        self._presentation = None  # words._presentation, built on first use
+        self._ends = _ends_by_vertex(self.vertices, self.edges)
         validate(self)
 
     # -- queries ----------------------------------------------------------
@@ -109,8 +109,11 @@ class GbsGraph:
 
         A loop at v contributes both of its ends.
         """
+        ends = self._ends
+        if ends is None:
+            ends = self._ends = _ends_by_vertex(self.vertices, self.edges)
         try:
-            return self._ends[v]
+            return ends[v]
         except KeyError:
             raise UnknownVertexError("no vertex named %r" % v) from None
 
@@ -143,6 +146,20 @@ class GbsGraph:
         if self._canon is None:
             self._canon = _canonical_key(self)
         return self._canon
+
+
+def _ends_by_vertex(vertices, edges):
+    """Vertex -> tuple of the edge ends attached there; raises
+    UnknownVertexError for an edge attached at no listed vertex."""
+    # edges come in id order, so each vertex's ends come in (edge, side) order
+    ends = {v: [] for v in vertices}
+    for eid, va, _, vb, _ in edges:
+        if va not in ends or vb not in ends:
+            unknown = vb if va in ends else va
+            raise UnknownVertexError("edge %s attached at unknown vertex %s" % (eid, unknown))
+        ends[va].append(EdgeEnd(eid, "A"))
+        ends[vb].append(EdgeEnd(eid, "B"))
+    return {v: tuple(lst) for v, lst in ends.items()}
 
 
 def _canonical_key(g: GbsGraph) -> bytes:
@@ -184,9 +201,9 @@ def validate(g: GbsGraph) -> None:
                 )
     seen = {g.vertices[0]}
     queue = [g.vertices[0]]
-    by_id, ends = g._by_id, g._ends
+    by_id = g._by_id
     while queue:
-        for eid, side in ends[queue.pop()]:
+        for eid, side in g.ends_at(queue.pop()):
             e = by_id[eid]
             w = e.vb if side == "A" else e.va
             if w not in seen:

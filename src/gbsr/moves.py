@@ -45,7 +45,8 @@ reads it; a step that keeps the base vertex re-bases nothing and reads none.
 `apply_move` hands every call a fresh pool, so each public move builds
 and validates its graph afresh.  The explorer keeps one pool per
 `explore` call, so states of that search with the same concrete graph
-share one graph object, its validation, presentation and canonical form.
+share one graph object, its presentation and canonical form; a graph a
+move made there is valid by construction and is not validated again.
 """
 
 from dataclasses import dataclass
@@ -367,14 +368,29 @@ def _induct(g: GbsGraph, move):
 _MOVES = {Collapse: _collapse, Expansion: _expand, Slide: _slide, Induction: _induct}
 
 
+class _TrustedPool(dict):
+    """A graph pool that only ever receives graph content a move function
+    returned on a valid graph, so _pooled builds its graphs without
+    validating them (GbsGraph's trusted path); explore makes one per call.
+
+    A collapse merges the two endpoints of a non-loop edge and multiplies
+    labels, an expansion adds a fresh vertex joined by a fresh edge and
+    divides only labels it checked, and a slide reattaches one end at a
+    neighbour of its vertex: connectivity, positive labels and unique
+    names all carry over.  An induction leaves the graph as it is.
+    """
+
+    __slots__ = ()
+
+
 def _pooled(pool, vertices, edges):
-    """The GbsGraph for this graph content: built and validated on the
-    first request, then shared by every later one.  Its Presentation is
-    built only when something reads it."""
+    """The GbsGraph for this graph content: built on the first request,
+    validated unless pool is a _TrustedPool, then shared by every later
+    one.  Its Presentation is built only when something reads it."""
     key = (tuple(sorted(vertices)), tuple(sorted(edges)))
     graph = pool.get(key)
     if graph is None:
-        graph = pool[key] = GbsGraph(vertices, edges)
+        graph = pool[key] = GbsGraph(*key, type(pool) is _TrustedPool)
     return graph
 
 

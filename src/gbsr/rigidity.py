@@ -95,11 +95,10 @@ def divisible_pairs(g: GbsGraph):
     """Every (vertex, endE, endF) of distinct ends at vertex with label(F) |
     label(E), in vertex, E, F order: the slides of E across F."""
     for v in g.vertices:
-        ends = g.ends_at(v)
-        for e in ends:
-            le = g.end_label(e)
-            for f in ends:
-                if e != f and le % g.end_label(f) == 0:
+        labelled = [(end, g.end_label(end)) for end in g.ends_at(v)]
+        for e, le in labelled:
+            for f, lf in labelled:
+                if e != f and le % lf == 0:
                     yield v, e, f
 
 

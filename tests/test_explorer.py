@@ -10,6 +10,7 @@ import pytest
 import oracle
 from gbsr.errors import BoundsTooTightError, BrokenMarkingError, NoViolationError
 import gbsr.explorer
+import gbsr.graph
 from gbsr.explorer import (
     ExploreBounds,
     _ClassTable,
@@ -26,7 +27,7 @@ from gbsr.explorer import (
     reduce_state,
     witness_search,
 )
-from gbsr.graph import GbsGraph, is_isomorphic, parse, parse_end, serialize
+from gbsr.graph import GbsGraph, is_isomorphic, parse, parse_end, serialize, validate
 from gbsr.moves import (
     Collapse,
     Expansion,
@@ -34,6 +35,7 @@ from gbsr.moves import (
     MarkedState,
     MoveBounds,
     Slide,
+    _TrustedPool,
     _apply_move,
     _legal,
     apply_move,
@@ -822,6 +824,54 @@ def test_explore_keeps_no_cache_across_calls(monkeypatch):
     second = explore(initial_state(g))
     assert first.rigid == second.rigid == "yes" and n > 50
     assert len(built) == 2 * n
+
+
+def _count_validations(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gbsr.graph, "validate", lambda g: calls.append(g) or validate(g))
+    return calls
+
+
+def test_public_routes_validate_every_graph_they_build(monkeypatch):
+    st = state(BS26)
+    chain = state("vertex a\nvertex b\nvertex c\nedge e a 3 1 b\nedge f b 2 1 c\nedge h c 5 7 c\n")
+    calls = _count_validations(monkeypatch)
+    for verify in (True, False):
+        out = apply_move(st, Expansion("v", 2, ()), verify=verify)
+        assert calls == [out.graph]
+        calls.clear()
+    reduced = reduce_state(chain)
+    assert len(reduced.history) == 2 and len(calls) == 2 and calls[-1] is reduced.graph
+    calls.clear()
+    # explore's own moves build trusted graphs: only the soundness replay,
+    # one apply_move per replayed move, validates
+    report = explore(st)
+    replayed = sum(len(c.representative_moves) for c in report.classes)
+    assert report.rigid == "no" and replayed > 0 and len(calls) == replayed
+
+
+def test_trusted_pool_graphs_are_the_graphs_validation_builds():
+    # children of every seed and of each of its children, and the collapse
+    # chains of all of them, built in one explicit explore-style pool
+    pool, expanded, built = _TrustedPool(), set(), []
+    for g in enumerate_graphs(2, 4):
+        seed = initial_state(g)
+        max_edges, max_label = len(g.edges) + 1, g.max_label() ** 2
+        for _, child in _legal_children(seed, max_edges, max_label, pool):
+            expanded.add(child.graph)
+            for _, grandchild in _legal_children(child, max_edges, max_label, pool):
+                built += [grandchild, _reduce(grandchild, pool)]
+            built += [child, _reduce(child, pool)]
+    graphs = {id(st.graph): st.graph for st in built}.values()
+    unexpanded = [h for h in graphs if h not in expanded]
+    assert len(unexpanded) > 10_000
+    assert all(h._ends is None for h in unexpanded)
+    for h in graphs:
+        validate(h)
+        ref = GbsGraph(h.vertices, h.edges)
+        assert (ref.vertices, ref.edges) == (h.vertices, h.edges)
+        assert all(ref.ends_at(v) == h.ends_at(v) for v in ref.vertices)
+        assert ref.canonical_form() == h.canonical_form()
 
 
 def _node_pinches(st, trie):

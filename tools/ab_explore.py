@@ -1,6 +1,6 @@
 """In-process A/B timing of `explore` against a base revision.
 
-    python3 tools/ab_explore.py BASE [--out BENCH_transport.json]
+    python3 tools/ab_explore.py BASE --out BENCH_<topic>.json
 
 Run from the root of a checkout.  BASE, a git revision such as HEAD~1,
 is unpacked with `git archive` into a temporary directory; its
@@ -15,13 +15,14 @@ sides see the same machine state.
 Per graph and side the script keeps the minimum over RUNS runs of
 the operation's wall time, and, in a second run with timers wrapped
 around `MarkedState.images`, `GbsGraph.__init__`,
-`GbsGraph.canonical_form` and the module function `explorer._lengths`
-(fingerprint evaluation), the minimum of each layer's inclusive time.
+`GbsGraph.canonical_form` and the module functions `explorer._lengths`
+(fingerprint evaluation) and `graph.validate`, the minimum of each
+layer's inclusive time.
 The totals are sums of those minima.  It also hashes
 `json.dumps(report.to_json(), sort_keys=True)` over every graph on both
 sides, so a speedup that changed a report shows up as unequal digests.
-The JSON it writes (default `BENCH_transport.json`) holds all of that
-plus the host, and the script prints the same JSON.
+The JSON it writes to the required --out path holds all of that plus
+the host, and the script prints the same JSON.
 """
 
 import argparse
@@ -45,7 +46,8 @@ CORPORA = {"sweep-2e": ((0, 1, 2), 6), "sweep-3e": ((3,), 3)}
 LAYERS = (("images", "moves", "MarkedState", "images"),
           ("GbsGraph.__init__", "graph", "GbsGraph", "__init__"),
           ("canonical_form", "graph", "GbsGraph", "canonical_form"),
-          ("_lengths", "explorer", None, "_lengths"))
+          ("_lengths", "explorer", None, "_lengths"),
+          ("validate", "graph", None, "validate"))
 
 
 def load(name, src):
@@ -132,7 +134,7 @@ def sweep(sides, graphs):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="git revision to compare against, such as HEAD~1")
-    parser.add_argument("--out", default="BENCH_transport.json", help="where to write the JSON")
+    parser.add_argument("--out", required=True, help="where to write the JSON, such as BENCH_<topic>.json")
     args = parser.parse_args(argv)
     commit = subprocess.run(["git", "rev-parse", args.base], cwd=ROOT, check=True,
                             capture_output=True, text=True).stdout.strip()
