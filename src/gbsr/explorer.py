@@ -29,12 +29,33 @@ walks it in one fused loop: a reduced block per syllable, the stack pass
 over a block's head only with the rest appended in bulk, and a pinch
 count at each leaf, so no shared prefix is reduced twice.
 
-Every slide or collapse child is reduced and classified, and the
-classes' counts count those classifications.  Children are built as the
-loop reaches them, so a "no" verdict builds nothing past its witness.
-A child and each state of its collapse chain stay lazy; the chain of
-each concrete graph is worked out once per `explore` call and kept in
-its graph pool.
+A class's count is the number of slide and collapse children whose
+reduced state falls in it, plus one for the seed's in the base class.
+Most of them are counted without reducing their marking, by a lemma:
+collapsing a set of edge orbits gives the same G-tree in whatever order
+the legal collapses come.  With C(g) the set of edges _reduce collapses
+from g, a child reduces to its parent's marked tree when it
+
+* collapses c and C(child) + {c} == C(parent), as T_child = T_parent/c;
+* slides an end across an end of f and f is in C(child) == C(parent),
+  as T_child/f = T_parent/f: the moved end sits at the vertex that
+  collapsing f makes, with the same label whichever end of f is
+  labelled 1;
+* expands, creating d, and C(child) == C(parent) + {d}, as
+  T_child/d = T_parent.
+
+While the search runs there is one class, the base one.  Each queued
+state carries whether its reduction is known to be in it: the seed's
+is, and so is every classified or counted child's; an expansion child's
+is when its parent's is and the rule holds.  A slide or collapse child
+that passes the rule under a known parent adds one to the base count
+and is not classified.  Every other one is reduced and classified, and
+the first of those that passes the rule makes its parent known.
+Children are built as the loop reaches them, so a "no" verdict builds
+nothing past its witness.  A child and each state of its collapse chain
+stay lazy, and a state's marking is read only when one of its children
+is classified; the chain of each concrete graph and its set C are
+worked out once per `explore` call and kept in its graph pool.
 
 The soundness replay rebuilds each class representative from the seed
 through the public `apply_move` with verification on, and compares its
@@ -69,6 +90,7 @@ from .errors import BoundsTooTightError, BrokenMarkingError, GbsError, NoViolati
 from .graph import Edge, GbsGraph, serialize
 from .moves import (
     Collapse,
+    Expansion,
     Induction,
     MarkedState,
     MoveBounds,
@@ -337,27 +359,45 @@ def reduce_state(state: MarkedState) -> MarkedState:
     return _reduce(state, {})
 
 
-def _reduce(state, pool):
-    """reduce_state with every graph of the chain taken from pool.
-
-    The collapses reduce_state makes from a graph, each with its pooled
-    graph and its step, are worked out once per pool and kept under the
-    graph object, which the pool makes one per content; the reduced
-    state is one lazy state per collapse below state.
-    """
-    g = state.graph
-    steps = pool.get(g)
-    if steps is None:
-        steps = []
-        while (end := collapse_witness(g)) is not None:
+def _chain(g, pool):
+    """(steps, collapsed) for the graph g: the collapses reduce_state
+    makes from g, each with its pooled graph and its step, and the set of
+    edges they collapse.  Worked out once per pool and kept under the
+    graph object, which the pool makes one per content."""
+    chain = pool.get(g)
+    if chain is None:
+        steps, h = [], g
+        while (end := collapse_witness(h)) is not None:
             mv = Collapse(end.edge)
-            vertices, edges, tables, base = _collapse(g, mv)
-            g = _pooled(pool, vertices, edges)
-            steps.append((mv, g, (tables, base)))
-        pool[state.graph] = steps
-    for mv, g, step in steps:
+            vertices, edges, tables, base = _collapse(h, mv)
+            h = _pooled(pool, vertices, edges)
+            steps.append((mv, h, (tables, base)))
+        chain = pool[g] = steps, frozenset(mv.edge for mv, _, _ in steps)
+    return chain
+
+
+def _reduce(state, pool):
+    """reduce_state with every graph of the chain taken from pool: one
+    lazy state per collapse below state."""
+    for mv, g, step in _chain(state.graph, pool)[0]:
         state = MarkedState(g, state.history + (mv,), state.seed, parent=state, step=step)
     return state
+
+
+def _same_reduction(parent, child, pool):
+    """Does child, made from the state parent by one move, reduce to the
+    same marked tree as parent?  The lemma in the module docstring, with
+    C(g) the set of edges _reduce collapses from g: yes when the move is
+    a collapse of c and C(child) + {c} == C(parent), a slide across an
+    end of f and f is in C(child) == C(parent), or an expansion that
+    creates d and C(child) == C(parent) + {d}."""
+    g, h, mv = parent.graph, child.graph, child.history[-1]
+    before, after = _chain(g, pool)[1], _chain(h, pool)[1]
+    if type(mv) is Collapse:
+        return after | {mv.edge} == before
+    if type(mv) is Slide:
+        return mv.across.edge in after and after == before
+    return type(mv) is Expansion and after == before | ({e.eid for e in h.edges} - {e.eid for e in g.edges})
 
 
 def ascending_equivalent(n: int, d: int) -> bool:
@@ -451,14 +491,17 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
         return _explore_ascending(seed, base, bounds)
 
     table = _ClassTable(_sample_plan(len(seed.seed.presentation.generators), bounds.radius))
-    table.classify(base)
+    base_rec, _ = table.classify(base)
     second = None
     clipped = False
     visited = {seed.graph.canonical_form()}
-    queue = deque([seed])
+    # (state, known, parent): known says that the state's reduction is in
+    # the base class, the only class while the loop runs; an expansion
+    # child of a known parent is settled against it when popped
+    queue = deque([(seed, True, None)])
     popped = 0
     while queue and second is None:
-        state = queue.popleft()
+        state, known, parent = queue.popleft()
         popped += 1
         if popped > bounds.max_states:
             clipped = True
@@ -471,18 +514,28 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
             if next(children, None) is not None:
                 clipped = True
             continue
-        state.images()  # once here, not once per child that reads them
+        if parent is not None:
+            known = _same_reduction(parent, state, pool)
         for mv, child in children:
             if isinstance(mv, (Slide, Collapse)):
-                rec, created = table.classify(_reduce(child, pool))
-                if created:
-                    second = rec
-                    break
+                same = _same_reduction(state, child, pool)
+                if same and known:
+                    base_rec.count += 1
+                else:
+                    state.images()  # built for the first child classified, not per child
+                    rec, created = table.classify(_reduce(child, pool))
+                    if created:
+                        second = rec
+                        break
+                    known = known or same
+                entry = (child, True, None)
+            else:  # an expansion: every slide and collapse came before it, so known is final
+                entry = (child, False, state if known else None)
             key = child.graph.canonical_form()
             if key in visited:
                 continue
             visited.add(key)
-            queue.append(child)
+            queue.append(entry)
 
     if second is not None:
         rigid = "no"

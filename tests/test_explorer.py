@@ -17,6 +17,7 @@ from gbsr.explorer import (
     _legal_children,
     _lengths,
     _reduce,
+    _same_reduction,
     _sample_plan,
     _soundness_check,
     _spread,
@@ -927,3 +928,128 @@ def test_explore_on_one_generator_at_radius_100000_is_fast():
     rep = explore(state("vertex v\n"), ExploreBounds(radius=100_000))
     assert time.perf_counter() - t0 < 2.0
     assert rep.rigid == "yes" and rep.classes[0].fingerprint == (0,) * 200_000
+
+
+def _shortcut_corpus():
+    """Every reduced graph of enumerate_graphs(2, 4), then 25 seeded
+    reduced graphs with 3 edges and labels up to 3."""
+    graphs = [g for g in enumerate_graphs(2, 4) if is_reduced(g)]
+    rng, three = random.Random(0xAB50B), []
+    while len(three) < 25:
+        g = oracle.random_graph(rng, 3, 3, 3)
+        if len(g.edges) == 3 and is_reduced(g):
+            three.append(g)
+    return graphs + three
+
+
+def test_counted_children_land_in_the_record_they_are_counted_into(monkeypatch):
+    # a slide or collapse child that _same_reduction passes, under a parent
+    # whose reduction is known, is counted into the base class without being
+    # classified; reduce and classify each one afresh, in a new table with
+    # the same plan, and check that it lands in that record
+    events, tables = [], []  # (child, rule) per rule call, None per classify
+    same_reduction = gbsr.explorer._same_reduction
+
+    def recording(parent, child, pool):
+        rule = same_reduction(parent, child, pool)
+        events.append((child, rule))
+        return rule
+
+    class Recording(_ClassTable):
+        def __init__(self, plan):
+            super().__init__(plan)
+            tables.append(self)
+
+        def classify(self, st):
+            events.append(None)
+            return super().classify(st)
+
+    monkeypatch.setattr(gbsr.explorer, "_same_reduction", recording)
+    monkeypatch.setattr(gbsr.explorer, "_ClassTable", Recording)
+    children = fired = counted = 0
+    for g in _shortcut_corpus():
+        if is_ascending(g):  # counted by divisors, with no search
+            continue
+        events.clear()
+        tables.clear()
+        report = explore(initial_state(g))
+        # the child of each rule call on a slide or collapse, and whether the
+        # next event classified it
+        calls = [(event[0], event[1], i + 1 < len(events) and events[i + 1] is None)
+                 for i, event in enumerate(events)
+                 if event is not None and not isinstance(event[0].history[-1], Expansion)]
+        assert sum(c.count for c in report.classes) == 1 + len(calls), serialize(g)
+        children += len(calls)
+        fired += sum(rule for _, rule, _ in calls)
+        skipped = [child for child, rule, classified in calls if rule and not classified]
+        if not skipped:
+            continue
+        table = tables[0]
+        base = next(iter(table.classes.values()))
+        want = (base.state.graph.canonical_form(), base.lengths)
+        landed = {}  # exact key -> (canonical form, lengths) from a fresh table
+        for child in skipped:
+            reduced = reduce_state(child)
+            key = _exact_key(reduced)
+            if key not in landed:
+                rec, _ = _ClassTable((table.trie, table.spreader)).classify(reduced)
+                landed[key] = (rec.state.graph.canonical_form(), rec.lengths)
+            assert landed[key] == want, (serialize(g), [str(m) for m in child.history])
+        counted += len(skipped)
+    assert 2 * fired >= children and counted > 1000
+
+
+def test_same_reduction_holds_on_random_walks_in_non_rigid_spaces():
+    # in a rigid space every child reduces to the one reduced tree, so the
+    # rule is put to the test where reduced trees differ
+    rng = random.Random(0x5A3E)
+    fired, seeds = Counter(), 0
+    while seeds < 60:
+        g = oracle.random_graph(rng, 3, 3, 6)
+        if not is_reduced(g) or check(g).rigid:
+            continue
+        seeds += 1
+        st, pool = initial_state(g), {}
+        plan = _sample_plan(len(st.seed.presentation.generators), 4)
+        for _ in range(4):
+            children = _legal_children(st, len(g.edges) + 2, 36, pool)
+            if not children:
+                break
+            for mv, child in rng.sample(children, min(10, len(children))):
+                if _same_reduction(st, child, pool):
+                    fired[type(mv)] += 1
+                    table = _ClassTable(plan)
+                    table.classify(reduce_state(st))
+                    _, created = table.classify(reduce_state(child))
+                    assert not created, (serialize(g), [str(m) for m in child.history])
+            st = rng.choice(children)[1]
+    assert fired[Induction] == 0
+    assert fired[Collapse] > 100 and fired[Slide] > 200 and fired[Expansion] > 1000
+
+
+def test_explore_reports_match_with_the_shortcut_off(monkeypatch):
+    graphs = _shortcut_corpus()
+    on = [json.dumps(explore(initial_state(g)).to_json(), sort_keys=True) for g in graphs]
+    monkeypatch.setattr(gbsr.explorer, "_same_reduction", lambda parent, child, pool: False)
+    off = [json.dumps(explore(initial_state(g)).to_json(), sort_keys=True) for g in graphs]
+    assert on == off
+
+
+def test_a_slide_across_an_edge_the_reduction_keeps_is_classified(monkeypatch):
+    # the loop c of BS(2,6) is never collapsed, so the witness's slide
+    # across c.A fails the rule and is classified: it opens the second class
+    classified = []
+
+    class Recording(_ClassTable):
+        def classify(self, st):
+            classified.append(st.history)
+            return super().classify(st)
+
+    monkeypatch.setattr(gbsr.explorer, "_ClassTable", Recording)
+    report = explore(state(BS26))
+    assert [str(m) for m in report.witness] == ["expand v 2 c.B", "slide d0.A across c.A"]
+    assert classified[-1] == report.witness
+    pool = {}
+    expanded = _apply_move(state(BS26), report.witness[0], pool, False)
+    slid = _apply_move(expanded, report.witness[1], pool, False)
+    assert not _same_reduction(expanded, slid, pool)

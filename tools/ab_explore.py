@@ -15,10 +15,11 @@ sides see the same machine state.
 Per graph and side the script keeps the minimum over RUNS runs of
 the operation's wall time, and, in a second run with timers wrapped
 around `MarkedState.images`, `GbsGraph.__init__`,
-`GbsGraph.canonical_form` and the module functions `explorer._lengths`
-(fingerprint evaluation) and `graph.validate`, the minimum of each
-layer's inclusive time.
-The totals are sums of those minima.  It also hashes
+`GbsGraph.canonical_form`, `_ClassTable.classify` and the module
+functions `explorer._lengths` (fingerprint evaluation) and
+`graph.validate`, the minimum of each layer's inclusive time and the
+layer's number of calls, which every run repeats exactly.
+The totals are sums of those minima and counts.  It also hashes
 `json.dumps(report.to_json(), sort_keys=True)` over every graph on both
 sides, so a speedup that changed a report shows up as unequal digests.
 The JSON it writes to the required --out path holds all of that plus
@@ -46,6 +47,7 @@ CORPORA = {"sweep-2e": ((0, 1, 2), 6), "sweep-3e": ((3,), 3)}
 LAYERS = (("images", "moves", "MarkedState", "images"),
           ("GbsGraph.__init__", "graph", "GbsGraph", "__init__"),
           ("canonical_form", "graph", "GbsGraph", "canonical_form"),
+          ("classify", "explorer", "_ClassTable", "classify"),
           ("_lengths", "explorer", None, "_lengths"),
           ("validate", "graph", None, "validate"))
 
@@ -61,11 +63,12 @@ def load(name, src):
 
 
 class Layers:
-    """Inclusive-time timers around the LAYERS of one package: methods of
-    a class, or module functions where the class is None."""
+    """Inclusive-time timers and call counters around the LAYERS of one
+    package: methods of a class, or module functions where the class is
+    None."""
 
     def __init__(self, package):
-        self.spent = dict.fromkeys([name for name, *_ in LAYERS], 0.0)
+        self.spent = {name: [0.0, 0] for name, *_ in LAYERS}  # [seconds, calls]
         self.patches = []
         for name, module, cls, attr in LAYERS:
             owner = sys.modules["%s.%s" % (package.__name__, module)]
@@ -73,20 +76,22 @@ class Layers:
             self.patches.append((owner, attr, owner.__dict__[attr], self._timed(name, owner.__dict__[attr])))
 
     def _timed(self, name, fn):
-        spent, clock = self.spent, time.perf_counter
+        tally, clock = self.spent[name], time.perf_counter
 
         def timed(*args, **kwargs):
             start = clock()
             try:
                 return fn(*args, **kwargs)
             finally:
-                spent[name] += clock() - start
+                tally[0] += clock() - start
+                tally[1] += 1
 
         return timed
 
     def run(self, op):
-        for key in self.spent:
-            self.spent[key] = 0.0
+        """Run op with every layer wrapped; return layer -> (seconds, calls)."""
+        for tally in self.spent.values():
+            tally[:] = 0.0, 0
         for owner, attr, _, timed in self.patches:
             setattr(owner, attr, timed)
         try:
@@ -94,7 +99,7 @@ class Layers:
         finally:
             for owner, attr, fn, _ in self.patches:
                 setattr(owner, attr, fn)
-        return dict(self.spent)
+        return {name: tuple(tally) for name, tally in self.spent.items()}
 
 
 def sweep(sides, graphs):
@@ -102,7 +107,7 @@ def sweep(sides, graphs):
     names = list(sides)
     inputs = {side: [sides[side].parse(corpus.to_text(g)) for g in graphs] for side in names}
     layers = {side: Layers(sides[side]) for side in names}
-    out = {side: {"total_s": 0.0, "layers_s": dict.fromkeys(layers[side].spent, 0.0),
+    out = {side: {"total_s": 0.0, "layers": {k: [0.0, 0] for k in layers[side].spent},
                   "digest": hashlib.sha256()} for side in names}
     for i in range(len(graphs)):
         best = {side: float("inf") for side in names}
@@ -119,15 +124,17 @@ def sweep(sides, graphs):
                         json.dumps(report.to_json(), sort_keys=True).encode() + b"\n")
                 spent = layers[side].run(lambda: (pkg.explore(pkg.initial_state(g)), pkg.check(g)))
                 best_layers[side] = spent if best_layers[side] is None else {
-                    k: min(v, spent[k]) for k, v in best_layers[side].items()}
+                    k: (min(s, spent[k][0]), calls) for k, (s, calls) in best_layers[side].items()}
         for side in names:
             out[side]["total_s"] += best[side]
-            for k, v in best_layers[side].items():
-                out[side]["layers_s"][k] += v
+            for k, (s, calls) in best_layers[side].items():
+                out[side]["layers"][k][0] += s
+                out[side]["layers"][k][1] += calls
     for side in names:
         out[side]["digest"] = out[side]["digest"].hexdigest()
         out[side]["total_s"] = round(out[side]["total_s"], 4)
-        out[side]["layers_s"] = {k: round(v, 4) for k, v in out[side]["layers_s"].items()}
+        out[side]["layers"] = {k: {"s": round(s, 4), "calls": calls}
+                               for k, (s, calls) in out[side]["layers"].items()}
     return out
 
 
@@ -159,8 +166,8 @@ def main(argv=None):
             out["graphs"] = len(graphs)
             out["digests_equal"] = out["base"]["digest"] == out["head"]["digest"]
             out["head_over_base"] = {"total": round(out["head"]["total_s"] / out["base"]["total_s"], 4)}
-            for layer, spent in out["base"]["layers_s"].items():
-                out["head_over_base"][layer] = round(out["head"]["layers_s"][layer] / spent, 4)
+            for layer, spent in out["base"]["layers"].items():
+                out["head_over_base"][layer] = round(out["head"]["layers"][layer]["s"] / spent["s"], 4)
             result["workloads"][workload] = out
             print(workload, json.dumps(out["head_over_base"]), "digests equal:",
                   out["digests_equal"], file=sys.stderr, flush=True)
