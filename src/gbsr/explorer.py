@@ -54,8 +54,10 @@ the first of those that passes the rule makes its parent known.
 Children are built as the loop reaches them, so a "no" verdict builds
 nothing past its witness.  A child and each state of its collapse chain
 stay lazy, and a state's marking is read only when one of its children
-is classified; the chain of each concrete graph and its set C are
-worked out once per `explore` call and kept in its graph pool.
+is classified.  The chain of each concrete graph and its set C are kept
+in the `explore` call's graph pool, and built from the pooled chain of
+the graph h that the first collapse c makes: C(g) = C(h) + {c}, so each
+graph costs one collapse per call.
 
 The soundness replay rebuilds each class representative from the seed
 through the public `apply_move` with verification on, and compares its
@@ -362,17 +364,21 @@ def reduce_state(state: MarkedState) -> MarkedState:
 def _chain(g, pool):
     """(steps, collapsed) for the graph g: the collapses reduce_state
     makes from g, each with its pooled graph and its step, and the set of
-    edges they collapse.  Worked out once per pool and kept under the
-    graph object, which the pool makes one per content."""
+    edges they collapse.  Kept under the graph object, which the pool
+    makes one per content, and built from the chain of the graph that g's
+    first collapse makes, so each graph costs one collapse per pool."""
     chain = pool.get(g)
     if chain is None:
-        steps, h = [], g
-        while (end := collapse_witness(h)) is not None:
+        end = collapse_witness(g)
+        if end is None:
+            chain = (), frozenset()
+        else:
             mv = Collapse(end.edge)
-            vertices, edges, tables, base = _collapse(h, mv)
+            vertices, edges, tables, base = _collapse(g, mv)
             h = _pooled(pool, vertices, edges)
-            steps.append((mv, h, (tables, base)))
-        chain = pool[g] = steps, frozenset(mv.edge for mv, _, _ in steps)
+            steps, collapsed = _chain(h, pool)
+            chain = ((mv, h, (tables, base)),) + steps, collapsed | {mv.edge}
+        pool[g] = chain
     return chain
 
 
@@ -397,7 +403,9 @@ def _same_reduction(parent, child, pool):
         return after | {mv.edge} == before
     if type(mv) is Slide:
         return mv.across.edge in after and after == before
-    return type(mv) is Expansion and after == before | ({e.eid for e in h.edges} - {e.eid for e in g.edges})
+    # the one edge of h that g lacks is d, and C(parent) holds edges of g only
+    return (type(mv) is Expansion and len(after) == len(before) + 1 and before < after
+            and not (after - before) & g._by_id.keys())
 
 
 def ascending_equivalent(n: int, d: int) -> bool:

@@ -141,7 +141,9 @@ class GbsGraph:
         bijection that may swap the two ends of an edge, preserving
         incidence and labels.  Edge and vertex names are ignored.
         Computed by exhaustive search over vertex orderings, pruned by a
-        vertex invariant; intended for desk-scale graphs.
+        vertex invariant: the orderings tried list the invariant's classes
+        in order, so a graph whose invariant tells every vertex apart has
+        exactly one; intended for desk-scale graphs.
         """
         if self._canon is None:
             self._canon = _canonical_key(self)
@@ -172,9 +174,13 @@ def _canonical_key(g: GbsGraph) -> bytes:
     for v, ends in sig.items():
         ends.sort()
         groups.setdefault((len(ends), tuple(ends)), []).append(v)
-    n, best = len(g.vertices), None
-    for assignment in product(*(permutations(groups[k]) for k in sorted(groups))):
-        index = dict(zip(chain.from_iterable(assignment), range(n)))
+    n, best, keys = len(g.vertices), None, sorted(groups)
+    if len(keys) == n:  # the invariant separates the vertices: one ordering
+        orders = ([groups[k][0] for k in keys],)
+    else:
+        orders = map(chain.from_iterable, product(*(permutations(groups[k]) for k in keys)))
+    for order in orders:
+        index = dict(zip(order, range(n)))
         rows = []
         for _, va, la, vb, lb in g.edges:
             a, b = index[va], index[vb]

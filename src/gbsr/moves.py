@@ -42,6 +42,9 @@ every verified move, so a wrong letter table cannot slip through silently.
 The GbsGraph of a move's result comes from a graph pool, a dict keyed
 on the graph content, and builds its Presentation only when something
 reads it; a step that keeps the base vertex re-bases nothing and reads none.
+Every move function returns that content in the order a GbsGraph holds
+it, vertices by name and edges by id, so the pool keys on it as it comes
+and nothing is sorted again.
 `apply_move` hands every call a fresh pool, so each public move builds
 and validates its graph afresh.  The explorer keeps one pool per
 `explore` call, so states of that search with the same concrete graph
@@ -49,6 +52,7 @@ share one graph object, its presentation and canonical form; a graph a
 move made there is valid by construction and is not validated again.
 """
 
+from bisect import insort
 from dataclasses import dataclass
 from math import gcd
 
@@ -253,11 +257,15 @@ def initial_state(graph: GbsGraph) -> MarkedState:
 # Each takes (g, move), raises the move's named domain errors, and returns
 # (vertices, edges, (edge table, vertex table), base): the new graph's
 # content, the letter map as two tables, and the new vertex at which
-# mapped paths based at g's base start.  The edge table sends each
-# traversal letter of g that the move changes to its replacement tuple;
-# the vertex table sends each vertex that the move renames or scales to
-# (before, name, factor, after), so ("v", vertex, m) becomes before +
-# (("v", name, m * factor),) + after.  Every other letter maps to itself.
+# mapped paths based at g's base start.  The content comes sorted, the
+# vertices by name and the edges by id, as a GbsGraph holds them: a
+# collapse and a slide keep g's order, and an expansion inserts its new
+# vertex and edge in place, so _pooled never sorts.  The edge table
+# sends each traversal letter of g that the move changes to its
+# replacement tuple; the vertex table sends each vertex that the move
+# renames or scales to (before, name, factor, after), so ("v", vertex, m)
+# becomes before + (("v", name, m * factor),) + after.  Every other
+# letter maps to itself.
 
 def _collapse(g: GbsGraph, move):
     eid = move.edge
@@ -313,7 +321,7 @@ def _expand(g: GbsGraph, move):
             f = Edge(f.eid, u if a else f.va, f.la // p if a else f.la,
                      u if b else f.vb, f.lb // p if b else f.lb)
         edges.append(f)
-    edges.append(Edge(d, vertex, p, u, 1))
+    insort(edges, Edge(d, vertex, p, u, 1))
     # a traversal leaving a moved end first crosses d from v to u, and
     # one arriving at a moved end crosses d back
     table = {}
@@ -322,7 +330,9 @@ def _expand(g: GbsGraph, move):
         arrive = ("e", f, -leave[2])
         table[leave] = (("e", d, 1),) + table.get(leave, (leave,))
         table[arrive] = table.get(arrive, (arrive,)) + (("e", d, -1),)
-    return list(g.vertices) + [u], edges, (table, {}), g.vertices[0]
+    vertices = list(g.vertices)
+    insort(vertices, u)
+    return vertices, edges, (table, {}), g.vertices[0]
 
 
 def _slide(g: GbsGraph, move):
@@ -384,10 +394,11 @@ class _TrustedPool(dict):
 
 
 def _pooled(pool, vertices, edges):
-    """The GbsGraph for this graph content: built on the first request,
-    validated unless pool is a _TrustedPool, then shared by every later
-    one.  Its Presentation is built only when something reads it."""
-    key = (tuple(sorted(vertices)), tuple(sorted(edges)))
+    """The GbsGraph for this graph content, which a move function returns
+    sorted: built on the first request, validated unless pool is a
+    _TrustedPool, then shared by every later one.  Its Presentation is
+    built only when something reads it."""
+    key = (tuple(vertices), tuple(edges))
     graph = pool.get(key)
     if graph is None:
         graph = pool[key] = GbsGraph(*key, type(pool) is _TrustedPool)

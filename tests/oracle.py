@@ -8,13 +8,16 @@ iterator per position), fingerprints are spread one entry at a time (the
 package gathers them in one call), primality comes from a sieve (the
 package runs Miller-Rabin and Baillie-PSW), ascending rigidity from a
 divisor scan, modular-homomorphism values from the projected generator
-words (the package reads them off path letters), and random inputs are
-generated here so property tests do not depend on the package's own
-enumeration order.
+words (the package reads them off path letters), canonical forms from a
+search over every grouped vertex permutation (the package takes the
+one ordering when the invariant tells the vertices apart), and random
+inputs are generated here so property tests do not depend on the
+package's own enumeration order.
 """
 
 import random
 from fractions import Fraction
+from itertools import chain, permutations, product
 
 from gbsr.graph import GbsGraph
 
@@ -280,6 +283,35 @@ def oracle_transport(g, move, h, letters):
                 out.append(("e", detour[1], -detour[2]))
     pre = Presentation(h).path_to[start]
     return pre + tuple(out) + tuple((k, x, -v) for k, x, v in reversed(pre))
+
+
+# -- canonical forms ---------------------------------------------------------
+
+def canonical_key(g: GbsGraph) -> bytes:
+    """The reference for graph._canonical_key: every product of
+    permutations within the vertex invariant's groups is tried, even
+    when each group holds one vertex."""
+    # vertex invariant: (degree, sorted (near label, far label, loop) per end)
+    sig = {v: [] for v in g.vertices}
+    for _, va, la, vb, lb in g.edges:
+        sig[va].append((la, lb, va == vb))
+        sig[vb].append((lb, la, va == vb))
+    groups = {}
+    for v, ends in sig.items():
+        ends.sort()
+        groups.setdefault((len(ends), tuple(ends)), []).append(v)
+    n, best = len(g.vertices), None
+    for assignment in product(*(permutations(groups[k]) for k in sorted(groups))):
+        index = dict(zip(chain.from_iterable(assignment), range(n)))
+        rows = []
+        for _, va, la, vb, lb in g.edges:
+            a, b = index[va], index[vb]
+            rows.append((a, la, b, lb) if (a, la) <= (b, lb) else (b, lb, a, la))
+        rows.sort()
+        key = (n, tuple(rows))
+        if best is None or key < best:
+            best = key
+    return repr(best).encode()
 
 
 # -- random inputs -----------------------------------------------------------

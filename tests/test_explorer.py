@@ -1053,3 +1053,53 @@ def test_a_slide_across_an_edge_the_reduction_keeps_is_classified(monkeypatch):
     expanded = _apply_move(state(BS26), report.witness[0], pool, False)
     slid = _apply_move(expanded, report.witness[1], pool, False)
     assert not _same_reduction(expanded, slid, pool)
+
+
+def _collapse_states(st):
+    """The states of reduce_state's chain from st, made one public
+    collapse at a time, each state's images read before the next move."""
+    states = []
+    while (end := collapse_witness(st.graph)) is not None:
+        st = apply_move(st, Collapse(end.edge), verify=False)
+        states.append(st)
+    return states
+
+
+def test_each_pooled_graph_costs_one_collapse_and_keeps_reduce_states_chain(monkeypatch):
+    # a graph's chain is its first collapse followed by the pooled chain of
+    # the graph that collapse makes; walk from every seed as explore does,
+    # reducing each child, then check every graph whose chain was built
+    # against one collapse at a time
+    collapsed = []
+    monkeypatch.setattr(
+        gbsr.explorer, "_collapse", lambda g, mv: collapsed.append(g) or gbsr.moves._collapse(g, mv)
+    )
+    rng = random.Random(0xC4A1)
+    built = long_chains = 0
+    for seed in enumerate_graphs(2, 4):
+        pool, st = _TrustedPool(), initial_state(seed)
+        max_edges, max_label = len(seed.edges) + 2, seed.max_label() ** 2
+        collapsed.clear()
+        for _ in range(2):
+            children = _legal_children(st, max_edges, max_label, pool)
+            if not children:
+                break
+            for _, child in children:
+                _reduce(child, pool)
+            st = rng.choice(children)[1]
+        chains = {g: pool[g] for g in pool if isinstance(g, GbsGraph)}
+        nonreduced = [g for g, (steps, _) in chains.items() if steps]
+        assert len(collapsed) <= len(nonreduced)
+        assert len({id(g) for g in collapsed}) == len(collapsed)
+        for g in nonreduced:
+            steps, edges = chains[g]
+            states = _collapse_states(initial_state(GbsGraph(g.vertices, g.edges)))
+            assert [(mv, h.vertices, h.edges) for mv, h, _ in steps] == [
+                (s.history[-1], s.graph.vertices, s.graph.edges) for s in states
+            ]
+            assert edges == {s.history[-1].edge for s in states}
+            for (mv, _, step), parent in zip(steps, [g] + [s.graph for s in states]):
+                assert step == gbsr.moves._collapse(parent, mv)[2:]
+            built += 1
+            long_chains += len(steps) >= 2
+    assert built > 10_000 and long_chains > 5000

@@ -13,7 +13,8 @@ from gbsr.errors import (
     UnknownEdgeError,
     UnknownVertexError,
 )
-from gbsr.explorer import enumerate_graphs
+import gbsr.explorer
+from gbsr.explorer import enumerate_graphs, explore
 from gbsr.graph import (
     EdgeEnd,
     GbsGraph,
@@ -24,6 +25,7 @@ from gbsr.graph import (
     to_dot,
     validate,
 )
+from gbsr.moves import _TrustedPool, initial_state
 
 BS26 = "vertex v\nedge c v 2 6 v\n"
 SEG = "vertex a\nvertex b\nedge e a 2 3 b\n"
@@ -200,3 +202,58 @@ def test_canonical_forms_are_pinned():
     for _ in range(300):
         h.update(oracle.random_graph(rng, 4, 5, 6).canonical_form() + b"\n")
     assert h.hexdigest() == "b49e6cbf0cab49ac6db9c06ea7d0016577656c97e88736db775749a4507c1227"
+
+
+def _separated(g):
+    """Does the vertex invariant tell every vertex of g apart?"""
+    sig = {v: [] for v in g.vertices}
+    for _, va, la, vb, lb in g.edges:
+        sig[va].append((la, lb, va == vb))
+        sig[vb].append((lb, la, va == vb))
+    return len({(len(ends), tuple(sorted(ends))) for ends in sig.values()}) == len(g.vertices)
+
+
+def _pooled_graphs(monkeypatch, g):
+    """Every graph that one explore from g builds in its pool."""
+    pools = []
+
+    class Recording(_TrustedPool):
+        __slots__ = ()
+
+        def __init__(self):
+            pools.append(self)
+
+    monkeypatch.setattr(gbsr.explorer, "_TrustedPool", Recording)
+    assert explore(initial_state(g)).rigid == "yes"
+    (pool,) = pools
+    return [h for key, h in pool.items() if isinstance(key, tuple)]
+
+
+def test_canonical_key_matches_the_grouped_permutation_search(monkeypatch):
+    # the key takes one ordering when the invariant separates the vertices
+    # and every grouped permutation otherwise; the reference always does
+    # the latter, so the bytes must agree in both branches
+    graphs = list(enumerate_graphs(2, 4))
+    # a rigid sweep-2e seed whose search pools some 800 graphs
+    pooled = _pooled_graphs(monkeypatch, parse("vertex v0\nedge e0 v0 4 4 v0\nedge e1 v0 6 6 v0\n"))
+    assert len(pooled) > 500
+    graphs += pooled
+    rng = random.Random(0xCA40)
+    for _ in range(400):
+        g = oracle.random_graph(rng, 4, 5, rng.choice((1, 2, 6)))  # small labels repeat invariants
+        names = rng.sample(["a", "b", "u0", "v1", "z", "x_2"], len(g.vertices))
+        vmap = dict(zip(g.vertices, names))
+        edges = []
+        for i, e in enumerate(rng.sample(g.edges, len(g.edges))):
+            ends = [(vmap[e.va], e.la), (vmap[e.vb], e.lb)]
+            if rng.random() < 0.5:
+                ends.reverse()
+            edges.append(("f%d" % i, ends[0][0], ends[0][1], ends[1][0], ends[1][1]))
+        h = GbsGraph(names, edges)
+        assert h.canonical_form() == g.canonical_form()
+        graphs += [g, h]
+    separated = 0
+    for g in graphs:
+        assert GbsGraph(g.vertices, g.edges).canonical_form() == oracle.canonical_key(g), serialize(g)
+        separated += _separated(g)
+    assert separated > 1000 and len(graphs) - separated > 150

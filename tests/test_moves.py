@@ -20,7 +20,7 @@ from gbsr.errors import (
     UnknownEdgeError,
     WrongOriginError,
 )
-from gbsr.graph import EdgeEnd, parse, parse_end
+from gbsr.graph import Edge, EdgeEnd, parse, parse_end
 from gbsr.moves import (
     Collapse,
     Expansion,
@@ -501,3 +501,33 @@ def test_seed_length_of_a_large_power_is_fast():
     # checked only once the power above is fast: a copying reader would
     # try to allocate this one
     assert st.seed_length((("t_c", 10**12),)) == 10**12
+
+
+def test_every_move_returns_sorted_content(monkeypatch):
+    # _pooled keys on the content as a move function returns it, so every
+    # move must return the vertices by name and the edges by id; through a
+    # plain dict pool that content still builds the validated graph
+    from gbsr.explorer import enumerate_graphs
+    from gbsr.graph import GbsGraph, validate
+    from gbsr.moves import _pooled
+
+    rng, seeded = random.Random(0x50F7), []
+    while len(seeded) < 100:
+        g = oracle.random_graph(rng, 4, 4, 6)
+        if len(g.edges) >= 3:
+            seeded.append(g)
+    validated = []
+    monkeypatch.setattr(gbsr.graph, "validate", lambda g: validated.append(g) or validate(g))
+    moves = set()
+    for g in enumerate_graphs(2, 4) + seeded:
+        for mv, (vertices, edges, _, _) in _legal(g, MoveBounds()):
+            moves.add(type(mv))
+            assert list(vertices) == sorted(set(vertices)), (g.vertices, mv)
+            ids = [e.eid for e in edges]
+            assert ids == sorted(set(ids)) and all(type(e) is Edge for e in edges), (g.edges, mv)
+            validated.clear()
+            h = _pooled({}, vertices, edges)
+            ref = GbsGraph(vertices, edges)
+            assert validated == [h, ref]
+            assert (h.vertices, h.edges) == (ref.vertices, ref.edges) == (tuple(vertices), tuple(edges))
+    assert moves == {Collapse, Expansion, Slide, Induction}

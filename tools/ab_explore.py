@@ -16,9 +16,13 @@ Per graph and side the script keeps the minimum over RUNS runs of
 the operation's wall time, and, in a second run with timers wrapped
 around `MarkedState.images`, `GbsGraph.__init__`,
 `GbsGraph.canonical_form`, `_ClassTable.classify` and the module
-functions `explorer._lengths` (fingerprint evaluation) and
-`graph.validate`, the minimum of each layer's inclusive time and the
-layer's number of calls, which every run repeats exactly.
+functions `explorer._lengths` (fingerprint evaluation),
+`graph.validate`, `explorer._chain` (collapse chains),
+`graph._canonical_key` and the `_collapse` that `explorer` calls (the
+chains' collapses), the minimum of each layer's inclusive time and the
+layer's number of calls, which every run repeats exactly.  A call made
+inside a call of the same layer counts as a call but adds no time, so a
+recursive layer's time is not counted twice.
 The totals are sums of those minima and counts.  It also hashes
 `json.dumps(report.to_json(), sort_keys=True)` over every graph on both
 sides, so a speedup that changed a report shows up as unequal digests.
@@ -49,7 +53,10 @@ LAYERS = (("images", "moves", "MarkedState", "images"),
           ("canonical_form", "graph", "GbsGraph", "canonical_form"),
           ("classify", "explorer", "_ClassTable", "classify"),
           ("_lengths", "explorer", None, "_lengths"),
-          ("validate", "graph", None, "validate"))
+          ("validate", "graph", None, "validate"),
+          ("_chain", "explorer", None, "_chain"),
+          ("_canonical_key", "graph", None, "_canonical_key"),
+          ("_collapse", "explorer", None, "_collapse"))
 
 
 def load(name, src):
@@ -76,14 +83,17 @@ class Layers:
             self.patches.append((owner, attr, owner.__dict__[attr], self._timed(name, owner.__dict__[attr])))
 
     def _timed(self, name, fn):
-        tally, clock = self.spent[name], time.perf_counter
+        tally, clock, depth = self.spent[name], time.perf_counter, [0]
 
         def timed(*args, **kwargs):
+            depth[0] += 1
             start = clock()
             try:
                 return fn(*args, **kwargs)
             finally:
-                tally[0] += clock() - start
+                depth[0] -= 1
+                if not depth[0]:  # the outermost call of a recursion holds the rest
+                    tally[0] += clock() - start
                 tally[1] += 1
 
         return timed
