@@ -67,12 +67,16 @@ lengths of a state the search already measured from the class table,
 and each exact marked state is measured once per `explore` call.
 
 Ascending states degenerate (their length function is the absolute
-value of a homomorphism, blind to induction moves), so one-loop (1, n)
-spaces are routed to an arithmetic criterion over divisors of n
-instead: the tree reached by inducting along d equals the seed tree iff
-n^i = n^j * d has a solution, that is iff d is a power of n, and two
-inductions d, d' agree iff n^i * d = n^j * d'.  For divisors of n that
-closed form leaves d = d' or {d, d'} = {1, n}.
+value of a homomorphism, blind to induction moves), so lengths cannot
+tell the classes of a one-loop (1, n) space apart.  When the seed
+reduces to such a loop, explore counts its classes by an arithmetic
+criterion over divisors of n instead of searching: the tree reached by
+inducting along d equals the seed tree iff n^i = n^j * d has a
+solution, that is iff d is a power of n, and two inductions d, d' agree
+iff n^i * d = n^j * d'.  For divisors of n that closed form leaves
+d = d' or {d, d'} = {1, n}.  Either route puts its classes in the one
+class table of the call, and explore builds one report from them and
+replays it once.
 
 Search-budget caps (depth, an overall state budget) turn an unfinished
 single-class search into "inconclusive"; the edge-count and label caps
@@ -106,7 +110,7 @@ from .moves import (
     apply_move,
     initial_state,
 )
-from .rigidity import ascending_modulus, check, collapse_witness, is_ascending
+from .rigidity import _ascending_n, check, collapse_witness
 from .words import _pinch_table, free_reduce, invert_path_letters, reduce_letters
 
 
@@ -344,6 +348,14 @@ class _ClassTable:
         rec.count += 1
         return rec, created
 
+    def add(self, state, count):
+        """A record of count members for state, kept out of classes and
+        found by the memo: for a class that the lengths do not tell apart
+        from others."""
+        rec = self._memo[_exact(state)] = _ClassRecord(state, _lengths(state, self.trie))
+        rec.count = count
+        return rec
+
     def fingerprint(self, rec):
         return _spread(self.spreader, rec.lengths)
 
@@ -418,31 +430,17 @@ def ascending_equivalent(n: int, d: int) -> bool:
     return d == 1
 
 
-def _explore_ascending(seed, base, bounds):
-    n = ascending_modulus(base.graph)
-    # the seed class first, then each divisor that gives another tree alone
+def _ascending_classes(base, n, table):
+    """The records of the ascending (1, n) loop's classes, the seed's
+    first, then one for each divisor of n that gives another tree.
+    Lengths cannot tell these trees apart, so each record is made by
+    table.add rather than classified."""
     divisors = _divisors(n)
-    groups = [[d for d in divisors if ascending_equivalent(n, d)]]
-    groups += [[d] for d in divisors if not ascending_equivalent(n, d)]
-    classes = []
-    witness = None
-    for grp in groups:
-        d = grp[0]
-        rep = base if d == 1 else apply_move(base, Induction(d), verify=False)
-        if d != 1 and witness is None:
-            witness = rep.history
-        classes.append(
-            ExploreClass(
-                graph=rep.graph,
-                fingerprint=fingerprint(rep, bounds.radius),
-                representative_moves=rep.history,
-                count=len(grp),
-            )
-        )
-    rigid = "yes" if len(groups) == 1 else "no"
-    report = ExploreReport(tuple(classes), rigid, witness)
-    _soundness_check(seed, report, bounds)
-    return report
+    others = [d for d in divisors if not ascending_equivalent(n, d)]
+    records = [table.add(base, len(divisors) - len(others))]
+    for d in others:
+        records.append(table.add(apply_move(base, Induction(d), verify=False), 1))
+    return records
 
 
 def _children(state, bounds, pool):
@@ -487,20 +485,40 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
             % (bounds.radius, "" if k == bounds.radius else "at least ", format(words, ","),
                n, format(_MAX_SAMPLE_WORDS, ","), k - 1)
         )
-    inner = MoveBounds(max_edges=len(g0.edges) + bounds.max_extra_edges, max_label=max_label)
     # graph content -> GbsGraph, and GbsGraph -> its collapse chain,
     # shared by every state this call builds, so that each concrete graph
     # is built, canonicalised and reduced once; every graph in it comes
     # from a move on a valid graph, so none is validated again
     pool = _TrustedPool()
-
+    table = _ClassTable(_sample_plan(n, bounds.radius))
     base = _reduce(seed, pool)
-    if is_ascending(base.graph):
-        return _explore_ascending(seed, base, bounds)
+    modulus = _ascending_n(base.graph)
+    if modulus is None:
+        inner = MoveBounds(max_edges=len(g0.edges) + bounds.max_extra_edges, max_label=max_label)
+        clipped = _search(seed, base, bounds, inner, pool, table)
+        records = list(table.classes.values())
+    else:
+        clipped, records = False, _ascending_classes(base, modulus, table)
 
-    table = _ClassTable(_sample_plan(len(seed.seed.presentation.generators), bounds.radius))
+    # records come in creation order, so a second class is the witness's
+    witness = records[1].state.history if len(records) > 1 else None
+    rigid = "no" if witness is not None else "inconclusive" if clipped else "yes"
+    classes = [ExploreClass(rec.state.graph, table.fingerprint(rec), rec.state.history, rec.count)
+               for rec in records]
+    # ascending classes share their graph and fingerprint, so the stable
+    # sort keeps the seed's first
+    classes.sort(key=lambda c: (c.graph.canonical_form(), c.fingerprint))
+    report = ExploreReport(tuple(classes), rigid, witness)
+    _soundness_check(seed, report, bounds, table)
+    return report
+
+
+def _search(seed, base, bounds, inner, pool, table):
+    """explore's breadth-first search of seed's space within inner, base
+    being seed's reduction.  It classifies base first and stops at the
+    first state that opens a second class in table; it returns whether a
+    cap cut it short."""
     base_rec, _ = table.classify(base)
-    second = None
     clipped = False
     visited = {seed.graph.canonical_form()}
     # (state, known, parent): known says that the state's reduction is in
@@ -508,12 +526,11 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
     # child of a known parent is settled against it when popped
     queue = deque([(seed, True, None)])
     popped = 0
-    while queue and second is None:
+    while queue:
         state, known, parent = queue.popleft()
         popped += 1
         if popped > bounds.max_states:
-            clipped = True
-            break
+            return True
         # built as the loop below reaches them: a "no" verdict stops at the
         # first child whose reduced state opens a second class
         children = _children(state, inner, pool)
@@ -531,10 +548,8 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
                     base_rec.count += 1
                 else:
                     state.images()  # built for the first child classified, not per child
-                    rec, created = table.classify(_reduce(child, pool))
-                    if created:
-                        second = rec
-                        break
+                    if table.classify(_reduce(child, pool))[1]:
+                        return clipped
                     known = known or same
                 entry = (child, True, None)
             else:  # an expansion: every slide and collapse came before it, so known is final
@@ -544,31 +559,7 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
                 continue
             visited.add(key)
             queue.append(entry)
-
-    if second is not None:
-        rigid = "no"
-        witness = second.state.history
-    elif clipped:
-        rigid = "inconclusive"
-        witness = None
-    else:
-        rigid = "yes"
-        witness = None
-
-    classes = []
-    for rec in table.classes.values():
-        classes.append(
-            ExploreClass(
-                graph=rec.state.graph,
-                fingerprint=table.fingerprint(rec),
-                representative_moves=rec.state.history,
-                count=rec.count,
-            )
-        )
-    classes.sort(key=lambda c: (c.graph.canonical_form(), c.fingerprint))
-    report = ExploreReport(tuple(classes), rigid, witness)
-    _soundness_check(seed, report, bounds, table)
-    return report
+    return clipped
 
 
 def _soundness_check(seed, report, bounds, table=None):

@@ -69,7 +69,7 @@ from .errors import (
     WrongOriginError,
 )
 from .graph import Edge, EdgeEnd, GbsGraph
-from .rigidity import _is_prime, ascending_modulus, divisible_pairs, is_ascending
+from .rigidity import _ascending_n, _is_prime, divisible_pairs
 from .words import (
     PathWord,
     Presentation,
@@ -339,22 +339,17 @@ def _slide(g: GbsGraph, move):
     moving, across = move.moving, move.across
     if moving.edge == across.edge:
         raise SameEdgeError("cannot slide %s across its own edge" % (moving,))
-    v = g.end_vertex(moving)
-    if g.end_vertex(across) != v:
+    m, a = g.edge(moving.edge), g.edge(across.edge)
+    v, le = (m.va, m.la) if moving.side == "A" else (m.vb, m.lb)
+    # across runs from its end at u, labelled lf, to w at its far end, labelled lw
+    u, lf, w, lw = (a.va, a.la, a.vb, a.lb) if across.side == "A" else (a.vb, a.lb, a.va, a.la)
+    if u != v:
         raise DifferentOriginError("%s and %s do not share a vertex" % (moving, across))
-    le, lf = g.end_label(moving), g.end_label(across)
     if le % lf:
         raise NotDivisibleError("label %d does not divide %d" % (lf, le))
-    far = across.other
-    w, new_label = g.end_vertex(far), (le // lf) * g.end_label(far)
-    edges = []
-    for f in g.edges:
-        if f.eid == moving.edge:
-            if moving.side == "A":
-                f = Edge(f.eid, w, new_label, f.vb, f.lb)
-            else:
-                f = Edge(f.eid, f.va, f.la, w, new_label)
-        edges.append(f)
+    label = le // lf * lw
+    moved = Edge(m.eid, w, label, m.vb, m.lb) if moving.side == "A" else Edge(m.eid, m.va, m.la, w, label)
+    edges = [moved if f is m else f for f in g.edges]
     sign = 1 if across.side == "A" else -1  # across traversed origin -> far
     leave = ("e", moving.edge, 1 if moving.side == "A" else -1)  # leaves the moved end
     arrive = ("e", moving.edge, -leave[2])
@@ -363,9 +358,9 @@ def _slide(g: GbsGraph, move):
 
 
 def _induct(g: GbsGraph, move):
-    if len(g.vertices) != 1 or not is_ascending(g):
+    n = _ascending_n(g)
+    if n is None:
         raise NotAscendingError("induction needs a one-vertex (1, n) loop")
-    n = ascending_modulus(g)
     if move.d < 1 or n % move.d:
         raise NotDivisorError("%d does not divide %d" % (move.d, n))
     e = g.edges[0]
@@ -568,8 +563,9 @@ def _candidates(g: GbsGraph, bounds: MoveBounds):
                 for mask in range(1 << len(divisible)):
                     moved = tuple(divisible[i] for i in range(len(divisible)) if mask >> i & 1)
                     yield Expansion(v, p, moved)
-    if len(g.vertices) == 1 and is_ascending(g):
-        for d in _divisors(ascending_modulus(g)):
+    n = _ascending_n(g)
+    if n is not None:
+        for d in _divisors(n):
             yield Induction(d)
 
 

@@ -70,6 +70,16 @@ def is_reduced(g: GbsGraph) -> bool:
     return collapse_witness(g) is None
 
 
+def _ascending_n(g: GbsGraph):
+    """The n of g when g is the ascending loop (1, n), one vertex carrying
+    one loop with a unit end, else None.  A one-vertex graph is reduced,
+    so this asks for no reduced graph and never raises."""
+    if len(g.vertices) != 1 or len(g.edges) != 1:
+        return None
+    e = g.edges[0]
+    return max(e.la, e.lb) if e.la == 1 or e.lb == 1 else None
+
+
 def is_ascending(g: GbsGraph) -> bool:
     """True iff g is a single vertex carrying one loop with a unit end.
 
@@ -77,18 +87,17 @@ def is_ascending(g: GbsGraph) -> bool:
     """
     if not is_reduced(g):
         raise NotReducedError("ascending test needs a reduced graph")
-    if len(g.vertices) != 1 or len(g.edges) != 1:
-        return False
-    e = g.edges[0]
-    return e.is_loop and (e.la == 1 or e.lb == 1)
+    return _ascending_n(g) is not None
 
 
 def ascending_modulus(g: GbsGraph) -> int:
     """The n of an ascending (1, n) loop."""
-    if not is_ascending(g):
+    n = _ascending_n(g)
+    if n is None:
+        if not is_reduced(g):
+            raise NotReducedError("ascending test needs a reduced graph")
         raise NotAscendingError("not a one-vertex (1, n) loop")
-    e = g.edges[0]
-    return max(e.la, e.lb)
+    return n
 
 
 def divisible_pairs(g: GbsGraph):
@@ -122,11 +131,12 @@ def nonascending_rigid(g: GbsGraph) -> RigidityVerdict:
     """
     if not is_reduced(g):
         raise NotReducedError("rigidity criterion needs a reduced graph")
-    if is_ascending(g):
+    if _ascending_n(g) is not None:
         raise AscendingCaseError("ascending loop: use the modulus criterion")
-    pairs = list(divisible_pairs(g))
     violations = []
-    for v, e, f in pairs:
+    slide_free = True
+    for v, e, f in divisible_pairs(g):
+        slide_free = False
         same_loop = e.edge == f.edge
         if same_loop and g.end_label(e) == g.end_label(f):
             continue
@@ -142,7 +152,7 @@ def nonascending_rigid(g: GbsGraph) -> RigidityVerdict:
     return RigidityVerdict(
         reduced=True,
         ascending=False,
-        strongly_slide_free=not pairs,
+        strongly_slide_free=slide_free,
         rigid=not violations,
         violations=tuple(violations),
     )
@@ -258,8 +268,8 @@ def check(g: GbsGraph) -> RigidityVerdict:
             rigid=False,
             violations=((g.end_vertex(witness), witness, witness, "not-reduced"),),
         )
-    if is_ascending(g):
-        n = ascending_modulus(g)
+    n = _ascending_n(g)
+    if n is not None:
         rigid = ascending_rigid(n)
         e = g.edges[0]
         a, b = EdgeEnd(e.eid, "A"), EdgeEnd(e.eid, "B")
@@ -268,7 +278,7 @@ def check(g: GbsGraph) -> RigidityVerdict:
         return RigidityVerdict(
             reduced=True,
             ascending=True,
-            strongly_slide_free=is_strongly_slide_free(g),
+            strongly_slide_free=False,  # the unit end divides the other
             rigid=rigid,
             violations=violations,
         )

@@ -144,6 +144,18 @@ def test_slide_errors():
         slide(st, parse_end("f.A"), parse_end("e.A"))  # 4 does not divide 2
 
 
+def test_slide_errors_come_in_order():
+    st = state("vertex u\nvertex v\nvertex w\nedge e v 4 2 u\nedge f v 2 3 w\n")
+    with pytest.raises(SameEdgeError):
+        slide(st, parse_end("x.A"), parse_end("x.B"))
+    with pytest.raises(UnknownEdgeError, match="'x'"):
+        slide(st, parse_end("x.A"), parse_end("y.A"))
+    with pytest.raises(UnknownEdgeError, match="'y'"):
+        slide(st, parse_end("f.A"), parse_end("y.A"))
+    with pytest.raises(DifferentOriginError):
+        slide(st, parse_end("e.B"), parse_end("f.B"))  # at u and w; 3 does not divide 2 either
+
+
 def test_induction_twists_marking():
     st = state(BS14)
     out = induct(st, 2)

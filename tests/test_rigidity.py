@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -8,6 +9,7 @@ from oracle import divisors_are_powers
 from gbsr.errors import AscendingCaseError, NotAscendingError, NotReducedError
 from gbsr.graph import GbsGraph, parse
 from gbsr.rigidity import (
+    _ascending_n,
     _is_prime,
     _strong_lucas,
     _strong_probable_prime,
@@ -232,3 +234,42 @@ def test_strong_lucas_test_against_the_sieve():
             assert _strong_lucas(n), n
         # Baillie-PSW: no composite passes both tests below 2^64
         assert (_strong_probable_prime(n, 2) and _strong_lucas(n)) == (n in primes), n
+
+
+def test_ascending_reader_matches_the_public_tests_and_the_inductions():
+    from gbsr.explorer import enumerate_graphs
+    from gbsr.moves import Induction, MoveBounds, enumerate_moves, initial_state
+
+    # a one-vertex graph is reduced, so the reader needs no reduced graph
+    non_reduced = [
+        parse("vertex a\nvertex b\nedge e a 1 2 b\n"),
+        parse("vertex a\nvertex b\nedge e a 1 1 b\nedge c a 1 4 a\n"),
+        parse("vertex a\nvertex b\nvertex c\nedge e a 2 1 b\nedge f b 1 3 c\nedge l c 1 2 c\n"),
+    ]
+    seen = set()
+    for g in enumerate_graphs(2, 6) + non_reduced:
+        n = _ascending_n(g)
+        if is_reduced(g) and is_ascending(g):
+            assert n == ascending_modulus(g), g.edges
+        else:
+            assert n is None, g.edges
+        # no expansion: only the inductions are in question
+        moves = enumerate_moves(initial_state(g), MoveBounds(max_edges=len(g.edges)))
+        assert any(type(mv) is Induction for mv in moves) == (n is not None), g.edges
+        seen.add((n is None, is_reduced(g)))
+    assert seen == {(False, True), (True, True), (True, False)}
+
+
+def test_check_keeps_no_list_of_the_divisible_pairs():
+    # n loops (2, 3) at one vertex: 2n(n - 1) violating pairs, each kept
+    # once as a violation; a second list of the pairs doubles the peak
+    n = 250
+    g = parse("vertex v\n" + "".join("edge e%d v 2 3 v\n" % i for i in range(n)))
+    tracemalloc.start()
+    try:
+        verdict = check(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(verdict.violations) == 2 * n * (n - 1)
+    assert peak / len(verdict.violations) < 120
