@@ -24,6 +24,26 @@ from .rigidity import ascending_modulus, check
 from .words import Presentation, format_word, parse_word, word_length
 
 
+# each subcommand, in help order, with its arguments after file as
+# (name, add_argument keywords); every one but length ends with --json
+_COMMANDS = {
+    "check": (),
+    "reduce": (),
+    "export-dot": (),
+    "collapse": (("edge", {}),),
+    "expand": (("vertex", {}), ("p", {"type": int}), ("ends", {"nargs": "*"})),
+    "slide": (("moving", {}), ("keyword", {"metavar": "across"}), ("across", {})),
+    "induct": (("d", {"type": int}),),
+    "explore": (
+        ("--max-extra-edges", {"type": int, "default": ExploreBounds.max_extra_edges}),
+        ("--max-label", {"type": int, "default": ExploreBounds.max_label}),
+        ("--depth", {"type": int, "default": ExploreBounds.max_depth}),
+        ("--radius", {"type": int, "default": ExploreBounds.radius}),
+    ),
+    "length": (("word", {}),),
+}
+
+
 @functools.cache
 def _build_parser():
     p = argparse.ArgumentParser(
@@ -31,49 +51,13 @@ def _build_parser():
         description="Rigidity and deformation tooling for GBS graphs of groups.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    for name in ("check", "reduce", "export-dot"):
-        sp = sub.add_parser(name)
+    for command, arguments in _COMMANDS.items():
+        sp = sub.add_parser(command)
         sp.add_argument("file")
-        sp.add_argument("--json", action="store_true")
-
-    sp = sub.add_parser("collapse")
-    sp.add_argument("file")
-    sp.add_argument("edge")
-    sp.add_argument("--json", action="store_true")
-
-    sp = sub.add_parser("expand")
-    sp.add_argument("file")
-    sp.add_argument("vertex")
-    sp.add_argument("p", type=int)
-    sp.add_argument("ends", nargs="*")
-    sp.add_argument("--json", action="store_true")
-
-    sp = sub.add_parser("slide")
-    sp.add_argument("file")
-    sp.add_argument("moving")
-    sp.add_argument("keyword", metavar="across")
-    sp.add_argument("across")
-    sp.add_argument("--json", action="store_true")
-
-    sp = sub.add_parser("induct")
-    sp.add_argument("file")
-    sp.add_argument("d", type=int)
-    sp.add_argument("--json", action="store_true")
-
-    sp = sub.add_parser("explore")
-    sp.add_argument("file")
-    defaults = ExploreBounds()
-    sp.add_argument("--max-extra-edges", type=int, default=defaults.max_extra_edges)
-    sp.add_argument("--max-label", type=int, default=defaults.max_label)
-    sp.add_argument("--depth", type=int, default=defaults.max_depth)
-    sp.add_argument("--radius", type=int, default=defaults.radius)
-    sp.add_argument("--json", action="store_true")
-
-    sp = sub.add_parser("length")
-    sp.add_argument("file")
-    sp.add_argument("word")
-
+        for name, keywords in arguments:
+            sp.add_argument(name, **keywords)
+        if command != "length":
+            sp.add_argument("--json", action="store_true")
     return p
 
 

@@ -45,12 +45,12 @@ from g, a child reduces to its parent's marked tree when it
   T_child/d = T_parent.
 
 While the search runs there is one class, the base one.  Each queued
-state carries whether its reduction is known to be in it: the seed's
-is, and so is every classified or counted child's; an expansion child's
-is when its parent's is and the rule holds.  A slide or collapse child
-that passes the rule under a known parent adds one to the base count
-and is not classified.  Every other one is reduced and classified, and
-the first of those that passes the rule makes its parent known.
+state carries whether its reduction is known to be in it, settled once,
+when the state is queued: the seed's is, and so is every counted or
+classified slide or collapse child's; an expansion child's is when its
+parent's is and the rule holds.  A slide or collapse child that passes
+the rule under a known parent adds one to the base count and is not
+classified; every other one is reduced and classified.
 Children are built as the loop reaches them, so a "no" verdict builds
 nothing past its witness.  A child and each state of its collapse chain
 stay lazy, and a state's marking is read only when one of its children
@@ -96,7 +96,6 @@ from .errors import BoundsTooTightError, BrokenMarkingError, GbsError, NoViolati
 from .graph import Edge, GbsGraph, serialize
 from .moves import (
     Collapse,
-    Expansion,
     Induction,
     MarkedState,
     MoveBounds,
@@ -404,20 +403,21 @@ def _reduce(state, pool):
 
 def _same_reduction(parent, child, pool):
     """Does child, made from the state parent by one move, reduce to the
-    same marked tree as parent?  The lemma in the module docstring, with
-    C(g) the set of edges _reduce collapses from g: yes when the move is
-    a collapse of c and C(child) + {c} == C(parent), a slide across an
-    end of f and f is in C(child) == C(parent), or an expansion that
-    creates d and C(child) == C(parent) + {d}."""
-    g, h, mv = parent.graph, child.graph, child.history[-1]
-    before, after = _chain(g, pool)[1], _chain(h, pool)[1]
+    same marked tree as parent?  The lemma in the module docstring, read
+    from the symmetric difference of C(parent) and C(child), with C(g)
+    the set of edges _reduce collapses from g, which holds edges of g
+    only: yes when the move is a collapse of c and the difference is
+    {c}, a slide across an end of f with no difference and f in
+    C(child), or an expansion whose difference is one edge that the
+    parent's graph lacks, the new edge d."""
+    g, mv = parent.graph, child.history[-1]
+    after = _chain(child.graph, pool)[1]
+    diff = _chain(g, pool)[1] ^ after
     if type(mv) is Collapse:
-        return after | {mv.edge} == before
+        return diff == {mv.edge}
     if type(mv) is Slide:
-        return mv.across.edge in after and after == before
-    # the one edge of h that g lacks is d, and C(parent) holds edges of g only
-    return (type(mv) is Expansion and len(after) == len(before) + 1 and before < after
-            and not (after - before) & g._by_id.keys())
+        return not diff and mv.across.edge in after
+    return len(diff) == 1 and diff.isdisjoint(g._by_id)
 
 
 def ascending_equivalent(n: int, d: int) -> bool:
@@ -509,7 +509,7 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
     # sort keeps the seed's first
     classes.sort(key=lambda c: (c.graph.canonical_form(), c.fingerprint))
     report = ExploreReport(tuple(classes), rigid, witness)
-    _soundness_check(seed, report, bounds, table)
+    _soundness_check(seed, report, table)
     return report
 
 
@@ -521,13 +521,13 @@ def _search(seed, base, bounds, inner, pool, table):
     base_rec, _ = table.classify(base)
     clipped = False
     visited = {seed.graph.canonical_form()}
-    # (state, known, parent): known says that the state's reduction is in
-    # the base class, the only class while the loop runs; an expansion
-    # child of a known parent is settled against it when popped
-    queue = deque([(seed, True, None)])
+    # (state, known): known says that the state's reduction is in the base
+    # class, the only class while the loop runs; it is settled when the
+    # state is queued
+    queue = deque([(seed, True)])
     popped = 0
     while queue:
-        state, known, parent = queue.popleft()
+        state, known = queue.popleft()
         popped += 1
         if popped > bounds.max_states:
             return True
@@ -539,44 +539,36 @@ def _search(seed, base, bounds, inner, pool, table):
             if next(children, None) is not None:
                 clipped = True
             continue
-        if parent is not None:
-            known = _same_reduction(parent, state, pool)
         for mv, child in children:
-            if isinstance(mv, (Slide, Collapse)):
-                same = _same_reduction(state, child, pool)
-                if same and known:
+            # a slide or collapse child is counted or classified into the
+            # base class here, so its reduction is known
+            settled = isinstance(mv, (Slide, Collapse))
+            if settled:
+                if known and _same_reduction(state, child, pool):
                     base_rec.count += 1
                 else:
                     state.images()  # built for the first child classified, not per child
                     if table.classify(_reduce(child, pool))[1]:
                         return clipped
-                    known = known or same
-                entry = (child, True, None)
-            else:  # an expansion: every slide and collapse came before it, so known is final
-                entry = (child, False, state if known else None)
             key = child.graph.canonical_form()
             if key in visited:
                 continue
             visited.add(key)
-            queue.append(entry)
+            queue.append((child, settled or known and _same_reduction(state, child, pool)))
     return clipped
 
 
-def _soundness_check(seed, report, bounds, table=None):
+def _soundness_check(seed, report, table):
     """Replay each class representative with full marking verification and
     compare its whole fingerprint with the report's.
 
-    The replay rebuilds every graph and image from the seed.  With
-    explore's table the lengths of a replayed state are read from its
-    memo when the search already measured that exact (graph, images)
-    pair; without one an empty table stands in, so every fingerprint is
-    recomputed from scratch.  The lengths are a pure function of that
-    pair and the trie, so the comparison comes out the same, and a
-    replay that reaches another marking misses the memo and is measured
-    afresh.
+    The replay rebuilds every graph and image from the seed, and reads
+    the lengths of a replayed state from table's memo when the search
+    already measured that exact (graph, images) pair.  The lengths are a
+    pure function of that pair and the trie, so the comparison comes out
+    as a fresh measurement would, and a replay that reaches another
+    marking misses the memo and is measured afresh.
     """
-    if table is None:
-        table = _ClassTable(_sample_plan(len(seed.seed.presentation.generators), bounds.radius))
     for cls in report.classes:
         state = seed
         for mv in cls.representative_moves[len(seed.history):]:

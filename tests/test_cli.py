@@ -292,6 +292,31 @@ def test_explore_flags_default_to_the_explore_bounds():
     assert flags == (d.max_extra_edges, d.max_label, d.max_depth, d.radius)
 
 
+def test_each_subcommand_parses_into_its_named_arguments():
+    d = ExploreBounds()
+    cases = [
+        (["check", "g"], {"file": "g", "json": False}),
+        (["reduce", "g", "--json"], {"file": "g", "json": True}),
+        (["export-dot", "g"], {"file": "g", "json": False}),
+        (["collapse", "g", "e"], {"file": "g", "edge": "e", "json": False}),
+        (["expand", "g", "v", "2"], {"file": "g", "vertex": "v", "p": 2, "ends": [], "json": False}),
+        (["expand", "g", "v", "3", "e.E", "f.F"],
+         {"file": "g", "vertex": "v", "p": 3, "ends": ["e.E", "f.F"], "json": False}),
+        (["slide", "g", "a.A", "across", "b.B", "--json"],
+         {"file": "g", "moving": "a.A", "keyword": "across", "across": "b.B", "json": True}),
+        (["induct", "g", "6"], {"file": "g", "d": 6, "json": False}),
+        (["explore", "g.gbs"],
+         {"file": "g.gbs", "max_extra_edges": d.max_extra_edges, "max_label": d.max_label,
+          "depth": d.max_depth, "radius": d.radius, "json": False}),
+        (["explore", "g", "--max-extra-edges", "1", "--max-label", "9", "--depth", "3",
+          "--radius", "2", "--json"],
+         {"file": "g", "max_extra_edges": 1, "max_label": 9, "depth": 3, "radius": 2, "json": True}),
+        (["length", "g", "w"], {"file": "g", "word": "w"}),
+    ]
+    for argv, want in cases:
+        assert vars(cli._build_parser().parse_args(argv)) == {"command": argv[0], **want}, argv
+
+
 def test_length_of_a_large_power_inside_a_word_is_fast(gbs, capsys):
     path = gbs("vertex v\nedge c v 1 3 v\n")
     t0 = time.perf_counter()

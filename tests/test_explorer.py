@@ -377,13 +377,13 @@ def test_soundness_check_rejects_tampered_fingerprint():
     seed = state(BS26)
     bounds = ExploreBounds()
     report = explore(seed, bounds)
-    _soundness_check(seed, report, bounds)
+    _soundness_check(seed, report, _ClassTable(_sample_plan(len(seed.seed.presentation.generators), bounds.radius)))
     cls = report.classes[-1]
     fp = list(cls.fingerprint)
     fp[-1] += 1
     tampered = replace(report, classes=report.classes[:-1] + (replace(cls, fingerprint=tuple(fp)),))
     with pytest.raises(BrokenMarkingError):
-        _soundness_check(seed, tampered, bounds)
+        _soundness_check(seed, tampered, _ClassTable(_sample_plan(len(seed.seed.presentation.generators), bounds.radius)))
 
 
 # sha256 over the JSON reports of the sample below, recorded before
