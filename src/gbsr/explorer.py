@@ -44,6 +44,30 @@ from g, a child reduces to its parent's marked tree when it
 * expands, creating d, and C(child) == C(parent) + {d}, as
   T_child/d = T_parent.
 
+Call a vertex w trivial when every end at w is labelled 1 and lies on a
+non-loop edge, and w has one such end (a leaf) or two on distinct edges
+(a subdivision).  Each lift of w then has valence 1 or 2, so collapsing
+an edge at w deletes a leaf or smooths a point of valence 2, and the
+tree it leaves is the same whichever edge at w is collapsed.  So the
+child also reduces to its parent's marked tree when it
+
+* (L) slides an end of m whose other end is the only end at a leaf, and
+  m is in C(child) == C(parent), as T_child/m = T_parent/m: both are
+  the tree with the leaves over m and their edges deleted, and the
+  slide moves only those edges;
+* (S1) collapses c, an edge at a subdivision vertex w shared with the
+  edge c', c' is in C(parent), and C(child), with c' renamed c, equals
+  C(parent) - {c'}, as T_child = T_parent/c and T_parent/c' are one
+  tree, the two edges at each lift of w merged into one that is named
+  c' in the first and c in the second, whichever end of c the collapse
+  keeps;
+* (S2) slides the end of m at a subdivision vertex w across the end of
+  the other edge f at w, f is in C(child), m is in C(parent), and
+  C(child) - {f} equals C(parent) - {m} with f renamed m, as
+  T_child/f = T_parent/f (the slide carries the lifts of m at w to the
+  far ends of f, where collapsing f puts them) and T_parent/f is
+  T_parent/m with m and f exchanged.
+
 While the search runs there is one class, the base one.  Each queued
 state carries whether its reduction is known to be in it, settled once,
 when the state is queued: the seed's is, and so is every counted or
@@ -118,6 +142,7 @@ class ExploreBounds:
     """Caps for explore.
 
     max_label = None means the square of the largest seed label.
+    max_depth counts moves from the seed, not the seed's own history.
     max_states is a plain search budget: hitting it can only downgrade
     a would-be "yes" to "inconclusive", never flip a verdict.
     """
@@ -401,22 +426,53 @@ def _reduce(state, pool):
     return state
 
 
+def _trivial(g, w):
+    """The edges at w when w is trivial (see the module docstring), one
+    for a leaf and two for a subdivision, else ()."""
+    ends = g.ends_at(w)
+    if len(ends) > 2 or len(ends) == 2 and ends[0].edge == ends[1].edge:
+        return ()
+    for eid, side in ends:
+        e = g._by_id[eid]
+        if (e.la if side == "A" else e.lb) != 1:
+            return ()
+    return tuple(eid for eid, _ in ends)
+
+
 def _same_reduction(parent, child, pool):
     """Does child, made from the state parent by one move, reduce to the
     same marked tree as parent?  The lemma in the module docstring, read
     from the symmetric difference of C(parent) and C(child), with C(g)
     the set of edges _reduce collapses from g, which holds edges of g
-    only: yes when the move is a collapse of c and the difference is
-    {c}, a slide across an end of f with no difference and f in
-    C(child), or an expansion whose difference is one edge that the
-    parent's graph lacks, the new edge d."""
+    only.  Yes when the move is
+    * a collapse of c and the difference is {c}, or (S1) {c'} with c' in
+      C(parent) and c, c' the two edges at a subdivision vertex;
+    * a slide of an end of m across an end of f with no difference and f
+      in C(child), or (L) m in C(child) and m's other end at a leaf; or
+      (S2) the difference is {m, f}, m is in C(parent), f in C(child),
+      and the moved end is at a subdivision vertex;
+    * an expansion whose difference is one edge that the parent's graph
+      lacks, the new edge d.
+    (S1) with c' in C(child), and (S2) with f in C(parent), are the first
+    case of their move, so these differences are all they add."""
     g, mv = parent.graph, child.history[-1]
+    before = _chain(g, pool)[1]
     after = _chain(child.graph, pool)[1]
-    diff = _chain(g, pool)[1] ^ after
+    diff = before ^ after
     if type(mv) is Collapse:
-        return diff == {mv.edge}
+        c = mv.edge
+        if diff == {c}:
+            return True
+        if len(diff) != 1 or not diff <= before:
+            return False
+        e, pair = g._by_id[c], diff | {c}
+        return set(_trivial(g, e.va)) == pair or set(_trivial(g, e.vb)) == pair
     if type(mv) is Slide:
-        return not diff and mv.across.edge in after
+        m, f = mv.moving, mv.across.edge
+        if not diff:
+            return f in after or m.edge in after and len(_trivial(g, g.end_vertex(m.other))) == 1
+        return (diff == {m.edge, f} and m.edge in before and f in after
+                and len(_trivial(g, g.end_vertex(m))) == 2)
     return len(diff) == 1 and diff.isdisjoint(g._by_id)
 
 
@@ -534,7 +590,7 @@ def _search(seed, base, bounds, inner, pool, table):
         # built as the loop below reaches them: a "no" verdict stops at the
         # first child whose reduced state opens a second class
         children = _children(state, inner, pool)
-        if state.depth >= bounds.max_depth:
+        if state.depth - seed.depth >= bounds.max_depth:
             # depth cap: anything still reachable from here is unexplored
             if next(children, None) is not None:
                 clipped = True

@@ -14,6 +14,7 @@ import gbsr.graph
 from gbsr.explorer import (
     ExploreBounds,
     _ClassTable,
+    _chain,
     _legal_children,
     _lengths,
     _reduce,
@@ -127,6 +128,26 @@ def test_explore_bounds_errors_and_clipping():
 def test_explore_clipped_by_the_state_budget_is_inconclusive():
     rep = explore(state("vertex v\nedge c v 2 2 v\n"), ExploreBounds(max_states=1))
     assert rep.rigid == "inconclusive" and rep.witness is None
+
+
+def _round_trips(text):
+    """The seed of text after four expand v 2 / collapse d0 pairs: the
+    same graph and tree, with 8 moves of history."""
+    st = state(text)
+    for _ in range(4):
+        st = apply_move(apply_move(st, Expansion("v", 2, ())), Collapse("d0"))
+    return st
+
+
+def test_the_depth_cap_counts_moves_from_the_seed_not_its_history():
+    seed = _round_trips(BS26)
+    assert len(seed.history) == ExploreBounds.max_depth
+    assert explore(seed).rigid == "no"
+    assert [str(m) for m in witness_search(seed)] == ["expand v 2 c.B", "slide d0.A across c.A"]
+    rep, fresh = explore(_round_trips(LOOP23)), explore(state(LOOP23))
+    assert rep.rigid == fresh.rigid == "yes"
+    assert [c.count for c in rep.classes] == [c.count for c in fresh.classes] == [75]
+    assert explore(_round_trips(LOOP23), ExploreBounds(max_depth=0)).rigid == "inconclusive"
 
 
 def test_explore_refuses_a_negative_edge_allowance():
@@ -524,7 +545,8 @@ def test_stage_lengths_inside_explore_match_the_oracle(monkeypatch):
         return values
 
     monkeypatch.setattr(gbsr.explorer, "_lengths", recording)
-    for text in (PATH22, EQLOOP, BS26, LOOP23, "vertex a\nvertex b\nedge e a 2 3 b\nedge f a 2 5 b\n"):
+    for text in (PATH22, EQLOOP, BS26, LOOP23, "vertex a\nvertex b\nedge e a 2 3 b\nedge f a 2 5 b\n",
+                 "vertex v0\nvertex v1\nvertex v2\nedge e0 v0 2 2 v1\nedge e1 v0 3 2 v2\nedge e2 v1 3 3 v2\n"):
         explore(parse(text), ExploreBounds(max_states=60))
     exact = {(st.graph.vertices, st.graph.edges, tuple(st.images().values()), trie) for st, trie, _ in seen}
     assert len(exact) >= 22
@@ -538,7 +560,7 @@ def _exact_key(st):
 
 def test_explore_measures_each_exact_state_once(monkeypatch):
     # the replay reads the lengths the search measured; on BS(2,6) the
-    # search measures 6 states and the replay none of its 2 classes again
+    # search measures 5 states and the replay none of its 2 classes again
     calls, replaying = [], []
 
     def recording(st, trie):
@@ -557,7 +579,7 @@ def test_explore_measures_each_exact_state_once(monkeypatch):
     report = explore(state(BS26))
     assert report.rigid == "no" and len(report.classes) == 2
     assert not any(during for _, during in calls)
-    assert len(calls) == len({key for key, _ in calls}) == 6
+    assert len(calls) == len({key for key, _ in calls}) == 5
 
 
 def test_class_table_memo_holds_the_lengths_of_its_keys(monkeypatch):
@@ -1025,6 +1047,73 @@ def test_same_reduction_holds_on_random_walks_in_non_rigid_spaces():
             st = rng.choice(children)[1]
     assert fired[Induction] == 0
     assert fired[Collapse] > 100 and fired[Slide] > 200 and fired[Expansion] > 1000
+
+
+def _trivial_case(parent, child, pool):
+    """The case at a trivial vertex, "L", "S1" or "S2", that a slide or
+    collapse child passing _same_reduction needs: None when one of the
+    first three cases of the lemma passes it already."""
+    before, after = _chain(parent.graph, pool)[1], _chain(child.graph, pool)[1]
+    mv = child.history[-1]
+    if type(mv) is Collapse:
+        return None if before ^ after == {mv.edge} else "S1"
+    if before == after:
+        return None if mv.across.edge in after else "L"
+    return "S2"
+
+
+def test_the_trivial_vertex_cases_hold_on_random_walks_in_non_rigid_spaces():
+    # every child that only (L), (S1) or (S2) passes reduces, afresh, into
+    # its parent's class
+    rng = random.Random(0x7E1F)
+    fired, seeds = Counter(), 0
+    while seeds < 360:
+        g = oracle.random_graph(rng, 3, 3, 6)
+        if not is_reduced(g) or check(g).rigid:
+            continue
+        seeds += 1
+        st, pool = initial_state(g), {}
+        plan = _sample_plan(len(st.seed.presentation.generators), 4)
+        for _ in range(4):
+            children = _legal_children(st, len(g.edges) + 2, 36, pool)
+            if not children:
+                break
+            for mv, child in children:
+                if isinstance(mv, (Slide, Collapse)) and _same_reduction(st, child, pool):
+                    case = _trivial_case(st, child, pool)
+                    if case is None:
+                        continue
+                    fired[case] += 1
+                    table = _ClassTable(plan)
+                    table.classify(reduce_state(st))
+                    _, created = table.classify(reduce_state(child))
+                    assert not created, (case, serialize(g), [str(m) for m in child.history])
+            st = rng.choice(children)[1]
+    assert fired["L"] > 400 and fired["S1"] > 250 and fired["S2"] > 250, fired
+
+
+# u1 of LEAF is a leaf, and u0 of SUBDIVISION a subdivision between d0 and e0
+LEAF = "vertex u0\nvertex u1\nvertex v0\nedge d0 v0 2 1 u0\nedge d1 u0 2 1 u1\nedge e0 v0 3 2 u0\n"
+SUBDIVISION = "vertex u0\nvertex v0\nedge d0 v0 2 1 u0\nedge e0 u0 1 2 v0\n"
+
+
+@pytest.mark.parametrize("text, move, case, before, after", [
+    (LEAF, Slide(parse_end("d1.A"), parse_end("e0.B")), "L", {"d0", "d1"}, {"d0", "d1"}),
+    (SUBDIVISION, Collapse("e0"), "S1", {"d0"}, set()),
+    (SUBDIVISION, Slide(parse_end("d0.B"), parse_end("e0.A")), "S2", {"d0"}, {"e0"}),
+], ids=["L", "S1", "S2"])
+def test_the_rule_passes_a_child_at_a_trivial_vertex(text, move, case, before, after):
+    # C(parent) and C(child) leave the first three cases out: the slide
+    # across e0.B has e0 in neither, the collapse of e0 differs in {d0},
+    # not {e0}, and the slide of d0 differs in two edges
+    st, pool = state(text), {}
+    child = _apply_move(st, move, pool, False)
+    assert (_chain(st.graph, pool)[1], _chain(child.graph, pool)[1]) == (before, after)
+    assert _trivial_case(st, child, pool) == case
+    assert _same_reduction(st, child, pool)
+    table = _ClassTable(_sample_plan(len(st.seed.presentation.generators), 4))
+    table.classify(reduce_state(st))
+    assert not table.classify(reduce_state(child))[1]
 
 
 def test_explore_reports_match_with_the_shortcut_off(monkeypatch):

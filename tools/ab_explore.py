@@ -18,9 +18,10 @@ around `MarkedState.images`, `GbsGraph.__init__`,
 `GbsGraph.canonical_form`, `_ClassTable.classify` and the module
 functions `explorer._lengths` (fingerprint evaluation),
 `graph.validate`, `explorer._chain` (collapse chains),
-`graph._canonical_key` and the `_collapse` that `explorer` calls (the
-chains' collapses), the minimum of each layer's inclusive time and the
-layer's number of calls, which every run repeats exactly.  A call made
+`graph._canonical_key`, the `_collapse` that `explorer` calls (the
+chains' collapses) and `explorer._same_reduction` (the collapse lemma),
+the minimum of each layer's inclusive time and the layer's number of
+calls, which every run repeats exactly.  A call made
 inside a call of the same layer counts as a call but adds no time, so a
 recursive layer's time is not counted twice.
 The totals are sums of those minima and counts.  It also hashes
@@ -56,7 +57,8 @@ LAYERS = (("images", "moves", "MarkedState", "images"),
           ("validate", "graph", None, "validate"),
           ("_chain", "explorer", None, "_chain"),
           ("_canonical_key", "graph", None, "_canonical_key"),
-          ("_collapse", "explorer", None, "_collapse"))
+          ("_collapse", "explorer", None, "_collapse"),
+          ("_same_reduction", "explorer", None, "_same_reduction"))
 
 
 def load(name, src):
