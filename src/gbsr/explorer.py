@@ -143,8 +143,9 @@ class ExploreBounds:
 
     max_label = None means the square of the largest seed label.
     max_depth counts moves from the seed, not the seed's own history.
-    max_states is a plain search budget: hitting it can only downgrade
-    a would-be "yes" to "inconclusive", never flip a verdict.
+    max_states is a plain search budget, at least 1 (the seed): hitting
+    it can only downgrade a would-be "yes" to "inconclusive", never flip
+    a verdict.
     """
 
     max_extra_edges: int = 2
@@ -429,14 +430,13 @@ def _reduce(state, pool):
 def _trivial(g, w):
     """The edges at w when w is trivial (see the module docstring), one
     for a leaf and two for a subdivision, else ()."""
-    ends = g.ends_at(w)
-    if len(ends) > 2 or len(ends) == 2 and ends[0].edge == ends[1].edge:
-        return ()
-    for eid, side in ends:
-        e = g._by_id[eid]
-        if (e.la if side == "A" else e.lb) != 1:
-            return ()
-    return tuple(eid for eid, _ in ends)
+    out = []
+    for eid, va, la, vb, lb in g.edges:
+        if va == w or vb == w:
+            if va == vb or (la if va == w else lb) != 1 or len(out) == 2:
+                return ()
+            out.append(eid)
+    return tuple(out)
 
 
 def _same_reduction(parent, child, pool):
@@ -458,21 +458,22 @@ def _same_reduction(parent, child, pool):
     g, mv = parent.graph, child.history[-1]
     before = _chain(g, pool)[1]
     after = _chain(child.graph, pool)[1]
-    diff = before ^ after
     if type(mv) is Collapse:
+        # both cases need after to be before less one edge, c or (S1) c'
         c = mv.edge
-        if diff == {c}:
-            return True
-        if len(diff) != 1 or not diff <= before:
+        if len(before) != len(after) + 1 or not after < before:
             return False
-        e, pair = g._by_id[c], diff | {c}
+        if c in before:
+            return True
+        e, pair = g._by_id[c], (before - after) | {c}
         return set(_trivial(g, e.va)) == pair or set(_trivial(g, e.vb)) == pair
     if type(mv) is Slide:
         m, f = mv.moving, mv.across.edge
-        if not diff:
+        if before == after:
             return f in after or m.edge in after and len(_trivial(g, g.end_vertex(m.other))) == 1
-        return (diff == {m.edge, f} and m.edge in before and f in after
+        return (m.edge in before and f in after and before ^ after == {m.edge, f}
                 and len(_trivial(g, g.end_vertex(m))) == 2)
+    diff = before ^ after
     return len(diff) == 1 and diff.isdisjoint(g._by_id)
 
 
@@ -526,8 +527,8 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
         raise BoundsTooTightError(
             "seed label %d exceeds max_label %d" % (g0.max_label(), max_label)
         )
-    if bounds.max_depth < 0 or bounds.max_extra_edges < 0 or bounds.radius < 1:
-        raise BoundsTooTightError("max_depth and max_extra_edges must be >= 0 and radius >= 1")
+    if bounds.max_depth < 0 or bounds.max_extra_edges < 0 or bounds.radius < 1 or bounds.max_states < 1:
+        raise BoundsTooTightError("max_depth and max_extra_edges must be >= 0, and radius and max_states >= 1")
     # 2n (2n - 1)^(k - 1) reduced words of length k over n generators,
     # counted only until they pass the cap, so any radius is refused at once
     n, words, k = len(seed.seed.presentation.generators), 0, 0
@@ -576,7 +577,7 @@ def _search(seed, base, bounds, inner, pool, table):
     cap cut it short."""
     base_rec, _ = table.classify(base)
     clipped = False
-    visited = {seed.graph.canonical_form()}
+    visited = {seed.graph.canonical_key()}
     # (state, known): known says that the state's reduction is in the base
     # class, the only class while the loop runs; it is settled when the
     # state is queued
@@ -606,7 +607,7 @@ def _search(seed, base, bounds, inner, pool, table):
                     state.images()  # built for the first child classified, not per child
                     if table.classify(_reduce(child, pool))[1]:
                         return clipped
-            key = child.graph.canonical_form()
+            key = child.graph.canonical_key()
             if key in visited:
                 continue
             visited.add(key)

@@ -74,10 +74,10 @@ class GbsGraph:
     [('e', 'A'), ('e', 'B')]
     """
 
-    __slots__ = ("vertices", "edges", "_by_id", "_ends", "_canon", "_pinches", "_presentation")
+    __slots__ = ("vertices", "edges", "_by_id", "_ends", "_key", "_canon", "_pinches", "_presentation")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable, _trusted=False):
-        self._canon = None
+        self._key = self._canon = None
         self._pinches = None  # words._pinch_table, built on first use
         self._presentation = None  # words._presentation, built on first use
         if _trusted:
@@ -134,19 +134,28 @@ class GbsGraph:
 
     # -- canonical form ---------------------------------------------------
 
-    def canonical_form(self) -> bytes:
-        """A byte string equal for two graphs iff they are isomorphic.
+    def canonical_key(self) -> tuple:
+        """A tuple equal for two graphs iff they are isomorphic.
 
         Isomorphism means a vertex bijection together with an edge
         bijection that may swap the two ends of an edge, preserving
-        incidence and labels.  Edge and vertex names are ignored.
-        Computed by exhaustive search over vertex orderings, pruned by a
-        vertex invariant: the orderings tried list the invariant's classes
-        in order, so a graph whose invariant tells every vertex apart has
-        exactly one; intended for desk-scale graphs.
+        incidence and labels.  Edge and vertex names are ignored.  The
+        key is (vertex count, sorted rows (a, la, b, lb) with (a, la) <=
+        (b, lb)), minimised over vertex orderings: an exhaustive search
+        pruned by a vertex invariant, where the orderings tried list the
+        invariant's classes in order, so a graph whose invariant tells
+        every vertex apart has exactly one; intended for desk-scale graphs.
         """
+        if self._key is None:
+            self._key = _canonical_key(self)
+        return self._key
+
+    def canonical_form(self) -> bytes:
+        """The bytes repr(canonical_key()).encode(): equal for two graphs
+        iff they are isomorphic, and the order explore sorts its classes
+        by."""
         if self._canon is None:
-            self._canon = _canonical_key(self)
+            self._canon = repr(self.canonical_key()).encode()
         return self._canon
 
 
@@ -164,7 +173,7 @@ def _ends_by_vertex(vertices, edges):
     return {v: tuple(lst) for v, lst in ends.items()}
 
 
-def _canonical_key(g: GbsGraph) -> bytes:
+def _canonical_key(g: GbsGraph) -> tuple:
     # vertex invariant: (degree, sorted (near label, far label, loop) per end)
     sig = {v: [] for v in g.vertices}
     for _, va, la, vb, lb in g.edges:
@@ -184,12 +193,12 @@ def _canonical_key(g: GbsGraph) -> bytes:
         rows = []
         for _, va, la, vb, lb in g.edges:
             a, b = index[va], index[vb]
-            rows.append((a, la, b, lb) if (a, la) <= (b, lb) else (b, lb, a, la))
+            rows.append((a, la, b, lb) if a < b or a == b and la <= lb else (b, lb, a, la))
         rows.sort()
         key = (n, tuple(rows))
         if best is None or key < best:
             best = key
-    return repr(best).encode()
+    return best
 
 
 def validate(g: GbsGraph) -> None:

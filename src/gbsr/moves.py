@@ -15,10 +15,14 @@ read walks up to the nearest ancestor whose images are built, maps those
 unreduced through every step in between with one dict lookup per letter
 and Britton-reduces once per generator, and the states in between stay
 lazy.  Generator words are projected from the images only for output.
-Enumeration only proposes candidate moves, one at a time, and keeps
-those that their move function accepts and whose result stays within
-the label cap, so legality and label arithmetic are written once and a
-caller that stops early pays for no candidate past it.
+Enumeration builds legal moves directly, one at a time, each with the
+surgery its move function runs once the move is checked, so a caller
+that stops early pays for nothing past the last move it read.  The move
+functions judge the moves that users supply.  A test ties the two
+together: over thousands of graphs and bounds, the enumeration yields
+the same moves and surgeries, in order, as the reference in
+tests/oracle.py, which proposes every candidate and keeps those that
+its move function accepts and whose result stays within the label cap.
 
 The moves and their exact label arithmetic:
 
@@ -42,9 +46,9 @@ every verified move, so a wrong letter table cannot slip through silently.
 The GbsGraph of a move's result comes from a graph pool, a dict keyed
 on the graph content, and builds its Presentation only when something
 reads it; a step that keeps the base vertex re-bases nothing and reads none.
-Every move function returns that content in the order a GbsGraph holds
-it, vertices by name and edges by id, so the pool keys on it as it comes
-and nothing is sorted again.
+Every move function returns that content as tuples in the order a
+GbsGraph holds it, vertices by name and edges by id, so the pool keys on
+it as it comes and nothing is sorted or copied again.
 `apply_move` hands every call a fresh pool, so each public move builds
 and validates its graph afresh.  The explorer keeps one pool per
 `explore` call, so states of that search with the same concrete graph
@@ -54,12 +58,12 @@ move made there is valid by construction and is not validated again.
 
 from bisect import insort
 from dataclasses import dataclass
-from math import gcd
+from functools import lru_cache
+from math import gcd, inf
 
 from .errors import (
     BrokenMarkingError,
     DifferentOriginError,
-    GbsError,
     NotAscendingError,
     NotCollapsibleError,
     NotDivisibleError,
@@ -69,7 +73,7 @@ from .errors import (
     WrongOriginError,
 )
 from .graph import Edge, EdgeEnd, GbsGraph
-from .rigidity import _ascending_n, _is_prime, divisible_pairs
+from .rigidity import _ascending_n, _is_prime
 from .words import (
     PathWord,
     Presentation,
@@ -255,17 +259,18 @@ def initial_state(graph: GbsGraph) -> MarkedState:
 # -- one function per move ---------------------------------------------------
 #
 # Each takes (g, move), raises the move's named domain errors, and returns
-# (vertices, edges, (edge table, vertex table), base): the new graph's
-# content, the letter map as two tables, and the new vertex at which
-# mapped paths based at g's base start.  The content comes sorted, the
-# vertices by name and the edges by id, as a GbsGraph holds them: a
-# collapse and a slide keep g's order, and an expansion inserts its new
-# vertex and edge in place, so _pooled never sorts.  The edge table
-# sends each traversal letter of g that the move changes to its
-# replacement tuple; the vertex table sends each vertex that the move
-# renames or scales to (before, name, factor, after), so ("v", vertex, m)
-# becomes before + (("v", name, m * factor),) + after.  Every other
-# letter maps to itself.
+# what its surgery body (_collapsed, _expanded, _slid, _inducted), which
+# _legal also calls, returns: (vertices, edges, (edge table, vertex
+# table), base), the new graph's content, the letter map as two tables,
+# and the new vertex at which mapped paths based at g's base start.  The
+# content comes as sorted tuples, the vertices by name and the edges by
+# id, as a GbsGraph holds them: a collapse and a slide keep g's order, and
+# an expansion inserts its new vertex and edge in place, so _pooled never
+# sorts.  The edge table sends each traversal letter of g that the move
+# changes to its replacement tuple; the vertex table sends each vertex
+# that the move renames or scales to (before, name, factor, after), so
+# ("v", vertex, m) becomes before + (("v", name, m * factor),) + after.
+# Every other letter maps to itself.
 
 def _collapse(g: GbsGraph, move):
     eid = move.edge
@@ -273,24 +278,31 @@ def _collapse(g: GbsGraph, move):
     if e.is_loop:
         raise NotCollapsibleError("cannot collapse the loop %s" % eid)
     if e.lb == 1:
-        keep, drop, p = e.va, e.vb, e.la
-    elif e.la == 1:
-        keep, drop, p = e.vb, e.va, e.lb
-    else:
-        raise NotCollapsibleError("edge %s has no end labelled 1" % eid)
+        return _collapsed(g, eid, e.va, e.vb, e.la)
+    if e.la == 1:
+        return _collapsed(g, eid, e.vb, e.va, e.lb)
+    raise NotCollapsibleError("edge %s has no end labelled 1" % eid)
+
+
+def _collapsed(g: GbsGraph, eid, keep, drop, p):
+    """The surgery of collapsing the non-loop edge eid, whose end at drop
+    is labelled 1 and whose end at keep is labelled p."""
     edges = []
     for f in g.edges:
-        if f.va == drop or f.vb == drop:
-            if f.eid == eid:
+        fid, va, la, vb, lb = f
+        if va == drop or vb == drop:
+            if fid == eid:
                 continue
-            va, la = (keep, f.la * p) if f.va == drop else (f.va, f.la)
-            vb, lb = (keep, f.lb * p) if f.vb == drop else (f.vb, f.lb)
-            f = Edge(f.eid, va, la, vb, lb)
+            if va == drop:
+                va, la = keep, la * p
+            if vb == drop:
+                vb, lb = keep, lb * p
+            f = Edge(fid, va, la, vb, lb)
         edges.append(f)
     # the merged generator x_drop is x_keep^p
     tables = {("e", eid, 1): (), ("e", eid, -1): ()}, {drop: ((), keep, p, ())}
     base = g.vertices[0]
-    return [v for v in g.vertices if v != drop], edges, tables, keep if base == drop else base
+    return tuple([v for v in g.vertices if v != drop]), tuple(edges), tables, keep if base == drop else base
 
 
 def _fresh(prefix, taken):
@@ -306,18 +318,27 @@ def _expand(g: GbsGraph, move):
         raise UnknownVertexError("no vertex named %r" % vertex)
     if p < 1:
         raise NotDivisibleError("expansion index must be >= 1")
-    moved = set(move.moved)
-    for end in sorted(moved):
+    moved = sorted(set(move.moved))
+    for end in moved:
         if g.end_vertex(end) != vertex:
             raise WrongOriginError("end %s is not at %s" % (end, vertex))
         if g.end_label(end) % p:
             raise NotDivisibleError("label %d at %s not divisible by %d" % (g.end_label(end), end, p))
-    u = _fresh("u", set(g.vertices))
-    d = _fresh("d", {e.eid for e in g.edges})
+    return _expanded(g, vertex, p, moved, _fresh("u", g.vertices), _fresh("d", g._by_id))
+
+
+def _expanded(g: GbsGraph, vertex, p, moved, u, d):
+    """The surgery of expanding vertex by index p, given distinct ends
+    moved at vertex whose labels p divides, the fresh vertex u and the
+    fresh edge d."""
+    sides = {}  # edge id -> the sides of it that move
+    for f, side in moved:
+        sides[f] = sides.get(f, "") + side
     edges = []
     for f in g.edges:
-        a, b = EdgeEnd(f.eid, "A") in moved, EdgeEnd(f.eid, "B") in moved
-        if a or b:
+        s = sides.get(f.eid)
+        if s is not None:
+            a, b = "A" in s, "B" in s
             f = Edge(f.eid, u if a else f.va, f.la // p if a else f.la,
                      u if b else f.vb, f.lb // p if b else f.lb)
         edges.append(f)
@@ -332,7 +353,7 @@ def _expand(g: GbsGraph, move):
         table[arrive] = table.get(arrive, (arrive,)) + (("e", d, -1),)
     vertices = list(g.vertices)
     insort(vertices, u)
-    return vertices, edges, (table, {}), g.vertices[0]
+    return tuple(vertices), tuple(edges), (table, {}), g.vertices[0]
 
 
 def _slide(g: GbsGraph, move):
@@ -347,9 +368,15 @@ def _slide(g: GbsGraph, move):
         raise DifferentOriginError("%s and %s do not share a vertex" % (moving, across))
     if le % lf:
         raise NotDivisibleError("label %d does not divide %d" % (lf, le))
-    label = le // lf * lw
+    return _slid(g, moving, across, m, w, le // lf * lw)
+
+
+def _slid(g: GbsGraph, moving, across, m, w, label):
+    """The surgery of sliding the end moving of the edge m across the end
+    across of another edge, which puts it at w, the far end of across,
+    with the given label."""
     moved = Edge(m.eid, w, label, m.vb, m.lb) if moving.side == "A" else Edge(m.eid, m.va, m.la, w, label)
-    edges = [moved if f is m else f for f in g.edges]
+    edges = tuple([moved if f is m else f for f in g.edges])
     sign = 1 if across.side == "A" else -1  # across traversed origin -> far
     leave = ("e", moving.edge, 1 if moving.side == "A" else -1)  # leaves the moved end
     arrive = ("e", moving.edge, -leave[2])
@@ -363,10 +390,15 @@ def _induct(g: GbsGraph, move):
         raise NotAscendingError("induction needs a one-vertex (1, n) loop")
     if move.d < 1 or n % move.d:
         raise NotDivisorError("%d does not divide %d" % (move.d, n))
+    return _inducted(g, n, move.d)
+
+
+def _inducted(g: GbsGraph, n, d):
+    """The surgery of inducting the ascending (1, n) loop along d | n."""
     e = g.edges[0]
     sign = 1 if e.la == 1 else -1  # ("e", eid, sign) leaves the unit end: t^-1
     v = g.vertices[0]  # x^m -> t^-1 x^(m n/d) t
-    vertices = {v: ((("e", e.eid, sign),), v, n // move.d, (("e", e.eid, -sign),))}
+    vertices = {v: ((("e", e.eid, sign),), v, n // d, (("e", e.eid, -sign),))}
     return g.vertices, g.edges, ({}, vertices), v
 
 
@@ -390,10 +422,10 @@ class _TrustedPool(dict):
 
 def _pooled(pool, vertices, edges):
     """The GbsGraph for this graph content, which a move function returns
-    sorted: built on the first request, validated unless pool is a
-    _TrustedPool, then shared by every later one.  Its Presentation is
-    built only when something reads it."""
-    key = (tuple(vertices), tuple(edges))
+    as sorted tuples: built on the first request, validated unless pool
+    is a _TrustedPool, then shared by every later one.  Its Presentation
+    is built only when something reads it."""
+    key = vertices, edges
     graph = pool.get(key)
     if graph is None:
         graph = pool[key] = GbsGraph(*key, type(pool) is _TrustedPool)
@@ -542,47 +574,106 @@ def _divisors(n: int):
     return sorted(out)
 
 
-def _candidates(g: GbsGraph, bounds: MoveBounds):
-    """Every candidate move in enumerate_moves order, proposed one at a time."""
-    for e in g.edges:
-        yield Collapse(e.eid)
-    for _, moving, across in divisible_pairs(g):
-        yield Slide(moving, across)
-    if bounds.max_edges is None or len(g.edges) < bounds.max_edges:
-        for v in g.vertices:
-            ends = g.ends_at(v)
-            ps = set()
-            for end in ends:
-                for d in _divisors(g.end_label(end)):
-                    if d >= 2:
-                        ps.add(d)
-            for p in sorted(ps):
-                if bounds.max_expansion is not None and p > bounds.max_expansion:
-                    continue
-                divisible = [end for end in ends if g.end_label(end) % p == 0]
-                for mask in range(1 << len(divisible)):
-                    moved = tuple(divisible[i] for i in range(len(divisible)) if mask >> i & 1)
-                    yield Expansion(v, p, moved)
-    n = _ascending_n(g)
-    if n is not None:
-        for d in _divisors(n):
-            yield Induction(d)
+@lru_cache(maxsize=1024)
+def _indices(label: int) -> tuple:
+    """The divisors >= 2 of label: the expansion indices it allows."""
+    return tuple(_divisors(label)[1:])
 
 
 def _legal(g: GbsGraph, bounds: MoveBounds):
     """(move, surgery) for every legal move within bounds, in enumerate_moves
-    order.  Candidates are only proposed, one at a time (_candidates), so a
-    caller that stops early builds no candidate past the last one it read; a
-    candidate is kept when its move function accepts it and every resulting
-    label is within max_label."""
+    order, one at a time, so a caller that stops early builds nothing past
+    the last move it read.
+
+    The moves are built legal: collapses of non-loop edges with an end
+    labelled 1, slides of an end across an end of another edge at its
+    vertex whose label divides its own, expansions by divisors of the
+    labels at their vertex, and inductions by divisors of n on the (1, n)
+    loop.  Each surgery is the body that its move function runs once the
+    move is checked.  When g is within max_label only the labels a move
+    changes are read against it (an expansion or an induction raises
+    none); otherwise every label of each result is.  oracle.legal in
+    the tests is the reference that proposes every candidate and tries
+    its move function.
+    """
     cap = bounds.max_label
-    for mv in _candidates(g, bounds):
-        try:
-            surgery = _MOVES[type(mv)](g, mv)
-        except GbsError:
+    scan = cap is not None and g.max_label() > cap
+    if cap is None:
+        cap = inf
+    # per vertex, (end, label, edge) for the ends there, in ends_at order:
+    # the edges come in id order
+    at = {v: [] for v in g.vertices}
+    for e in g.edges:
+        eid, va, la, vb, lb = e
+        at[va].append((EdgeEnd(eid, "A"), la, e))
+        at[vb].append((EdgeEnd(eid, "B"), lb, e))
+    for e in g.edges:
+        eid, va, la, vb, lb = e
+        if va == vb:
             continue
-        if cap is None or all(e.la <= cap and e.lb <= cap for e in surgery[1]):
-            yield mv, surgery
+        if lb == 1:
+            keep, drop, p = va, vb, la
+        elif la == 1:
+            keep, drop, p = vb, va, lb
+        else:
+            continue
+        # the labels at drop are multiplied by p; the unit end of e is the least
+        if not scan and p > 1 and max(label for _, label, _ in at[drop]) * p > cap:
+            continue
+        surgery = _collapsed(g, eid, keep, drop, p)
+        if not scan or _within(surgery, cap):
+            yield Collapse(eid), surgery
+    for v in g.vertices:
+        labelled = at[v]
+        for moving, le, m in labelled:
+            for across, lf, a in labelled:
+                if a is m or le % lf:
+                    continue
+                w, lw = (a.vb, a.lb) if across.side == "A" else (a.va, a.la)
+                label = le // lf * lw
+                if not scan and label > cap:
+                    continue
+                surgery = _slid(g, moving, across, m, w, label)
+                if not scan or _within(surgery, cap):
+                    yield Slide(moving, across), surgery
+    if bounds.max_edges is None or len(g.edges) < bounds.max_edges:
+        top = bounds.max_expansion
+        u, d = _fresh("u", g.vertices), _fresh("d", g._by_id)
+        for v in g.vertices:
+            labelled = at[v]
+            for p in sorted({q for _, label, _ in labelled for q in _indices(label)}):
+                if top is not None and p > top:
+                    break
+                # the 2^k subsets of the k divisible ends, in binary counting
+                # order, as the subsets of the high half joined to those of
+                # the low half, so only about 2^(k/2) are held at once
+                divisible = [end for end, label, _ in labelled if label % p == 0]
+                half = len(divisible) // 2
+                lows = _subsets(divisible[:half])
+                for high in _subsets(divisible[half:]):
+                    for low in lows:
+                        moved = low + high
+                        surgery = _expanded(g, v, p, moved, u, d)
+                        if not scan or _within(surgery, cap):
+                            yield Expansion(v, p, moved), surgery
+    n = _ascending_n(g)
+    if n is not None and not scan:  # an induction keeps the graph
+        for k in _divisors(n):
+            yield Induction(k), _inducted(g, n, k)
+
+
+def _subsets(items):
+    """Every subset of items as a tuple, in binary counting order: the
+    i-th item is in the subsets whose bit i is set."""
+    out = [()]
+    for item in items:
+        out += [subset + (item,) for subset in out]
+    return out
+
+
+def _within(surgery, cap):
+    """Is every label of the surgery's graph at most cap?"""
+    return all(e.la <= cap and e.lb <= cap for e in surgery[1])
 
 
 def enumerate_moves(state: MarkedState, bounds: MoveBounds = MoveBounds()):

@@ -10,9 +10,11 @@ package runs Miller-Rabin and Baillie-PSW), ascending rigidity from a
 divisor scan, modular-homomorphism values from the projected generator
 words (the package reads them off path letters), canonical forms from a
 search over every grouped vertex permutation (the package takes the
-one ordering when the invariant tells the vertices apart), and random
-inputs are generated here so property tests do not depend on the
-package's own enumeration order.
+one ordering when the invariant tells the vertices apart), legal moves
+by proposing every candidate and keeping those its move function
+accepts (the package builds only legal moves), and random inputs are
+generated here so property tests do not depend on the package's own
+enumeration order.
 """
 
 import random
@@ -312,6 +314,75 @@ def canonical_key(g: GbsGraph) -> bytes:
         if best is None or key < best:
             best = key
     return repr(best).encode()
+
+
+def pooled_graphs(monkeypatch, g):
+    """Every graph that one explore from g builds in its pool; g must be
+    rigid within explore's default bounds, so the search runs to the end."""
+    import gbsr.explorer
+    from gbsr.moves import _TrustedPool, initial_state
+
+    pools = []
+
+    class Recording(_TrustedPool):
+        __slots__ = ()
+
+        def __init__(self):
+            pools.append(self)
+
+    monkeypatch.setattr(gbsr.explorer, "_TrustedPool", Recording)
+    assert gbsr.explorer.explore(initial_state(g)).rigid == "yes"
+    (pool,) = pools
+    return [h for key, h in pool.items() if isinstance(key, tuple)]
+
+
+# -- legal moves -------------------------------------------------------------
+
+def candidates(g: GbsGraph, bounds):
+    """Every candidate move in enumerate_moves order, proposed one at a time."""
+    from gbsr.moves import Collapse, Expansion, Induction, Slide, _divisors
+    from gbsr.rigidity import _ascending_n, divisible_pairs
+
+    for e in g.edges:
+        yield Collapse(e.eid)
+    for _, moving, across in divisible_pairs(g):
+        yield Slide(moving, across)
+    if bounds.max_edges is None or len(g.edges) < bounds.max_edges:
+        for v in g.vertices:
+            ends = g.ends_at(v)
+            ps = set()
+            for end in ends:
+                for d in _divisors(g.end_label(end)):
+                    if d >= 2:
+                        ps.add(d)
+            for p in sorted(ps):
+                if bounds.max_expansion is not None and p > bounds.max_expansion:
+                    continue
+                divisible = [end for end in ends if g.end_label(end) % p == 0]
+                for mask in range(1 << len(divisible)):
+                    moved = tuple(divisible[i] for i in range(len(divisible)) if mask >> i & 1)
+                    yield Expansion(v, p, moved)
+    n = _ascending_n(g)
+    if n is not None:
+        for d in _divisors(n):
+            yield Induction(d)
+
+
+def legal(g: GbsGraph, bounds):
+    """The reference for moves._legal: (move, surgery) for every candidate
+    its move function accepts and whose every resulting label is within
+    bounds.max_label, in enumerate_moves order."""
+    from gbsr.errors import GbsError
+    from gbsr.moves import _MOVES
+
+    cap = bounds.max_label
+    for mv in candidates(g, bounds):
+        try:
+            surgery = _MOVES[type(mv)](g, mv)
+        except GbsError:
+            continue
+        if cap is None or all(e.la <= cap and e.lb <= cap for e in surgery[1]):
+            yield mv, surgery
 
 
 # -- random inputs -----------------------------------------------------------

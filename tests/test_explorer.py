@@ -157,6 +157,15 @@ def test_explore_refuses_a_negative_edge_allowance():
     assert explore(state(BS26), ExploreBounds(max_extra_edges=1)).rigid == "no"
 
 
+@pytest.mark.parametrize("max_states", [0, -3])
+def test_explore_refuses_a_state_budget_below_one(max_states):
+    # such a budget would end the search before the seed is expanded
+    for text in (BS26, LOOP23):
+        with pytest.raises(BoundsTooTightError, match="max_states"):
+            explore(state(text), ExploreBounds(max_states=max_states))
+    assert explore(state(BS26), ExploreBounds(max_states=1)).rigid == "inconclusive"
+
+
 def test_explore_refuses_an_oversized_radius_at_once():
     # 2 seed generators: 2 * (3^r - 1) reduced words of length 1 to r
     t0 = time.perf_counter()

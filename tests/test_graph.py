@@ -13,8 +13,7 @@ from gbsr.errors import (
     UnknownEdgeError,
     UnknownVertexError,
 )
-import gbsr.explorer
-from gbsr.explorer import enumerate_graphs, explore
+from gbsr.explorer import enumerate_graphs
 from gbsr.graph import (
     EdgeEnd,
     GbsGraph,
@@ -25,7 +24,6 @@ from gbsr.graph import (
     to_dot,
     validate,
 )
-from gbsr.moves import _TrustedPool, initial_state
 
 BS26 = "vertex v\nedge c v 2 6 v\n"
 SEG = "vertex a\nvertex b\nedge e a 2 3 b\n"
@@ -215,18 +213,7 @@ def _separated(g):
 
 def _pooled_graphs(monkeypatch, g):
     """Every graph that one explore from g builds in its pool."""
-    pools = []
-
-    class Recording(_TrustedPool):
-        __slots__ = ()
-
-        def __init__(self):
-            pools.append(self)
-
-    monkeypatch.setattr(gbsr.explorer, "_TrustedPool", Recording)
-    assert explore(initial_state(g)).rigid == "yes"
-    (pool,) = pools
-    return [h for key, h in pool.items() if isinstance(key, tuple)]
+    return oracle.pooled_graphs(monkeypatch, g)
 
 
 def test_canonical_key_matches_the_grouped_permutation_search(monkeypatch):
@@ -257,3 +244,33 @@ def test_canonical_key_matches_the_grouped_permutation_search(monkeypatch):
         assert GbsGraph(g.vertices, g.edges).canonical_form() == oracle.canonical_key(g), serialize(g)
         separated += _separated(g)
     assert separated > 1000 and len(graphs) - separated > 150
+
+
+def _renamed(rng, g):
+    """g with its vertices and edges renamed, its edges shuffled and some
+    of them turned around."""
+    names = rng.sample(["a", "b", "u0", "v1", "z", "x_2"], len(g.vertices))
+    vmap = dict(zip(g.vertices, names))
+    edges = []
+    for i, e in enumerate(rng.sample(g.edges, len(g.edges))):
+        ends = [(vmap[e.va], e.la), (vmap[e.vb], e.lb)]
+        if rng.random() < 0.5:
+            ends.reverse()
+        edges.append(("f%d" % i, ends[0][0], ends[0][1], ends[1][0], ends[1][1]))
+    return GbsGraph(names, edges)
+
+
+def test_canonical_key_and_form_split_graphs_alike(monkeypatch):
+    # explore's visited set holds tuple keys and its classes the bytes, so
+    # the two must tell the same graphs apart; the bytes are the key's repr
+    graphs = _pooled_graphs(monkeypatch, parse("vertex v0\nedge e0 v0 4 4 v0\nedge e1 v0 6 6 v0\n"))
+    rng = random.Random(0x15E7)
+    for _ in range(300):
+        g = oracle.random_graph(rng, 4, 5, rng.choice((1, 2, 6)))
+        graphs += [g, _renamed(rng, g)]
+        assert graphs[-1].canonical_key() == g.canonical_key()
+    for g in graphs:
+        assert g.canonical_form() == repr(g.canonical_key()).encode()
+    pairs = {(g.canonical_key(), g.canonical_form()) for g in graphs}
+    assert len({key for key, _ in pairs}) == len(pairs) == len({form for _, form in pairs})
+    assert 400 < len(pairs) < len(graphs) - 300, (len(pairs), len(graphs))

@@ -1,6 +1,8 @@
 import hashlib
 import random
 import time
+import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -20,7 +22,7 @@ from gbsr.errors import (
     UnknownEdgeError,
     WrongOriginError,
 )
-from gbsr.graph import Edge, EdgeEnd, parse, parse_end
+from gbsr.graph import Edge, EdgeEnd, parse, parse_end, serialize
 from gbsr.moves import (
     Collapse,
     Expansion,
@@ -465,6 +467,50 @@ def test_legal_proposes_candidates_one_at_a_time(monkeypatch):
     moves = enumerate_moves(initial_state(g))
     # 6 ends divisible by each of the indices 2, 3 and 6
     assert len(made) == 3 * 2**6 == sum(isinstance(m, real) for m in moves)
+
+
+def test_legal_reaches_an_expansion_without_listing_every_subset():
+    # the 20 ends at v are all divisible by 2, so index 2 alone has 2^20
+    # subsets to move; reading the first must not hold them all
+    g = parse("vertex v\n" + "".join("edge c%d v 6 6 v\n" % i for i in range(10)))
+    tracemalloc.start()
+    try:
+        first = next(mv for mv, _ in _legal(g, MoveBounds()) if isinstance(mv, Expansion))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == Expansion("v", 2, ()) and peak < 2_000_000, peak
+
+
+def _content(pairs):
+    """(move, vertices, edges, tables, base) per (move, surgery) pair, the
+    graph content as tuples."""
+    return [(mv, tuple(vertices), tuple(edges), tables, base) for mv, (vertices, edges, tables, base) in pairs]
+
+
+def test_legal_builds_the_moves_the_reference_keeps(monkeypatch):
+    # the package builds legal moves directly and reads the label cap only on
+    # the labels a move changes; the reference proposes every candidate, runs
+    # its move function and scans every label of the result
+    from gbsr.explorer import enumerate_graphs
+
+    rng = random.Random(0x1E6A)
+    graphs = enumerate_graphs(2, 4) + [oracle.random_graph(rng, 4, 4, 6) for _ in range(150)]
+    graphs += oracle.pooled_graphs(monkeypatch, parse("vertex v0\nedge e0 v0 4 4 v0\nedge e1 v0 6 6 v0\n"))
+    kinds, capped, scanned = Counter(), 0, 0
+    for g in graphs:
+        m, top = len(g.edges), g.max_label()
+        free = _content(oracle.legal(g, MoveBounds()))
+        assert _content(_legal(g, MoveBounds())) == free, serialize(g)
+        kinds.update(type(mv) for mv, *_ in free)
+        for bounds in (MoveBounds(m, top * top), MoveBounds(m + 1, top), MoveBounds(m + 2, 2 * top, 2),
+                       MoveBounds(m + 1, top - 1), MoveBounds(m + 1, 1)):
+            want = _content(oracle.legal(g, bounds))
+            assert _content(_legal(g, bounds)) == want, (serialize(g), bounds)
+            capped += bounds.max_label >= top and len(want) < len(free)
+            scanned += bounds.max_label < top and bool(want)
+    assert set(kinds) == {Collapse, Expansion, Slide, Induction}
+    assert len(graphs) > 1300 and capped > 2500 and scanned > 800, (len(graphs), capped, scanned)
 
 
 def test_verify_reads_no_generator_word():

@@ -19,11 +19,14 @@ around `MarkedState.images`, `GbsGraph.__init__`,
 functions `explorer._lengths` (fingerprint evaluation),
 `graph.validate`, `explorer._chain` (collapse chains),
 `graph._canonical_key`, the `_collapse` that `explorer` calls (the
-chains' collapses) and `explorer._same_reduction` (the collapse lemma),
+chains' collapses), `explorer._same_reduction` (the collapse lemma) and
+the `_legal` that `explorer` calls (legal moves and their surgery),
 the minimum of each layer's inclusive time and the layer's number of
 calls, which every run repeats exactly.  A call made
 inside a call of the same layer counts as a call but adds no time, so a
-recursive layer's time is not counted twice.
+recursive layer's time is not counted twice.  A generator function's
+call only makes the generator, so such a layer times every step of
+the generator its call makes, and counts the call once.
 The totals are sums of those minima and counts.  It also hashes
 `json.dumps(report.to_json(), sort_keys=True)` over every graph on both
 sides, so a speedup that changed a report shows up as unequal digests.
@@ -34,6 +37,7 @@ the host, and the script prints the same JSON.
 import argparse
 import hashlib
 import importlib.util
+import inspect
 import json
 import os
 import platform
@@ -58,7 +62,8 @@ LAYERS = (("images", "moves", "MarkedState", "images"),
           ("_chain", "explorer", None, "_chain"),
           ("_canonical_key", "graph", None, "_canonical_key"),
           ("_collapse", "explorer", None, "_collapse"),
-          ("_same_reduction", "explorer", None, "_same_reduction"))
+          ("_same_reduction", "explorer", None, "_same_reduction"),
+          ("_legal", "explorer", None, "_legal"))
 
 
 def load(name, src):
@@ -85,7 +90,26 @@ class Layers:
             self.patches.append((owner, attr, owner.__dict__[attr], self._timed(name, owner.__dict__[attr])))
 
     def _timed(self, name, fn):
-        tally, clock, depth = self.spent[name], time.perf_counter, [0]
+        tally, clock, depth, done = self.spent[name], time.perf_counter, [0], object()
+
+        def timed_steps(*args, **kwargs):
+            tally[1] += 1
+            steps = fn(*args, **kwargs)
+            while True:
+                depth[0] += 1
+                start = clock()
+                try:
+                    item = next(steps, done)
+                finally:
+                    depth[0] -= 1
+                    if not depth[0]:
+                        tally[0] += clock() - start
+                if item is done:
+                    return
+                yield item
+
+        if inspect.isgeneratorfunction(fn):
+            return timed_steps
 
         def timed(*args, **kwargs):
             depth[0] += 1
