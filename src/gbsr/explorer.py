@@ -29,66 +29,47 @@ walks it in one fused loop: a reduced block per syllable, the stack pass
 over a block's head only with the rest appended in bulk, and a pinch
 count at each leaf, so no shared prefix is reduced twice.
 
-A class's count is the number of slide and collapse children whose
-reduced state falls in it, plus one for the seed's in the base class.
-Most of them are counted without reducing their marking, by a lemma:
-collapsing a set of edge orbits gives the same G-tree in whatever order
-the legal collapses come.  With C(g) the set of edges _reduce collapses
-from g, a child reduces to its parent's marked tree when it
+explore decides by a search over reduced marked trees.  In a
+non-ascending deformation space any two reduced trees are joined by
+slides (Forester, "Deformation and rigidity of simplicial group actions
+on trees", Geom. Topol. 2002; Guirardel & Levitt, "Deformation spaces
+of trees", Groups Geom. Dyn. 2007).  _reduced_search takes the seed's
+reduction, its slides, and one composite per loop (p, q) with p | q and
+2 <= p < q: expand its vertex by p moving the q end, then slide the new
+edge's A end across the p end, which turns the loop into an edge
+(p, q/p) to a new vertex and the new edge into a loop (q/p, 1) there.
+It reduces and classifies each child, and stops at the first new class.
+When every child stays in the seed's class, a sequence of such moves
+never leaves it, so the search over reduced states ends there.
 
-* collapses c and C(child) + {c} == C(parent), as T_child = T_parent/c;
-* slides an end across an end of f and f is in C(child) == C(parent),
-  as T_child/f = T_parent/f: the moved end sits at the vertex that
-  collapsing f makes, with the same label whichever end of f is
-  labelled 1;
-* expands, creating d, and C(child) == C(parent) + {d}, as
-  T_child/d = T_parent.
+A report's classes, counts and witness are those of explore's traversal
+(_search): a breadth-first walk over every state within the bounds,
+reduced or not.  A class's count is the number of slide and collapse
+children whose reduced state falls in it, plus one for the seed's in the
+base class.  When the reduced search exhausts its space with one class,
+the traversal runs only to count those children into the base class and
+to learn whether a cap cut it short, and marks nothing.  Otherwise it
+reduces and classifies each of them until the first new class, whose
+representative is the witness.  So explore assumes one thing: that the
+traversal finds no second class where the reduced search exhausts one.
+Only there can a report differ from the one that the traversal alone,
+classifying every child, would give; that traversal is kept in the tests
+as the reference it is checked against.
 
-Call a vertex w trivial when every end at w is labelled 1 and lies on a
-non-loop edge, and w has one such end (a leaf) or two on distinct edges
-(a subdivision).  Each lift of w then has valence 1 or 2, so collapsing
-an edge at w deletes a leaf or smooths a point of valence 2, and the
-tree it leaves is the same whichever edge at w is collapsed.  So the
-child also reduces to its parent's marked tree when it
-
-* (L) slides an end of m whose other end is the only end at a leaf, and
-  m is in C(child) == C(parent), as T_child/m = T_parent/m: both are
-  the tree with the leaves over m and their edges deleted, and the
-  slide moves only those edges;
-* (S1) collapses c, an edge at a subdivision vertex w shared with the
-  edge c', c' is in C(parent), and C(child), with c' renamed c, equals
-  C(parent) - {c'}, as T_child = T_parent/c and T_parent/c' are one
-  tree, the two edges at each lift of w merged into one that is named
-  c' in the first and c in the second, whichever end of c the collapse
-  keeps;
-* (S2) slides the end of m at a subdivision vertex w across the end of
-  the other edge f at w, f is in C(child), m is in C(parent), and
-  C(child) - {f} equals C(parent) - {m} with f renamed m, as
-  T_child/f = T_parent/f (the slide carries the lifts of m at w to the
-  far ends of f, where collapsing f puts them) and T_parent/f is
-  T_parent/m with m and f exchanged.
-
-While the search runs there is one class, the base one.  Each queued
-state carries whether its reduction is known to be in it, settled once,
-when the state is queued: the seed's is, and so is every counted or
-classified slide or collapse child's; an expansion child's is when its
-parent's is and the rule holds.  A slide or collapse child that passes
-the rule under a known parent adds one to the base count and is not
-classified; every other one is reduced and classified.
-Children are built as the loop reaches them, so a "no" verdict builds
+Children are built as the loops reach them, so a "no" verdict builds
 nothing past its witness.  A child and each state of its collapse chain
 stay lazy, and a state's marking is read only when one of its children
-is classified.  The chain of each concrete graph and its set C are kept
-in the `explore` call's graph pool, and built from the pooled chain of
-the graph h that the first collapse c makes: C(g) = C(h) + {c}, so each
-graph costs one collapse per call.
+is classified.  The chain of each concrete graph is kept in the
+`explore` call's graph pool, and built from the pooled chain of the
+graph that its first collapse makes, so each graph costs one collapse
+per call.
 
 The soundness replay rebuilds each class representative from the seed
 through the public `apply_move` with verification on, and compares its
 whole fingerprint with the report's.  Lengths are a pure function of the
-exact marked state (concrete graph and images), so the replay reads the
-lengths of a state the search already measured from the class table,
-and each exact marked state is measured once per `explore` call.
+exact marked state (concrete graph and images), so both searches and the
+replay read one lengths cache keyed by it, and each exact marked state
+is measured once per `explore` call.
 
 Ascending states degenerate (their length function is the absolute
 value of a homomorphism, blind to induction moves), so lengths cannot
@@ -113,21 +94,24 @@ explore's refusal of more than 200,000 sample words and its replay.
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product
 from operator import countOf, itemgetter
 
 from .errors import BoundsTooTightError, BrokenMarkingError, GbsError, NoViolationError
-from .graph import Edge, GbsGraph, serialize
+from .graph import Edge, EdgeEnd, GbsGraph, serialize
 from .moves import (
     Collapse,
+    Expansion,
     Induction,
     MarkedState,
     MoveBounds,
     Slide,
     _TrustedPool,
+    _apply_move,
     _child,
     _collapse,
     _divisors,
+    _fresh,
     _legal,
     _pooled,
     apply_move,
@@ -141,11 +125,13 @@ from .words import _pinch_table, free_reduce, invert_path_letters, reduce_letter
 class ExploreBounds:
     """Caps for explore.
 
-    max_label = None means the square of the largest seed label.
-    max_depth counts moves from the seed, not the seed's own history.
-    max_states is a plain search budget, at least 1 (the seed): hitting
-    it can only downgrade a would-be "yes" to "inconclusive", never flip
-    a verdict.
+    max_label caps every move's labels in both the reduced search and the
+    traversal; None means the square of the largest seed label.  radius
+    sets the sample words that classify states in both.  The other caps
+    bound the traversal only.  max_depth counts moves from the seed, not
+    the seed's own history.  max_states is a plain budget of popped
+    states, at least 1 (the seed): hitting it can only downgrade a
+    would-be "yes" to "inconclusive", never flip a verdict.
     """
 
     max_extra_edges: int = 2
@@ -353,6 +339,8 @@ class _ClassTable:
         self.trie, self.spreader = plan
         self.classes = {}  # (canonical form, lengths) -> record, in creation order
         self._memo = {}  # exact key -> record; record.lengths are the key's
+        # exact key -> lengths: a cache that tables with one plan may share
+        self.measured = {}
 
     def classify(self, state):
         """Return (record, created).
@@ -364,7 +352,7 @@ class _ClassTable:
         rec = self._memo.get(exact)
         created = False
         if rec is None:
-            lengths = _lengths(state, self.trie)
+            lengths = self._measure(state, exact)
             key = (state.graph.canonical_form(), lengths)
             rec = self.classes.get(key)
             if created := rec is None:
@@ -377,7 +365,8 @@ class _ClassTable:
         """A record of count members for state, kept out of classes and
         found by the memo: for a class that the lengths do not tell apart
         from others."""
-        rec = self._memo[_exact(state)] = _ClassRecord(state, _lengths(state, self.trie))
+        exact = _exact(state)
+        rec = self._memo[exact] = _ClassRecord(state, self._measure(state, exact))
         rec.count = count
         return rec
 
@@ -386,9 +375,17 @@ class _ClassTable:
 
     def lengths(self, state):
         """_lengths(state, trie), read from the memo when the exact state
-        was classified already; counts nothing."""
-        rec = self._memo.get(_exact(state))
-        return _lengths(state, self.trie) if rec is None else rec.lengths
+        was classified already and measured once per exact state; counts
+        nothing."""
+        exact = _exact(state)
+        rec = self._memo.get(exact)
+        return self._measure(state, exact) if rec is None else rec.lengths
+
+    def _measure(self, state, exact):
+        lengths = self.measured.get(exact)
+        if lengths is None:
+            lengths = self.measured[exact] = _lengths(state, self.trie)
+        return lengths
 
 
 # -- reduction and search ----------------------------------------------------
@@ -399,22 +396,21 @@ def reduce_state(state: MarkedState) -> MarkedState:
 
 
 def _chain(g, pool):
-    """(steps, collapsed) for the graph g: the collapses reduce_state
-    makes from g, each with its pooled graph and its step, and the set of
-    edges they collapse.  Kept under the graph object, which the pool
-    makes one per content, and built from the chain of the graph that g's
-    first collapse makes, so each graph costs one collapse per pool."""
+    """The collapses reduce_state makes from the graph g, each with its
+    pooled graph and its step.  Kept under the graph object, which the
+    pool makes one per content, and built from the chain of the graph
+    that g's first collapse makes, so each graph costs one collapse per
+    pool."""
     chain = pool.get(g)
     if chain is None:
         end = collapse_witness(g)
         if end is None:
-            chain = (), frozenset()
+            chain = ()
         else:
             mv = Collapse(end.edge)
             vertices, edges, tables, base = _collapse(g, mv)
             h = _pooled(pool, vertices, edges)
-            steps, collapsed = _chain(h, pool)
-            chain = ((mv, h, (tables, base)),) + steps, collapsed | {mv.edge}
+            chain = ((mv, h, (tables, base)),) + _chain(h, pool)
         pool[g] = chain
     return chain
 
@@ -422,59 +418,9 @@ def _chain(g, pool):
 def _reduce(state, pool):
     """reduce_state with every graph of the chain taken from pool: one
     lazy state per collapse below state."""
-    for mv, g, step in _chain(state.graph, pool)[0]:
+    for mv, g, step in _chain(state.graph, pool):
         state = MarkedState(g, state.history + (mv,), state.seed, parent=state, step=step)
     return state
-
-
-def _trivial(g, w):
-    """The edges at w when w is trivial (see the module docstring), one
-    for a leaf and two for a subdivision, else ()."""
-    out = []
-    for eid, va, la, vb, lb in g.edges:
-        if va == w or vb == w:
-            if va == vb or (la if va == w else lb) != 1 or len(out) == 2:
-                return ()
-            out.append(eid)
-    return tuple(out)
-
-
-def _same_reduction(parent, child, pool):
-    """Does child, made from the state parent by one move, reduce to the
-    same marked tree as parent?  The lemma in the module docstring, read
-    from the symmetric difference of C(parent) and C(child), with C(g)
-    the set of edges _reduce collapses from g, which holds edges of g
-    only.  Yes when the move is
-    * a collapse of c and the difference is {c}, or (S1) {c'} with c' in
-      C(parent) and c, c' the two edges at a subdivision vertex;
-    * a slide of an end of m across an end of f with no difference and f
-      in C(child), or (L) m in C(child) and m's other end at a leaf; or
-      (S2) the difference is {m, f}, m is in C(parent), f in C(child),
-      and the moved end is at a subdivision vertex;
-    * an expansion whose difference is one edge that the parent's graph
-      lacks, the new edge d.
-    (S1) with c' in C(child), and (S2) with f in C(parent), are the first
-    case of their move, so these differences are all they add."""
-    g, mv = parent.graph, child.history[-1]
-    before = _chain(g, pool)[1]
-    after = _chain(child.graph, pool)[1]
-    if type(mv) is Collapse:
-        # both cases need after to be before less one edge, c or (S1) c'
-        c = mv.edge
-        if len(before) != len(after) + 1 or not after < before:
-            return False
-        if c in before:
-            return True
-        e, pair = g._by_id[c], (before - after) | {c}
-        return set(_trivial(g, e.va)) == pair or set(_trivial(g, e.vb)) == pair
-    if type(mv) is Slide:
-        m, f = mv.moving, mv.across.edge
-        if before == after:
-            return f in after or m.edge in after and len(_trivial(g, g.end_vertex(m.other))) == 1
-        return (m.edge in before and f in after and before ^ after == {m.edge, f}
-                and len(_trivial(g, g.end_vertex(m))) == 2)
-    diff = before ^ after
-    return len(diff) == 1 and diff.isdisjoint(g._by_id)
 
 
 def ascending_equivalent(n: int, d: int) -> bool:
@@ -547,12 +493,22 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
     # is built, canonicalised and reduced once; every graph in it comes
     # from a move on a valid graph, so none is validated again
     pool = _TrustedPool()
-    table = _ClassTable(_sample_plan(n, bounds.radius))
+    plan = _sample_plan(n, bounds.radius)
+    table = _ClassTable(plan)
     base = _reduce(seed, pool)
     modulus = _ascending_n(base.graph)
     if modulus is None:
         inner = MoveBounds(max_edges=len(g0.edges) + bounds.max_extra_edges, max_label=max_label)
-        clipped = _search(seed, base, bounds, inner, pool, table)
+        base_rec, _ = table.classify(base)
+        # the reduced search keeps its own classes and shares table's lengths
+        search = _ClassTable(plan)
+        search.measured = table.measured
+        if _reduced_search(base, max_label, search, pool) == "yes":
+            # one reduced class: the traversal only counts into the base one
+            clipped, children = _search(seed, bounds, inner, pool, None)
+            base_rec.count += children
+        else:
+            clipped, _ = _search(seed, bounds, inner, pool, table)
         records = list(table.classes.values())
     else:
         clipped, records = False, _ascending_classes(base, modulus, table)
@@ -570,49 +526,81 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
     return report
 
 
-def _search(seed, base, bounds, inner, pool, table):
-    """explore's breadth-first search of seed's space within inner, base
-    being seed's reduction.  It classifies base first and stops at the
-    first state that opens a second class in table; it returns whether a
-    cap cut it short."""
-    base_rec, _ = table.classify(base)
+def _search(seed, bounds, inner, pool, table):
+    """explore's breadth-first traversal of seed's space within inner:
+    (clipped, children), clipped saying whether a cap cut it short and
+    children counting the slide and collapse children it read.  With a
+    table, whose one class is the base one, it reduces and classifies
+    each of those children and stops at the first that opens a second
+    class; with table None it only counts them, and marks nothing."""
     clipped = False
     visited = {seed.graph.canonical_key()}
-    # (state, known): known says that the state's reduction is in the base
-    # class, the only class while the loop runs; it is settled when the
-    # state is queued
-    queue = deque([(seed, True)])
-    popped = 0
+    queue = deque([seed])
+    popped = children = 0
     while queue:
-        state, known = queue.popleft()
+        state = queue.popleft()
         popped += 1
         if popped > bounds.max_states:
-            return True
+            return True, children
         # built as the loop below reaches them: a "no" verdict stops at the
         # first child whose reduced state opens a second class
-        children = _children(state, inner, pool)
+        moves = _children(state, inner, pool)
         if state.depth - seed.depth >= bounds.max_depth:
             # depth cap: anything still reachable from here is unexplored
-            if next(children, None) is not None:
+            if next(moves, None) is not None:
                 clipped = True
             continue
-        for mv, child in children:
-            # a slide or collapse child is counted or classified into the
-            # base class here, so its reduction is known
-            settled = isinstance(mv, (Slide, Collapse))
-            if settled:
-                if known and _same_reduction(state, child, pool):
-                    base_rec.count += 1
-                else:
+        for mv, child in moves:
+            if isinstance(mv, (Slide, Collapse)):
+                children += 1
+                if table is not None:
                     state.images()  # built for the first child classified, not per child
                     if table.classify(_reduce(child, pool))[1]:
-                        return clipped
+                        return clipped, children
             key = child.graph.canonical_key()
-            if key in visited:
-                continue
-            visited.add(key)
-            queue.append((child, settled or known and _same_reduction(state, child, pool)))
-    return clipped
+            if key not in visited:
+                visited.add(key)
+                queue.append(child)
+    return clipped, children
+
+
+def _reduced_search(base, max_label, table, pool):
+    """The search over the reduced states of base's space, base being
+    reduced (see the module docstring): "no" at the first reduced child
+    outside base's class, else "yes".  table classifies base and each
+    child on base's graph.  Labels stay within max_label.  Within its own
+    edge count a reduced graph has no collapse or expansion, so _children
+    yields its slides.
+
+    A breadth-first search from base that marks states visited by their
+    canonical graph pops base alone: a reduced child on another graph
+    opens a class, as the graph is half of a class key, and one on base's
+    graph is visited.  So base's children decide."""
+    table.classify(base)
+    form = base.graph.canonical_form()
+    slides = _children(base, MoveBounds(max_edges=len(base.graph.edges), max_label=max_label), pool)
+    for _, child in chain(slides, _composites(base, pool)):
+        child = _reduce(child, pool)
+        # another graph is another class, known without the marking
+        if child.graph.canonical_form() != form or table.classify(child)[1]:
+            return "no"
+    return "yes"
+
+
+def _composites(state, pool):
+    """(move, child) for each loop (p, q) of state's graph with p | q and
+    2 <= p < q: the child expands the loop's vertex by p, moving the q
+    end, then slides the new edge's A end across the p end; each child is
+    built only when it is read."""
+    g = state.graph
+    d = _fresh("d", g._by_id)  # the edge each expansion adds
+    for c in g.edges:
+        p, q = sorted((c.la, c.lb))
+        if c.va == c.vb and 2 <= p < q and q % p == 0:
+            p_side, q_side = ("A", "B") if c.la == p else ("B", "A")
+            expanded = _apply_move(state, Expansion(c.va, p, (EdgeEnd(c.eid, q_side),)), pool, False)
+            mv = Slide(EdgeEnd(d, "A"), EdgeEnd(c.eid, p_side))
+            yield mv, _apply_move(expanded, mv, pool, False)
 
 
 def _soundness_check(seed, report, table):
@@ -620,11 +608,11 @@ def _soundness_check(seed, report, table):
     compare its whole fingerprint with the report's.
 
     The replay rebuilds every graph and image from the seed, and reads
-    the lengths of a replayed state from table's memo when the search
-    already measured that exact (graph, images) pair.  The lengths are a
-    pure function of that pair and the trie, so the comparison comes out
-    as a fresh measurement would, and a replay that reaches another
-    marking misses the memo and is measured afresh.
+    the lengths of a replayed state from table when a search already
+    measured that exact (graph, images) pair.  The lengths are a pure
+    function of that pair and the trie, so the comparison comes out as a
+    fresh measurement would, and a replay that reaches another marking
+    misses and is measured afresh.
     """
     for cls in report.classes:
         state = seed

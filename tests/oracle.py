@@ -12,7 +12,9 @@ words (the package reads them off path letters), canonical forms from a
 search over every grouped vertex permutation (the package takes the
 one ordering when the invariant tells the vertices apart), legal moves
 by proposing every candidate and keeping those its move function
-accepts (the package builds only legal moves), and random inputs are
+accepts (the package builds only legal moves), explore's reports from
+one traversal that classifies every slide and collapse child (the
+package decides by a search over reduced trees first), and random inputs are
 generated here so property tests do not depend on the package's own
 enumeration order.
 """
@@ -334,6 +336,62 @@ def pooled_graphs(monkeypatch, g):
     assert gbsr.explorer.explore(initial_state(g)).rigid == "yes"
     (pool,) = pools
     return [h for key, h in pool.items() if isinstance(key, tuple)]
+
+
+# -- the explorer's traversal -------------------------------------------------
+
+def reference_explore(seed, bounds=None):
+    """The reference for explore on a seed that does not reduce to an
+    ascending (1, n) loop: one breadth-first traversal of every state
+    within bounds, reduced or not, that reduces and classifies every
+    slide and collapse child and stops at the first that opens a second
+    class.  explore decides by a search over reduced states first, and
+    runs this traversal only to count children or to find the witness."""
+    from collections import deque
+
+    from gbsr.explorer import (ExploreBounds, ExploreClass, ExploreReport, _children,
+                               _ClassTable, _reduce, _sample_plan)
+    from gbsr.moves import Collapse, MoveBounds, Slide, _TrustedPool
+    from gbsr.rigidity import _ascending_n
+
+    bounds = bounds or ExploreBounds()
+    g0 = seed.graph
+    max_label = bounds.max_label if bounds.max_label is not None else g0.max_label() ** 2
+    inner = MoveBounds(max_edges=len(g0.edges) + bounds.max_extra_edges, max_label=max_label)
+    pool = _TrustedPool()
+    table = _ClassTable(_sample_plan(len(seed.seed.presentation.generators), bounds.radius))
+    base = _reduce(seed, pool)
+    assert _ascending_n(base.graph) is None
+    table.classify(base)
+
+    def traverse():
+        """Whether a cap cut the traversal short, up to a second class."""
+        clipped, visited, queue, popped = False, {seed.graph.canonical_key()}, deque([seed]), 0
+        while queue:
+            popped += 1
+            if popped > bounds.max_states:
+                return True
+            state = queue.popleft()
+            children = list(_children(state, inner, pool))
+            if state.depth - seed.depth >= bounds.max_depth:
+                clipped = clipped or bool(children)
+                continue
+            state.images()  # read once, not through each child's lazy chain
+            for mv, child in children:
+                if isinstance(mv, (Slide, Collapse)) and table.classify(_reduce(child, pool))[1]:
+                    return clipped
+                if child.graph.canonical_key() not in visited:
+                    visited.add(child.graph.canonical_key())
+                    queue.append(child)
+        return clipped
+
+    clipped = traverse()
+    records = list(table.classes.values())
+    witness = records[1].state.history if len(records) > 1 else None
+    rigid = "no" if witness is not None else "inconclusive" if clipped else "yes"
+    classes = sorted((ExploreClass(rec.state.graph, table.fingerprint(rec), rec.state.history, rec.count)
+                      for rec in records), key=lambda c: (c.graph.canonical_form(), c.fingerprint))
+    return ExploreReport(tuple(classes), rigid, witness)
 
 
 # -- legal moves -------------------------------------------------------------

@@ -14,11 +14,10 @@ import gbsr.graph
 from gbsr.explorer import (
     ExploreBounds,
     _ClassTable,
-    _chain,
     _legal_children,
     _lengths,
     _reduce,
-    _same_reduction,
+    _reduced_search,
     _sample_plan,
     _soundness_check,
     _spread,
@@ -555,7 +554,8 @@ def test_stage_lengths_inside_explore_match_the_oracle(monkeypatch):
 
     monkeypatch.setattr(gbsr.explorer, "_lengths", recording)
     for text in (PATH22, EQLOOP, BS26, LOOP23, "vertex a\nvertex b\nedge e a 2 3 b\nedge f a 2 5 b\n",
-                 "vertex v0\nvertex v1\nvertex v2\nedge e0 v0 2 2 v1\nedge e1 v0 3 2 v2\nedge e2 v1 3 3 v2\n"):
+                 "vertex v0\nvertex v1\nvertex v2\nedge e0 v0 2 2 v1\nedge e1 v0 3 2 v2\nedge e2 v1 3 3 v2\n",
+                 "vertex v\nedge c v 2 4 v\nedge h v 3 3 v\n", "vertex v\nedge c v 3 9 v\n"):
         explore(parse(text), ExploreBounds(max_states=60))
     exact = {(st.graph.vertices, st.graph.edges, tuple(st.images().values()), trie) for st, trie, _ in seen}
     assert len(exact) >= 22
@@ -568,8 +568,9 @@ def _exact_key(st):
 
 
 def test_explore_measures_each_exact_state_once(monkeypatch):
-    # the replay reads the lengths the search measured; on BS(2,6) the
-    # search measures 5 states and the replay none of its 2 classes again
+    # the replay reads the lengths the searches measured; on BS(2,6) the
+    # reduced search and the traversal measure 6 states, each once, and the
+    # replay none of its 2 classes again
     calls, replaying = [], []
 
     def recording(st, trie):
@@ -588,7 +589,7 @@ def test_explore_measures_each_exact_state_once(monkeypatch):
     report = explore(state(BS26))
     assert report.rigid == "no" and len(report.classes) == 2
     assert not any(during for _, during in calls)
-    assert len(calls) == len({key for key, _ in calls}) == 5
+    assert len(calls) == len({key for key, _ in calls}) == 6
 
 
 def test_class_table_memo_holds_the_lengths_of_its_keys(monkeypatch):
@@ -605,7 +606,8 @@ def test_class_table_memo_holds_the_lengths_of_its_keys(monkeypatch):
             return super().classify(st)
 
     monkeypatch.setattr(gbsr.explorer, "_ClassTable", Recording)
-    for text in (PATH22, EQLOOP, BS26, LOOP23, "vertex a\nvertex b\nedge e a 2 3 b\nedge f a 2 5 b\n"):
+    for text in (PATH22, EQLOOP, BS26, LOOP23, "vertex a\nvertex b\nedge e a 2 3 b\nedge f a 2 5 b\n",
+                 "vertex v\nedge c v 2 4 v\nedge h v 3 3 v\n"):
         explore(state(text), ExploreBounds(max_states=60))
     assert sum(len(t._memo) for t in tables) >= 20
     for t in tables:
@@ -774,8 +776,10 @@ def test_explore_builds_only_the_children_it_reads(monkeypatch):
     monkeypatch.setattr(gbsr.explorer, "_child", counting)
     report = explore(parse(BS26))
     assert report.rigid == "no"
-    # the children read: every legal child of each state the search
-    # expanded, but of the last one only up to the witness's move
+    # the children read: every legal child of each state the traversal
+    # expanded, but of the last one only up to the witness's move; the
+    # reduced search reads no slide on BS(2,6), and builds its one
+    # composite child through _apply_move
     popped = list(dict.fromkeys(st for st, _ in built))
     read, listed = [], 0
     for st in popped:
@@ -847,15 +851,19 @@ def test_pooled_transport_matches_the_oracle():
 def test_explore_keeps_no_cache_across_calls(monkeypatch):
     # the pool lives for one call: a second explore of the same parsed graph
     # object builds every graph again
-    g = parse(LOOP23)
     built = []
     init = GbsGraph.__init__
     monkeypatch.setattr(GbsGraph, "__init__", lambda self, *args: built.append(1) or init(self, *args))
-    first = explore(initial_state(g))
-    n = len(built)
-    second = explore(initial_state(g))
-    assert first.rigid == second.rigid == "yes" and n > 50
-    assert len(built) == 2 * n
+    n = 0
+    for g, rigid in ((parse(LOOP23), "yes"), (parse(BS26), "no")):
+        built.clear()
+        first = explore(initial_state(g))
+        once = len(built)
+        second = explore(initial_state(g))
+        assert first.rigid == second.rigid == rigid
+        assert len(built) == 2 * once
+        n += once
+    assert n > 50
 
 
 def _count_validations(monkeypatch):
@@ -961,181 +969,9 @@ def test_explore_on_one_generator_at_radius_100000_is_fast():
     assert rep.rigid == "yes" and rep.classes[0].fingerprint == (0,) * 200_000
 
 
-def _shortcut_corpus():
-    """Every reduced graph of enumerate_graphs(2, 4), then 25 seeded
-    reduced graphs with 3 edges and labels up to 3."""
-    graphs = [g for g in enumerate_graphs(2, 4) if is_reduced(g)]
-    rng, three = random.Random(0xAB50B), []
-    while len(three) < 25:
-        g = oracle.random_graph(rng, 3, 3, 3)
-        if len(g.edges) == 3 and is_reduced(g):
-            three.append(g)
-    return graphs + three
-
-
-def test_counted_children_land_in_the_record_they_are_counted_into(monkeypatch):
-    # a slide or collapse child that _same_reduction passes, under a parent
-    # whose reduction is known, is counted into the base class without being
-    # classified; reduce and classify each one afresh, in a new table with
-    # the same plan, and check that it lands in that record
-    events, tables = [], []  # (child, rule) per rule call, None per classify
-    same_reduction = gbsr.explorer._same_reduction
-
-    def recording(parent, child, pool):
-        rule = same_reduction(parent, child, pool)
-        events.append((child, rule))
-        return rule
-
-    class Recording(_ClassTable):
-        def __init__(self, plan):
-            super().__init__(plan)
-            tables.append(self)
-
-        def classify(self, st):
-            events.append(None)
-            return super().classify(st)
-
-    monkeypatch.setattr(gbsr.explorer, "_same_reduction", recording)
-    monkeypatch.setattr(gbsr.explorer, "_ClassTable", Recording)
-    children = fired = counted = 0
-    for g in _shortcut_corpus():
-        if is_ascending(g):  # counted by divisors, with no search
-            continue
-        events.clear()
-        tables.clear()
-        report = explore(initial_state(g))
-        # the child of each rule call on a slide or collapse, and whether the
-        # next event classified it
-        calls = [(event[0], event[1], i + 1 < len(events) and events[i + 1] is None)
-                 for i, event in enumerate(events)
-                 if event is not None and not isinstance(event[0].history[-1], Expansion)]
-        assert sum(c.count for c in report.classes) == 1 + len(calls), serialize(g)
-        children += len(calls)
-        fired += sum(rule for _, rule, _ in calls)
-        skipped = [child for child, rule, classified in calls if rule and not classified]
-        if not skipped:
-            continue
-        table = tables[0]
-        base = next(iter(table.classes.values()))
-        want = (base.state.graph.canonical_form(), base.lengths)
-        landed = {}  # exact key -> (canonical form, lengths) from a fresh table
-        for child in skipped:
-            reduced = reduce_state(child)
-            key = _exact_key(reduced)
-            if key not in landed:
-                rec, _ = _ClassTable((table.trie, table.spreader)).classify(reduced)
-                landed[key] = (rec.state.graph.canonical_form(), rec.lengths)
-            assert landed[key] == want, (serialize(g), [str(m) for m in child.history])
-        counted += len(skipped)
-    assert 2 * fired >= children and counted > 1000
-
-
-def test_same_reduction_holds_on_random_walks_in_non_rigid_spaces():
-    # in a rigid space every child reduces to the one reduced tree, so the
-    # rule is put to the test where reduced trees differ
-    rng = random.Random(0x5A3E)
-    fired, seeds = Counter(), 0
-    while seeds < 60:
-        g = oracle.random_graph(rng, 3, 3, 6)
-        if not is_reduced(g) or check(g).rigid:
-            continue
-        seeds += 1
-        st, pool = initial_state(g), {}
-        plan = _sample_plan(len(st.seed.presentation.generators), 4)
-        for _ in range(4):
-            children = _legal_children(st, len(g.edges) + 2, 36, pool)
-            if not children:
-                break
-            for mv, child in rng.sample(children, min(10, len(children))):
-                if _same_reduction(st, child, pool):
-                    fired[type(mv)] += 1
-                    table = _ClassTable(plan)
-                    table.classify(reduce_state(st))
-                    _, created = table.classify(reduce_state(child))
-                    assert not created, (serialize(g), [str(m) for m in child.history])
-            st = rng.choice(children)[1]
-    assert fired[Induction] == 0
-    assert fired[Collapse] > 100 and fired[Slide] > 200 and fired[Expansion] > 1000
-
-
-def _trivial_case(parent, child, pool):
-    """The case at a trivial vertex, "L", "S1" or "S2", that a slide or
-    collapse child passing _same_reduction needs: None when one of the
-    first three cases of the lemma passes it already."""
-    before, after = _chain(parent.graph, pool)[1], _chain(child.graph, pool)[1]
-    mv = child.history[-1]
-    if type(mv) is Collapse:
-        return None if before ^ after == {mv.edge} else "S1"
-    if before == after:
-        return None if mv.across.edge in after else "L"
-    return "S2"
-
-
-def test_the_trivial_vertex_cases_hold_on_random_walks_in_non_rigid_spaces():
-    # every child that only (L), (S1) or (S2) passes reduces, afresh, into
-    # its parent's class
-    rng = random.Random(0x7E1F)
-    fired, seeds = Counter(), 0
-    while seeds < 360:
-        g = oracle.random_graph(rng, 3, 3, 6)
-        if not is_reduced(g) or check(g).rigid:
-            continue
-        seeds += 1
-        st, pool = initial_state(g), {}
-        plan = _sample_plan(len(st.seed.presentation.generators), 4)
-        for _ in range(4):
-            children = _legal_children(st, len(g.edges) + 2, 36, pool)
-            if not children:
-                break
-            for mv, child in children:
-                if isinstance(mv, (Slide, Collapse)) and _same_reduction(st, child, pool):
-                    case = _trivial_case(st, child, pool)
-                    if case is None:
-                        continue
-                    fired[case] += 1
-                    table = _ClassTable(plan)
-                    table.classify(reduce_state(st))
-                    _, created = table.classify(reduce_state(child))
-                    assert not created, (case, serialize(g), [str(m) for m in child.history])
-            st = rng.choice(children)[1]
-    assert fired["L"] > 400 and fired["S1"] > 250 and fired["S2"] > 250, fired
-
-
-# u1 of LEAF is a leaf, and u0 of SUBDIVISION a subdivision between d0 and e0
-LEAF = "vertex u0\nvertex u1\nvertex v0\nedge d0 v0 2 1 u0\nedge d1 u0 2 1 u1\nedge e0 v0 3 2 u0\n"
-SUBDIVISION = "vertex u0\nvertex v0\nedge d0 v0 2 1 u0\nedge e0 u0 1 2 v0\n"
-
-
-@pytest.mark.parametrize("text, move, case, before, after", [
-    (LEAF, Slide(parse_end("d1.A"), parse_end("e0.B")), "L", {"d0", "d1"}, {"d0", "d1"}),
-    (SUBDIVISION, Collapse("e0"), "S1", {"d0"}, set()),
-    (SUBDIVISION, Slide(parse_end("d0.B"), parse_end("e0.A")), "S2", {"d0"}, {"e0"}),
-], ids=["L", "S1", "S2"])
-def test_the_rule_passes_a_child_at_a_trivial_vertex(text, move, case, before, after):
-    # C(parent) and C(child) leave the first three cases out: the slide
-    # across e0.B has e0 in neither, the collapse of e0 differs in {d0},
-    # not {e0}, and the slide of d0 differs in two edges
-    st, pool = state(text), {}
-    child = _apply_move(st, move, pool, False)
-    assert (_chain(st.graph, pool)[1], _chain(child.graph, pool)[1]) == (before, after)
-    assert _trivial_case(st, child, pool) == case
-    assert _same_reduction(st, child, pool)
-    table = _ClassTable(_sample_plan(len(st.seed.presentation.generators), 4))
-    table.classify(reduce_state(st))
-    assert not table.classify(reduce_state(child))[1]
-
-
-def test_explore_reports_match_with_the_shortcut_off(monkeypatch):
-    graphs = _shortcut_corpus()
-    on = [json.dumps(explore(initial_state(g)).to_json(), sort_keys=True) for g in graphs]
-    monkeypatch.setattr(gbsr.explorer, "_same_reduction", lambda parent, child, pool: False)
-    off = [json.dumps(explore(initial_state(g)).to_json(), sort_keys=True) for g in graphs]
-    assert on == off
-
-
 def test_a_slide_across_an_edge_the_reduction_keeps_is_classified(monkeypatch):
-    # the loop c of BS(2,6) is never collapsed, so the witness's slide
-    # across c.A fails the rule and is classified: it opens the second class
+    # the loop c of BS(2,6) is never collapsed; the traversal classifies
+    # the witness's slide across c.A, which opens the second class
     classified = []
 
     class Recording(_ClassTable):
@@ -1147,10 +983,6 @@ def test_a_slide_across_an_edge_the_reduction_keeps_is_classified(monkeypatch):
     report = explore(state(BS26))
     assert [str(m) for m in report.witness] == ["expand v 2 c.B", "slide d0.A across c.A"]
     assert classified[-1] == report.witness
-    pool = {}
-    expanded = _apply_move(state(BS26), report.witness[0], pool, False)
-    slid = _apply_move(expanded, report.witness[1], pool, False)
-    assert not _same_reduction(expanded, slid, pool)
 
 
 def _collapse_states(st):
@@ -1186,18 +1018,83 @@ def test_each_pooled_graph_costs_one_collapse_and_keeps_reduce_states_chain(monk
                 _reduce(child, pool)
             st = rng.choice(children)[1]
         chains = {g: pool[g] for g in pool if isinstance(g, GbsGraph)}
-        nonreduced = [g for g, (steps, _) in chains.items() if steps]
+        nonreduced = [g for g, steps in chains.items() if steps]
         assert len(collapsed) <= len(nonreduced)
         assert len({id(g) for g in collapsed}) == len(collapsed)
         for g in nonreduced:
-            steps, edges = chains[g]
+            steps = chains[g]
             states = _collapse_states(initial_state(GbsGraph(g.vertices, g.edges)))
             assert [(mv, h.vertices, h.edges) for mv, h, _ in steps] == [
                 (s.history[-1], s.graph.vertices, s.graph.edges) for s in states
             ]
-            assert edges == {s.history[-1].edge for s in states}
             for (mv, _, step), parent in zip(steps, [g] + [s.graph for s in states]):
                 assert step == gbsr.moves._collapse(parent, mv)[2:]
             built += 1
             long_chains += len(steps) >= 2
     assert built > 10_000 and long_chains > 5000
+
+
+README_GRAPHS = (BS26, LOOP23, "vertex v\nvertex w\nedge c v 2 6 v\nedge h v 2 3 w\n")
+
+
+def _reference_corpus():
+    """Every graph of enumerate_graphs(2, 4), reduced or not, the README's
+    and 25 seeded graphs with 3 edges and labels up to 3, less those that
+    reduce to an ascending loop: explore counts those classes by divisors."""
+    rng, three = random.Random(0xAB50B), []
+    while len(three) < 25:
+        g = oracle.random_graph(rng, 3, 3, 3)
+        if len(g.edges) == 3:
+            three.append(g)
+    graphs = enumerate_graphs(2, 4) + [parse(t) for t in README_GRAPHS] + three
+    return [g for g in graphs if not is_ascending(reduce_state(initial_state(g)).graph)]
+
+
+def test_explore_reports_equal_the_reference_traversal():
+    # explore's reports equal those of the reference traversal, which
+    # classifies every slide and collapse child, and the reduced search's
+    # verdict is check's on each seed's reduction (about 25 s on a 2-core
+    # x86-64 host, most of it the reference)
+    verdicts = Counter()
+    for g in _reference_corpus():
+        assert explore(initial_state(g)).to_json() == oracle.reference_explore(initial_state(g)).to_json(), serialize(g)
+        seed, pool = initial_state(g), _TrustedPool()
+        base = _reduce(seed, pool)
+        table = _ClassTable(_sample_plan(len(seed.seed.presentation.generators), 4))
+        verdict = _reduced_search(base, g.max_label() ** 2, table, pool)
+        assert verdict == ("yes" if check(base.graph).rigid else "no"), serialize(g)
+        verdicts[verdict, is_reduced(g)] += 1
+    assert min(verdicts.values()) >= 30, verdicts
+
+
+def _wide_vertex(k):
+    """One vertex with k loops (2p, 2q), p and q distinct odd primes, so no
+    end's label divides another's and check calls it rigid at once."""
+    primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59][:2 * k]
+    return parse("vertex v\n" + "".join("edge e%d v %d %d v\n" % (i, 2 * p, 2 * q)
+                                        for i, (p, q) in enumerate(zip(primes[::2], primes[1::2]))))
+
+
+def test_the_reduced_search_exhausts_a_wide_vertex_at_once():
+    # k = 8 gives 2^16 index-2 expansions of the seed, which the reduced
+    # search never lists: the seed has no slide or composite (about 0.4 s
+    # on a 2-core x86-64 host, most of it the sample plan over 9
+    # generators, built before the clock starts)
+    g = _wide_vertex(8)
+    assert check(g).rigid
+    seed, pool = initial_state(g), _TrustedPool()
+    table = _ClassTable(_sample_plan(len(seed.seed.presentation.generators), 4))
+    t0 = time.perf_counter()
+    assert _reduced_search(seed, g.max_label() ** 2, table, pool) == "yes"
+    assert time.perf_counter() - t0 < 5.0
+    assert len(table.classes) == 1
+
+
+def test_explore_still_reads_inconclusive_on_four_wide_loops():
+    # the reduced search answers at once, but the traversal that counts
+    # the report's children runs out of its 5000-state budget first (about
+    # 1.7 s on a 2-core x86-64 host), so the verdict stays "inconclusive"
+    t0 = time.perf_counter()
+    report = explore(_wide_vertex(4))
+    assert time.perf_counter() - t0 < 10.0
+    assert report.rigid == "inconclusive" and [c.count for c in report.classes] == [71267]

@@ -19,14 +19,16 @@ around `MarkedState.images`, `GbsGraph.__init__`,
 functions `explorer._lengths` (fingerprint evaluation),
 `graph.validate`, `explorer._chain` (collapse chains),
 `graph._canonical_key`, the `_collapse` that `explorer` calls (the
-chains' collapses), `explorer._same_reduction` (the collapse lemma) and
-the `_legal` that `explorer` calls (legal moves and their surgery),
+chains' collapses), `explorer._reduced_search` (the search over reduced
+states) and the `_legal` that `explorer` calls (legal moves and their surgery),
 the minimum of each layer's inclusive time and the layer's number of
 calls, which every run repeats exactly.  A call made
 inside a call of the same layer counts as a call but adds no time, so a
 recursive layer's time is not counted twice.  A generator function's
 call only makes the generator, so such a layer times every step of
-the generator its call makes, and counts the call once.
+the generator its call makes, and counts the call once.  A layer that
+one side's package lacks reads 0 seconds and 0 calls there, and its
+ratio is null.
 The totals are sums of those minima and counts.  It also hashes
 `json.dumps(report.to_json(), sort_keys=True)` over every graph on both
 sides, so a speedup that changed a report shows up as unequal digests.
@@ -62,7 +64,7 @@ LAYERS = (("images", "moves", "MarkedState", "images"),
           ("_chain", "explorer", None, "_chain"),
           ("_canonical_key", "graph", None, "_canonical_key"),
           ("_collapse", "explorer", None, "_collapse"),
-          ("_same_reduction", "explorer", None, "_same_reduction"),
+          ("_reduced_search", "explorer", None, "_reduced_search"),
           ("_legal", "explorer", None, "_legal"))
 
 
@@ -87,6 +89,8 @@ class Layers:
         for name, module, cls, attr in LAYERS:
             owner = sys.modules["%s.%s" % (package.__name__, module)]
             owner = owner if cls is None else getattr(owner, cls)
+            if attr not in owner.__dict__:
+                continue
             self.patches.append((owner, attr, owner.__dict__[attr], self._timed(name, owner.__dict__[attr])))
 
     def _timed(self, name, fn):
@@ -203,7 +207,8 @@ def main(argv=None):
             out["digests_equal"] = out["base"]["digest"] == out["head"]["digest"]
             out["head_over_base"] = {"total": round(out["head"]["total_s"] / out["base"]["total_s"], 4)}
             for layer, spent in out["base"]["layers"].items():
-                out["head_over_base"][layer] = round(out["head"]["layers"][layer]["s"] / spent["s"], 4)
+                head = out["head"]["layers"][layer]["s"]
+                out["head_over_base"][layer] = round(head / spent["s"], 4) if head and spent["s"] else None
             result["workloads"][workload] = out
             print(workload, json.dumps(out["head_over_base"]), "digests equal:",
                   out["digests_equal"], file=sys.stderr, flush=True)
