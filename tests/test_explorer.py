@@ -969,6 +969,139 @@ def test_explore_on_one_generator_at_radius_100000_is_fast():
     assert rep.rigid == "yes" and rep.classes[0].fingerprint == (0,) * 200_000
 
 
+def _shortcut_corpus():
+    """Every reduced graph of enumerate_graphs(2, 4), then 25 seeded
+    reduced graphs with 3 edges and labels up to 3."""
+    graphs = [g for g in enumerate_graphs(2, 4) if is_reduced(g)]
+    rng, three = random.Random(0xAB50B), []
+    while len(three) < 25:
+        g = oracle.random_graph(rng, 3, 3, 3)
+        if len(g.edges) == 3 and is_reduced(g):
+            three.append(g)
+    return graphs + three
+
+
+def _count_walk_recorder(monkeypatch):
+    """(counted, counting): counted collects, while _search runs with no
+    table (the walk that counts into the base class), the slide and
+    collapse children of each state it expands, the children it counts;
+    counting[-1] is true while that walk runs."""
+    counted, counting = [], []
+    search, children = gbsr.explorer._search, gbsr.explorer._children
+    max_depth = ExploreBounds().max_depth
+
+    def recording_search(seed, bounds, inner, pool, table):
+        counting.append(table is None)
+        try:
+            return search(seed, bounds, inner, pool, table)
+        finally:
+            counting.pop()
+
+    def recording_children(st, bounds, pool):
+        # a state at the depth cap is only probed for a child, not expanded
+        expanded = counting and counting[-1] and st.depth < max_depth
+        for mv, child in children(st, bounds, pool):
+            if expanded and isinstance(mv, (Slide, Collapse)):
+                counted.append(child)
+            yield mv, child
+
+    monkeypatch.setattr(gbsr.explorer, "_search", recording_search)
+    monkeypatch.setattr(gbsr.explorer, "_children", recording_children)
+    return counted, counting
+
+
+def test_counted_children_land_in_the_record_they_are_counted_into(monkeypatch):
+    # when the reduced search finds one class, the traversal counts each
+    # slide and collapse child into the base class without reducing or
+    # classifying it; reduce and classify each one afresh, in a new table
+    # with the same plan, and check that it lands in the base record
+    counted, _ = _count_walk_recorder(monkeypatch)
+    seeds = total = 0
+    for g in _shortcut_corpus():
+        if is_ascending(g):  # counted by divisors, with no search
+            continue
+        counted.clear()
+        seed = initial_state(g)
+        report = explore(seed)
+        if report.rigid == "no":
+            assert not counted, serialize(g)
+            continue
+        assert len(report.classes) == 1, serialize(g)
+        assert report.classes[0].count == 1 + len(counted), serialize(g)
+        table = _ClassTable(_sample_plan(len(seed.seed.presentation.generators), ExploreBounds().radius))
+        table.classify(reduce_state(seed))
+        for child in counted:
+            assert not table.classify(reduce_state(child))[1], (serialize(g), [str(m) for m in child.history])
+        seeds += 1
+        total += len(counted)
+    assert seeds > 50 and total > 1000, (seeds, total)
+
+
+def test_explore_reports_match_with_the_shortcut_off(monkeypatch):
+    # with the reduced search answering "no" every time, the traversal
+    # reduces and classifies every slide and collapse child rather than
+    # counting them; the reports stay the same
+    graphs = _shortcut_corpus()
+    on = [json.dumps(explore(initial_state(g)).to_json(), sort_keys=True) for g in graphs]
+    monkeypatch.setattr(gbsr.explorer, "_reduced_search", lambda base, max_label, table, pool: "no")
+    off = [json.dumps(explore(initial_state(g)).to_json(), sort_keys=True) for g in graphs]
+    assert on == off
+
+
+def test_the_count_walk_reads_no_marking_and_reduces_nothing(monkeypatch):
+    # on a rigid seed explore classifies only in the reduced search; the
+    # walk that counts children reads no images and reduces no child
+    counted, counting = _count_walk_recorder(monkeypatch)
+    read = []
+    images, reduce_ = MarkedState.images, gbsr.explorer._reduce
+
+    def watched_images(self):
+        if counting and counting[-1]:
+            read.append("images")
+        return images(self)
+
+    def watched_reduce(st, pool):
+        if counting and counting[-1]:
+            read.append("reduce")
+        return reduce_(st, pool)
+
+    monkeypatch.setattr(MarkedState, "images", watched_images)
+    monkeypatch.setattr(gbsr.explorer, "_reduce", watched_reduce)
+    for text in (LOOP23, "vertex a\nvertex b\nedge e a 2 3 b\nedge c b 5 7 b\n",
+                 "vertex v\nedge c v 2 3 v\nedge h v 5 7 v\n"):
+        counted.clear()
+        report = explore(state(text))
+        assert report.rigid == "yes" and report.classes[0].count == 1 + len(counted) > 1, text
+    assert read == []
+def test_composites_expand_each_dividing_loop_and_slide_its_new_edge():
+    # one composite per loop (p, q) with p | q and 2 <= p < q, in edge
+    # order, each built as the public, verified moves build it; the (3, 3)
+    # and (2, 5) loops have none
+    st = state("vertex v\nedge a v 2 4 v\nedge b v 3 3 v\nedge c v 9 3 v\nedge d v 2 5 v\n")
+    composites = list(gbsr.explorer._composites(st, _TrustedPool()))
+    assert [[str(m) for m in child.history] for _, child in composites] == [
+        ["expand v 2 a.B", "slide d0.A across a.A"],
+        ["expand v 3 c.A", "slide d0.A across c.B"],
+    ]
+    for mv, child in composites:
+        assert child.history[-1] == mv
+        verified = apply_move(apply_move(st, child.history[0]), mv)
+        assert (child.graph.vertices, child.graph.edges) == (verified.graph.vertices, verified.graph.edges)
+        assert child.images() == verified.images()
+
+
+def test_the_reduced_search_answers_bs26_from_its_composite_graph():
+    # BS(2,6) is reduced and has no slide; its one composite reduces to
+    # another graph, so the search answers "no" with only the seed classified
+    base, pool = state(BS26), _TrustedPool()
+    assert is_reduced(base.graph)
+    table = _ClassTable(_sample_plan(1, 4))
+    assert _reduced_search(base, 36, table, pool) == "no"
+    assert len(table.classes) == 1
+    [(_, child)] = gbsr.explorer._composites(base, pool)
+    assert _reduce(child, pool).graph.canonical_form() != base.graph.canonical_form()
+
+
 def test_a_slide_across_an_edge_the_reduction_keeps_is_classified(monkeypatch):
     # the loop c of BS(2,6) is never collapsed; the traversal classifies
     # the witness's slide across c.A, which opens the second class
