@@ -38,9 +38,10 @@ reduction, its slides, and one composite per loop (p, q) with p | q and
 2 <= p < q: expand its vertex by p moving the q end, then slide the new
 edge's A end across the p end, which turns the loop into an edge
 (p, q/p) to a new vertex and the new edge into a loop (q/p, 1) there.
-It reduces and classifies each child, and stops at the first new class.
-When every child stays in the seed's class, a sequence of such moves
-never leaves it, so the search over reduced states ends there.
+It reduces each child, and stops at the first outside the seed's class:
+on another canonical graph, or with other lengths.  When every child
+stays in the seed's class, a sequence of such moves never leaves it, so
+the search over reduced states ends there.
 
 A report's classes, counts and witness are those of explore's traversal
 (_search): a breadth-first walk over every state within the bounds,
@@ -79,9 +80,9 @@ criterion over divisors of n instead of searching: the tree reached by
 inducting along d equals the seed tree iff n^i = n^j * d has a
 solution, that is iff d is a power of n, and two inductions d, d' agree
 iff n^i * d = n^j * d'.  For divisors of n that closed form leaves
-d = d' or {d, d'} = {1, n}.  Either route puts its classes in the one
-class table of the call, and explore builds one report from them and
-replays it once.
+d = d' or {d, d'} = {1, n}.  Either route measures through the one
+class table of the call, and explore builds one report from its
+records and replays it once.
 
 Search-budget caps (depth, an overall state budget) turn an unfinished
 single-class search into "inconclusive"; the edge-count and label caps
@@ -319,9 +320,9 @@ def fingerprint(state: MarkedState, radius: int):
 class _ClassRecord:
     __slots__ = ("state", "count", "lengths")
 
-    def __init__(self, state, lengths):
+    def __init__(self, state, lengths, count=0):
         self.state = state
-        self.count = 0
+        self.count = count
         self.lengths = lengths
 
 
@@ -333,55 +334,33 @@ def _exact(state):
 
 
 class _ClassTable:
-    """Reduced states grouped by (canonical graph, representative lengths)."""
+    """Reduced states grouped by (canonical graph, representative lengths),
+    over one cache of lengths keyed by exact state: one table per explore
+    call."""
 
     def __init__(self, plan):
         self.trie, self.spreader = plan
         self.classes = {}  # (canonical form, lengths) -> record, in creation order
-        self._memo = {}  # exact key -> record; record.lengths are the key's
-        # exact key -> lengths: a cache that tables with one plan may share
-        self.measured = {}
+        self.measured = {}  # exact key -> lengths
 
     def classify(self, state):
-        """Return (record, created).
-
-        An exact (graph, images) pair already classified via another
-        route skips the length queries.
-        """
-        exact = _exact(state)
-        rec = self._memo.get(exact)
-        created = False
-        if rec is None:
-            lengths = self._measure(state, exact)
-            key = (state.graph.canonical_form(), lengths)
-            rec = self.classes.get(key)
-            if created := rec is None:
-                rec = self.classes[key] = _ClassRecord(state, lengths)
-            self._memo[exact] = rec
+        """Return (record, created): state's class record, its count
+        raised by one, and whether state opened it."""
+        lengths = self.lengths(state)
+        key = (state.graph.canonical_form(), lengths)
+        rec = self.classes.get(key)
+        if created := rec is None:
+            rec = self.classes[key] = _ClassRecord(state, lengths)
         rec.count += 1
         return rec, created
-
-    def add(self, state, count):
-        """A record of count members for state, kept out of classes and
-        found by the memo: for a class that the lengths do not tell apart
-        from others."""
-        exact = _exact(state)
-        rec = self._memo[exact] = _ClassRecord(state, self._measure(state, exact))
-        rec.count = count
-        return rec
 
     def fingerprint(self, rec):
         return _spread(self.spreader, rec.lengths)
 
     def lengths(self, state):
-        """_lengths(state, trie), read from the memo when the exact state
-        was classified already and measured once per exact state; counts
+        """_lengths(state, trie), measured once per exact state; counts
         nothing."""
         exact = _exact(state)
-        rec = self._memo.get(exact)
-        return self._measure(state, exact) if rec is None else rec.lengths
-
-    def _measure(self, state, exact):
         lengths = self.measured.get(exact)
         if lengths is None:
             lengths = self.measured[exact] = _lengths(state, self.trie)
@@ -436,13 +415,14 @@ def ascending_equivalent(n: int, d: int) -> bool:
 def _ascending_classes(base, n, table):
     """The records of the ascending (1, n) loop's classes, the seed's
     first, then one for each divisor of n that gives another tree.
-    Lengths cannot tell these trees apart, so each record is made by
-    table.add rather than classified."""
+    Lengths cannot tell these trees apart, so each record is made from
+    table's lengths rather than classified, and kept out of its classes."""
     divisors = _divisors(n)
     others = [d for d in divisors if not ascending_equivalent(n, d)]
-    records = [table.add(base, len(divisors) - len(others))]
+    records = [_ClassRecord(base, table.lengths(base), len(divisors) - len(others))]
     for d in others:
-        records.append(table.add(apply_move(base, Induction(d), verify=False), 1))
+        state = apply_move(base, Induction(d), verify=False)
+        records.append(_ClassRecord(state, table.lengths(state), 1))
     return records
 
 
@@ -459,8 +439,11 @@ def _legal_children(state, max_edges, max_label, pool):
 
 
 def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
-    """BFS the deformation space of a marked state within bounds.
+    """Decide whether the deformation space of a marked state holds more
+    than one reduced class within bounds.
 
+    The search over reduced trees decides, and the breadth-first
+    traversal counts each class's members (see the module docstring).
     Verdicts: "no" (two reduced classes found; witness attached),
     "yes" (the bounded space was exhausted with a single class), or
     "inconclusive" (depth or state budget ran out first).
@@ -493,17 +476,13 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
     # is built, canonicalised and reduced once; every graph in it comes
     # from a move on a valid graph, so none is validated again
     pool = _TrustedPool()
-    plan = _sample_plan(n, bounds.radius)
-    table = _ClassTable(plan)
+    table = _ClassTable(_sample_plan(n, bounds.radius))
     base = _reduce(seed, pool)
     modulus = _ascending_n(base.graph)
     if modulus is None:
         inner = MoveBounds(max_edges=len(g0.edges) + bounds.max_extra_edges, max_label=max_label)
         base_rec, _ = table.classify(base)
-        # the reduced search keeps its own classes and shares table's lengths
-        search = _ClassTable(plan)
-        search.measured = table.measured
-        if _reduced_search(base, max_label, search, pool) == "yes":
+        if _reduced_search(base, max_label, table, pool) == "yes":
             # one reduced class: the traversal only counts into the base one
             clipped, children = _search(seed, bounds, inner, pool, None)
             base_rec.count += children
@@ -567,22 +546,22 @@ def _search(seed, bounds, inner, pool, table):
 def _reduced_search(base, max_label, table, pool):
     """The search over the reduced states of base's space, base being
     reduced (see the module docstring): "no" at the first reduced child
-    outside base's class, else "yes".  table classifies base and each
-    child on base's graph.  Labels stay within max_label.  Within its own
-    edge count a reduced graph has no collapse or expansion, so _children
-    yields its slides.
+    outside base's class, that is with another canonical graph or other
+    lengths, else "yes".  It classifies nothing: table only measures base
+    and each child on base's graph.  Labels stay within max_label.
+    Within its own edge count a reduced graph has no collapse or
+    expansion, so _children yields its slides.
 
     A breadth-first search from base that marks states visited by their
     canonical graph pops base alone: a reduced child on another graph
     opens a class, as the graph is half of a class key, and one on base's
     graph is visited.  So base's children decide."""
-    table.classify(base)
-    form = base.graph.canonical_form()
+    form, lengths = base.graph.canonical_form(), table.lengths(base)
     slides = _children(base, MoveBounds(max_edges=len(base.graph.edges), max_label=max_label), pool)
     for _, child in chain(slides, _composites(base, pool)):
         child = _reduce(child, pool)
         # another graph is another class, known without the marking
-        if child.graph.canonical_form() != form or table.classify(child)[1]:
+        if child.graph.canonical_form() != form or table.lengths(child) != lengths:
             return "no"
     return "yes"
 

@@ -570,7 +570,10 @@ def _exact_key(st):
 def test_explore_measures_each_exact_state_once(monkeypatch):
     # the replay reads the lengths the searches measured; on BS(2,6) the
     # reduced search and the traversal measure 6 states, each once, and the
-    # replay none of its 2 classes again
+    # replay none of its 2 classes again; so too on PATH22, whose reduced
+    # search measures a slide on its own graph, on LOOP23, a "yes" seed
+    # whose traversal only counts, and on an ascending loop, whose classes
+    # are measured without a search
     calls, replaying = [], []
 
     def recording(st, trie):
@@ -586,10 +589,13 @@ def test_explore_measures_each_exact_state_once(monkeypatch):
 
     monkeypatch.setattr(gbsr.explorer, "_lengths", recording)
     monkeypatch.setattr(gbsr.explorer, "_soundness_check", replay)
-    report = explore(state(BS26))
-    assert report.rigid == "no" and len(report.classes) == 2
-    assert not any(during for _, during in calls)
-    assert len(calls) == len({key for key, _ in calls}) == 6
+    for text, rigid, classes, measured in ((BS26, "no", 2, 6), (PATH22, "no", 2, 2), (LOOP23, "yes", 1, 1),
+                                           ("vertex v\nedge c v 1 6 v\n", "no", 3, 3)):
+        calls.clear()
+        report = explore(state(text))
+        assert report.rigid == rigid and len(report.classes) == classes
+        assert not any(during for _, during in calls)
+        assert len(calls) == len({key for key, _ in calls}) == measured, text
 
 
 def test_class_table_memo_holds_the_lengths_of_its_keys(monkeypatch):
@@ -601,21 +607,21 @@ def test_class_table_memo_holds_the_lengths_of_its_keys(monkeypatch):
             self.inserted = {}
             tables.append(self)
 
-        def classify(self, st):
+        def lengths(self, st):
             self.inserted.setdefault(_exact_key(st), st)
-            return super().classify(st)
+            return super().lengths(st)
 
     monkeypatch.setattr(gbsr.explorer, "_ClassTable", Recording)
     for text in (PATH22, EQLOOP, BS26, LOOP23, "vertex a\nvertex b\nedge e a 2 3 b\nedge f a 2 5 b\n",
-                 "vertex v\nedge c v 2 4 v\nedge h v 3 3 v\n"):
+                 "vertex v\nedge c v 2 4 v\nedge h v 3 3 v\n", "vertex v\nedge c v 3 9 v\nedge h v 2 2 v\n"):
         explore(state(text), ExploreBounds(max_states=60))
-    assert sum(len(t._memo) for t in tables) >= 20
+    assert sum(len(t.measured) for t in tables) >= 20
     for t in tables:
-        assert t._memo.keys() == t.inserted.keys()
-        for key, rec in t._memo.items():
+        assert t.measured.keys() == t.inserted.keys()
+        for key, lengths in t.measured.items():
             st = t.inserted[key]
-            assert rec.lengths == _lengths(st, t.trie)
-            assert t.lengths(st) is rec.lengths
+            assert lengths == _lengths(st, t.trie)
+            assert t.lengths(st) is lengths
 
 
 def test_soundness_replay_catches_a_wrong_search_marking(monkeypatch):
@@ -1092,14 +1098,47 @@ def test_composites_expand_each_dividing_loop_and_slide_its_new_edge():
 
 def test_the_reduced_search_answers_bs26_from_its_composite_graph():
     # BS(2,6) is reduced and has no slide; its one composite reduces to
-    # another graph, so the search answers "no" with only the seed classified
+    # another graph, so the search answers "no" with only the seed measured
     base, pool = state(BS26), _TrustedPool()
     assert is_reduced(base.graph)
     table = _ClassTable(_sample_plan(1, 4))
     assert _reduced_search(base, 36, table, pool) == "no"
-    assert len(table.classes) == 1
+    assert not table.classes and list(table.measured) == [_exact_key(base)]
     [(_, child)] = gbsr.explorer._composites(base, pool)
     assert _reduce(child, pool).graph.canonical_form() != base.graph.canonical_form()
+
+
+def test_explore_makes_one_class_table_and_the_reduced_search_classifies_nothing(monkeypatch):
+    # a non-ascending explore call classifies into one table, which the
+    # reduced search only measures through, on a "no" seed and a rigid one
+    tables, searched, searching = [], [], []
+
+    class Recording(_ClassTable):
+        def __init__(self, plan):
+            super().__init__(plan)
+            self.classified = []  # per call: made during the reduced search?
+            tables.append(self)
+
+        def classify(self, st):
+            self.classified.append(bool(searching))
+            return super().classify(st)
+
+    def search(base, max_label, table, pool):
+        searched.append(table)
+        searching.append(True)
+        try:
+            return _reduced_search(base, max_label, table, pool)
+        finally:
+            searching.pop()
+
+    monkeypatch.setattr(gbsr.explorer, "_ClassTable", Recording)
+    monkeypatch.setattr(gbsr.explorer, "_reduced_search", search)
+    for text, rigid in ((BS26, "no"), (LOOP23, "yes")):
+        tables.clear()
+        searched.clear()
+        assert explore(state(text)).rigid == rigid
+        assert len(tables) == 1 and searched == tables, text
+        assert tables[0].classified and not any(tables[0].classified), text
 
 
 def test_a_slide_across_an_edge_the_reduction_keeps_is_classified(monkeypatch):
@@ -1220,7 +1259,7 @@ def test_the_reduced_search_exhausts_a_wide_vertex_at_once():
     t0 = time.perf_counter()
     assert _reduced_search(seed, g.max_label() ** 2, table, pool) == "yes"
     assert time.perf_counter() - t0 < 5.0
-    assert len(table.classes) == 1
+    assert not table.classes and list(table.measured) == [_exact_key(seed)]
 
 
 def test_explore_still_reads_inconclusive_on_four_wide_loops():

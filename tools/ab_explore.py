@@ -15,7 +15,8 @@ sides see the same machine state.
 Per graph and side the script keeps the minimum over RUNS runs of
 the operation's wall time, and, in a second run with timers wrapped
 around `MarkedState.images`, `GbsGraph.__init__`,
-`GbsGraph.canonical_form`, `_ClassTable.classify` and the module
+`GbsGraph.canonical_form`, `_ClassTable.classify`,
+`_ClassTable.lengths` (lookups in the lengths cache) and the module
 functions `explorer._lengths` (fingerprint evaluation),
 `graph.validate`, `explorer._chain` (collapse chains),
 `graph._canonical_key`, the `_collapse` that `explorer` calls (the
@@ -59,6 +60,7 @@ LAYERS = (("images", "moves", "MarkedState", "images"),
           ("GbsGraph.__init__", "graph", "GbsGraph", "__init__"),
           ("canonical_form", "graph", "GbsGraph", "canonical_form"),
           ("classify", "explorer", "_ClassTable", "classify"),
+          ("_ClassTable.lengths", "explorer", "_ClassTable", "lengths"),
           ("_lengths", "explorer", None, "_lengths"),
           ("validate", "graph", None, "validate"),
           ("_chain", "explorer", None, "_chain"),
