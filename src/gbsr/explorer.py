@@ -376,10 +376,9 @@ def reduce_state(state: MarkedState) -> MarkedState:
 
 def _chain(g, pool):
     """The collapses reduce_state makes from the graph g, each with its
-    pooled graph and its step.  Kept under the graph object, which the
-    pool makes one per content, and built from the chain of the graph
-    that g's first collapse makes, so each graph costs one collapse per
-    pool."""
+    pooled graph.  Kept under the graph object, which the pool makes one
+    per content, and built from the chain of the graph that g's first
+    collapse makes, so each graph costs one collapse per pool."""
     chain = pool.get(g)
     if chain is None:
         end = collapse_witness(g)
@@ -387,9 +386,8 @@ def _chain(g, pool):
             chain = ()
         else:
             mv = Collapse(end.edge)
-            vertices, edges, tables, base = _collapse(g, mv)
-            h = _pooled(pool, vertices, edges)
-            chain = ((mv, h, (tables, base)),) + _chain(h, pool)
+            h = _pooled(pool, *_collapse(g, mv))
+            chain = ((mv, h),) + _chain(h, pool)
         pool[g] = chain
     return chain
 
@@ -397,8 +395,8 @@ def _chain(g, pool):
 def _reduce(state, pool):
     """reduce_state with every graph of the chain taken from pool: one
     lazy state per collapse below state."""
-    for mv, g, step in _chain(state.graph, pool):
-        state = MarkedState(g, state.history + (mv,), state.seed, parent=state, step=step)
+    for mv, g in _chain(state.graph, pool):
+        state = MarkedState(g, state.history + (mv,), state.seed, parent=state)
     return state
 
 

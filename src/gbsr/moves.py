@@ -4,17 +4,21 @@ A marked state is a graph together with a marking: for every generator
 of the seed presentation, the reduced based path word of its image in
 the current graph, so that the group never changes while the graph does.
 
-Each move is one function that acts on both at once: it checks the
-move's legality, does the graph surgery, and returns the letter map
-sending path letters of the old graph to path letters of the new one,
-as two tables that list only the letters the move changes: traversal
-letters, and vertices it renames or scales.  A child keeps those tables
-and the vertex where mapped paths start, whose tree path re-bases them
-along the new spanning tree.  Its images are built when first read: the
-read walks up to the nearest ancestor whose images are built, maps those
-unreduced through every step in between with one dict lookup per letter
-and Britton-reduces once per generator, and the states in between stay
-lazy.  Generator words are projected from the images only for output.
+Each move is one function that checks the move's legality and does the
+graph surgery, returning the new graph's content alone.  The letter map
+sending path letters of the old graph to path letters of the new one is
+made from the old graph and the move, by the move type's own function,
+only when a read needs it: two tables that list only the letters the
+move changes, traversal letters and vertices it renames or scales, and
+the vertex where mapped paths start, whose tree path re-bases them along
+the new spanning tree.  A child keeps its parent, and its move is the
+last of its history.  Its images are built when first read: the read
+walks up to the nearest ancestor whose images are built, makes the
+letter map of every step in between, maps those images unreduced
+through them with one dict lookup per letter and Britton-reduces once
+per generator, and the states in between stay lazy.  A child that
+nothing reads pays for no letter map.  Generator words are projected
+from the images only for output.
 Enumeration builds legal moves directly, one at a time, each with the
 surgery its move function runs once the move is checked, so a caller
 that stops early pays for nothing past the last move it read.  The move
@@ -127,19 +131,17 @@ class Induction:
 class MarkedState:
     """A graph plus a marking of the seed group in its fundamental group."""
 
-    __slots__ = ("graph", "history", "seed", "_images", "_marking", "_parent", "_step")
+    __slots__ = ("graph", "history", "seed", "_images", "_marking", "_parent")
 
-    def __init__(self, graph, history, seed, images=None, parent=None, step=None):
+    def __init__(self, graph, history, seed, images=None, parent=None):
         self.graph = graph
         self.history = history
         self.seed = seed
         self._images = images
         self._marking = None
+        # the state that history[-1] was applied to, kept until images()
+        # has read through it
         self._parent = parent
-        # ((edge table, vertex table), base) of the step from the parent:
-        # base is the vertex where mapped paths start, and the tree path to
-        # it re-bases them
-        self._step = step
 
     @property
     def presentation(self):
@@ -150,16 +152,18 @@ class MarkedState:
         """Seed generator -> reduced based path letters of its image (lazy).
 
         The first read walks up to the nearest ancestor whose images are
-        read already.  Each step below it maps the unreduced letters
-        through its tables, one dict lookup per letter, and wraps them in
-        its prefix, and one Britton reduction per generator ends the
-        walk, so the states in between stay lazy.
+        read already, making the letter map of each step below it from
+        the step's move and its parent's graph.  Each step maps the
+        unreduced letters through its tables, one dict lookup per letter,
+        and wraps them in its prefix, and one Britton reduction per
+        generator ends the walk, so the states in between stay lazy.
         """
         if self._images is None:
             steps = []
             state = self
             while state._images is None:
-                (edges, vertices), base = state._step
+                move = state.history[-1]
+                (edges, vertices), base = _LETTERS[type(move)](state._parent.graph, move)
                 g = state.graph
                 pre = () if base == g.vertices[0] else _presentation(g).path_to[base]
                 steps.append((edges, vertices, pre, invert_path_letters(pre) if pre else ()))
@@ -189,7 +193,7 @@ class MarkedState:
                     letters = out
                 images[sym] = reduce_letters(self.graph, letters)
             self._images = images
-            self._parent = self._step = None
+            self._parent = None
         return self._images
 
     @property
@@ -259,18 +263,21 @@ def initial_state(graph: GbsGraph) -> MarkedState:
 # -- one function per move ---------------------------------------------------
 #
 # Each takes (g, move), raises the move's named domain errors, and returns
-# what its surgery body (_collapsed, _expanded, _slid, _inducted), which
-# _legal also calls, returns: (vertices, edges, (edge table, vertex
-# table), base), the new graph's content, the letter map as two tables,
-# and the new vertex at which mapped paths based at g's base start.  The
-# content comes as sorted tuples, the vertices by name and the edges by
-# id, as a GbsGraph holds them: a collapse and a slide keep g's order, and
-# an expansion inserts its new vertex and edge in place, so _pooled never
-# sorts.  The edge table sends each traversal letter of g that the move
-# changes to its replacement tuple; the vertex table sends each vertex
-# that the move renames or scales to (before, name, factor, after), so
-# ("v", vertex, m) becomes before + (("v", name, m * factor),) + after.
-# Every other letter maps to itself.
+# what its surgery body (_collapsed, _expanded, _slid), which _legal also
+# calls, returns: (vertices, edges), the new graph's content as sorted
+# tuples, the vertices by name and the edges by id, as a GbsGraph holds
+# them: a collapse and a slide keep g's order, and an expansion inserts
+# its new vertex and edge in place, so _pooled never sorts.
+#
+# Each move type's letter map, in _LETTERS, takes (g, move) for a move
+# already checked on g and returns ((edge table, vertex table), base):
+# the letter map as two tables, and the new vertex at which mapped paths
+# based at g's base start.  MarkedState.images makes it only for the steps
+# it reads through.  The edge table sends each traversal letter of g that
+# the move changes to its replacement tuple; the vertex table sends each
+# vertex that the move renames or scales to (before, name, factor,
+# after), so ("v", vertex, m) becomes before + (("v", name, m * factor),)
+# + after.  Every other letter maps to itself.
 
 def _collapse(g: GbsGraph, move):
     eid = move.edge
@@ -299,10 +306,16 @@ def _collapsed(g: GbsGraph, eid, keep, drop, p):
                 vb, lb = keep, lb * p
             f = Edge(fid, va, la, vb, lb)
         edges.append(f)
+    return tuple([v for v in g.vertices if v != drop]), tuple(edges)
+
+
+def _collapse_letters(g: GbsGraph, move):
+    e = g.edge(move.edge)
+    keep, drop, p = (e.va, e.vb, e.la) if e.lb == 1 else (e.vb, e.va, e.lb)
     # the merged generator x_drop is x_keep^p
-    tables = {("e", eid, 1): (), ("e", eid, -1): ()}, {drop: ((), keep, p, ())}
+    tables = {("e", e.eid, 1): (), ("e", e.eid, -1): ()}, {drop: ((), keep, p, ())}
     base = g.vertices[0]
-    return tuple([v for v in g.vertices if v != drop]), tuple(edges), tables, keep if base == drop else base
+    return tables, keep if base == drop else base
 
 
 def _fresh(prefix, taken):
@@ -343,17 +356,23 @@ def _expanded(g: GbsGraph, vertex, p, moved, u, d):
                      u if b else f.vb, f.lb // p if b else f.lb)
         edges.append(f)
     insort(edges, Edge(d, vertex, p, u, 1))
+    vertices = list(g.vertices)
+    insort(vertices, u)
+    return tuple(vertices), tuple(edges)
+
+
+def _expansion_letters(g: GbsGraph, move):
+    d = _fresh("d", g._by_id)
     # a traversal leaving a moved end first crosses d from v to u, and
-    # one arriving at a moved end crosses d back
+    # one arriving at a moved end crosses d back; the ends are _expand's,
+    # each once
     table = {}
-    for f, side in moved:
+    for f, side in sorted(set(move.moved)):
         leave = ("e", f, 1 if side == "A" else -1)
         arrive = ("e", f, -leave[2])
         table[leave] = (("e", d, 1),) + table.get(leave, (leave,))
         table[arrive] = table.get(arrive, (arrive,)) + (("e", d, -1),)
-    vertices = list(g.vertices)
-    insort(vertices, u)
-    return tuple(vertices), tuple(edges), (table, {}), g.vertices[0]
+    return (table, {}), g.vertices[0]
 
 
 def _slide(g: GbsGraph, move):
@@ -368,20 +387,24 @@ def _slide(g: GbsGraph, move):
         raise DifferentOriginError("%s and %s do not share a vertex" % (moving, across))
     if le % lf:
         raise NotDivisibleError("label %d does not divide %d" % (lf, le))
-    return _slid(g, moving, across, m, w, le // lf * lw)
+    return _slid(g, moving, m, w, le // lf * lw)
 
 
-def _slid(g: GbsGraph, moving, across, m, w, label):
-    """The surgery of sliding the end moving of the edge m across the end
-    across of another edge, which puts it at w, the far end of across,
-    with the given label."""
+def _slid(g: GbsGraph, moving, m, w, label):
+    """The surgery of sliding the end moving of the edge m across an end
+    of another edge, which puts it at w, that edge's far end, with the
+    given label."""
     moved = Edge(m.eid, w, label, m.vb, m.lb) if moving.side == "A" else Edge(m.eid, m.va, m.la, w, label)
-    edges = tuple([moved if f is m else f for f in g.edges])
+    return g.vertices, tuple([moved if f is m else f for f in g.edges])
+
+
+def _slide_letters(g: GbsGraph, move):
+    moving, across = move.moving, move.across
     sign = 1 if across.side == "A" else -1  # across traversed origin -> far
     leave = ("e", moving.edge, 1 if moving.side == "A" else -1)  # leaves the moved end
     arrive = ("e", moving.edge, -leave[2])
     table = {leave: (("e", across.edge, sign), leave), arrive: (arrive, ("e", across.edge, -sign))}
-    return g.vertices, edges, (table, {}), g.vertices[0]
+    return (table, {}), g.vertices[0]
 
 
 def _induct(g: GbsGraph, move):
@@ -390,19 +413,19 @@ def _induct(g: GbsGraph, move):
         raise NotAscendingError("induction needs a one-vertex (1, n) loop")
     if move.d < 1 or n % move.d:
         raise NotDivisorError("%d does not divide %d" % (move.d, n))
-    return _inducted(g, n, move.d)
+    return g.vertices, g.edges  # an induction keeps the graph
 
 
-def _inducted(g: GbsGraph, n, d):
-    """The surgery of inducting the ascending (1, n) loop along d | n."""
-    e = g.edges[0]
+def _induction_letters(g: GbsGraph, move):
+    e = g.edges[0]  # the ascending loop (1, n)
     sign = 1 if e.la == 1 else -1  # ("e", eid, sign) leaves the unit end: t^-1
     v = g.vertices[0]  # x^m -> t^-1 x^(m n/d) t
-    vertices = {v: ((("e", e.eid, sign),), v, n // d, (("e", e.eid, -sign),))}
-    return g.vertices, g.edges, ({}, vertices), v
+    return ({}, {v: ((("e", e.eid, sign),), v, e.la * e.lb // move.d, (("e", e.eid, -sign),))}), v
 
 
 _MOVES = {Collapse: _collapse, Expansion: _expand, Slide: _slide, Induction: _induct}
+_LETTERS = {Collapse: _collapse_letters, Expansion: _expansion_letters, Slide: _slide_letters,
+            Induction: _induction_letters}
 
 
 class _TrustedPool(dict):
@@ -441,16 +464,9 @@ def _apply_move(state: MarkedState, move, pool: dict, verify: bool) -> MarkedSta
 
 
 def _child(state: MarkedState, move, surgery, pool: dict, verify: bool) -> MarkedState:
-    """The state that move leads to, given the surgery its move function
-    returned on state.graph."""
-    vertices, edges, tables, base = surgery
-    out = MarkedState(
-        _pooled(pool, vertices, edges),
-        state.history + (move,),
-        state.seed,
-        parent=state,
-        step=(tables, base),
-    )
+    """The state that move leads to, given the graph content its move
+    function returned on state.graph."""
+    out = MarkedState(_pooled(pool, *surgery), state.history + (move,), state.seed, parent=state)
     if verify:
         out.verify()
     return out
@@ -633,7 +649,7 @@ def _legal(g: GbsGraph, bounds: MoveBounds):
                 label = le // lf * lw
                 if not scan and label > cap:
                     continue
-                surgery = _slid(g, moving, across, m, w, label)
+                surgery = _slid(g, moving, m, w, label)
                 if not scan or _within(surgery, cap):
                     yield Slide(moving, across), surgery
     if bounds.max_edges is None or len(g.edges) < bounds.max_edges:
@@ -659,7 +675,7 @@ def _legal(g: GbsGraph, bounds: MoveBounds):
     n = _ascending_n(g)
     if n is not None and not scan:  # an induction keeps the graph
         for k in _divisors(n):
-            yield Induction(k), _inducted(g, n, k)
+            yield Induction(k), (g.vertices, g.edges)
 
 
 def _subsets(items):

@@ -36,6 +36,7 @@ from gbsr.moves import (
     MarkedState,
     MoveBounds,
     Slide,
+    _LETTERS,
     _TrustedPool,
     _apply_move,
     _legal,
@@ -803,6 +804,31 @@ def test_explore_builds_only_the_children_it_reads(monkeypatch):
     assert len(built) == 1
 
 
+def test_letter_maps_are_made_only_for_the_steps_images_reads(monkeypatch):
+    # a child pays for its move's letter map only when images() reads
+    # through its step; on a rigid seed the walk that counts children reads
+    # none of them, and on BS(2,6) the search reads up to its witness
+    made, children, walked = [], [], []
+    for kind, letters in list(_LETTERS.items()):
+        monkeypatch.setitem(_LETTERS, kind, lambda g, mv, f=letters: made.append(mv) or f(g, mv))
+    for module in (gbsr.moves, gbsr.explorer):
+        child = module._child
+        monkeypatch.setattr(module, "_child", lambda *args, f=child: children.append(1) or f(*args))
+    images = MarkedState.images
+
+    def walking(self):
+        walked.append(len(_lazy_walk(self)) - 1)
+        return images(self)
+
+    monkeypatch.setattr(MarkedState, "images", walking)
+    for text, rigid, steps in ((LOOP23, "yes", 0), ("vertex a\nvertex b\nedge e a 2 3 b\nedge c b 5 7 b\n", "yes", 0),
+                               ("vertex a\nvertex b\nedge e a 3 1 b\nedge c b 5 7 b\n", "yes", 2), (BS26, "no", 26)):
+        made.clear(), children.clear(), walked.clear()
+        assert explore(state(text)).rigid == rigid
+        assert len(made) == sum(walked) == steps, text
+        assert rigid == "no" or len(made) < len(children) / 5, (text, len(children))
+
+
 def _lazy_walk(st):
     """st and its lazy ancestors, oldest first, from the nearest ancestor
     whose images are read."""
@@ -1196,11 +1222,16 @@ def test_each_pooled_graph_costs_one_collapse_and_keeps_reduce_states_chain(monk
         for g in nonreduced:
             steps = chains[g]
             states = _collapse_states(initial_state(GbsGraph(g.vertices, g.edges)))
-            assert [(mv, h.vertices, h.edges) for mv, h, _ in steps] == [
+            assert [(mv, h.vertices, h.edges) for mv, h in steps] == [
                 (s.history[-1], s.graph.vertices, s.graph.edges) for s in states
             ]
-            for (mv, _, step), parent in zip(steps, [g] + [s.graph for s in states]):
-                assert step == gbsr.moves._collapse(parent, mv)[2:]
+            # the letter map each lazy state of the chain reads, made from
+            # its pooled parent graph, is the one made from the parent that
+            # the public route built afresh
+            pooled = [g] + [h for _, h in steps]
+            for (mv, h), parent, fresh in zip(steps, pooled, [g] + [s.graph for s in states]):
+                assert (h.vertices, h.edges) == gbsr.moves._collapse(fresh, mv)
+                assert _LETTERS[Collapse](parent, mv) == _LETTERS[Collapse](fresh, mv)
             built += 1
             long_chains += len(steps) >= 2
     assert built > 10_000 and long_chains > 5000

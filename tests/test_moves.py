@@ -30,6 +30,7 @@ from gbsr.moves import (
     MarkedState,
     MoveBounds,
     Slide,
+    _LETTERS,
     _apply_move,
     _divisors,
     _legal,
@@ -101,6 +102,22 @@ def test_expansion_errors():
         expand(st, "v", 4, [parse_end("c.B")])  # 4 does not divide 6
     with pytest.raises(WrongOriginError):
         expand(state("vertex a\nvertex b\nedge e a 2 3 b\n"), "a", 3, [parse_end("e.B")])
+
+
+def test_expansion_with_repeated_or_unsorted_ends_moves_each_end_once():
+    # the letter map is made from the move as the user wrote it, so it must
+    # walk the same distinct, sorted ends as the surgery
+    two = "vertex v\nvertex w\nedge c v 2 6 v\nedge h v 4 3 w\n"
+    cases = [(BS26, ("c.B", "c.B")), (BS26, ("c.B", "c.A")), (BS26, ("c.A", "c.B", "c.A", "c.B")),
+             (two, ("h.A", "c.B", "c.A")), (two, ("h.A", "c.A", "h.A"))]
+    for text, ends in cases:
+        st = state(text)
+        mv = Expansion("v", 2, tuple(parse_end(e) for e in ends))
+        out = apply_move(st, mv, verify=True)
+        assert out.graph.edges == apply_move(st, Expansion("v", 2, tuple(sorted(set(mv.moved))))).graph.edges
+        want = {sym: reduce_letters(out.graph, oracle.oracle_transport(st.graph, mv, out.graph, w))
+                for sym, w in st.images().items()}
+        assert out.images() == want, ends
 
 
 def test_expand_then_collapse_is_identity():
@@ -482,10 +499,11 @@ def test_legal_reaches_an_expansion_without_listing_every_subset():
     assert first == Expansion("v", 2, ()) and peak < 2_000_000, peak
 
 
-def _content(pairs):
-    """(move, vertices, edges, tables, base) per (move, surgery) pair, the
-    graph content as tuples."""
-    return [(mv, tuple(vertices), tuple(edges), tables, base) for mv, (vertices, edges, tables, base) in pairs]
+def _content(g, pairs):
+    """(move, vertices, edges, letter map) per (move, surgery) pair on g:
+    the graph content as tuples, and the letter map made from g and the
+    move, ((edge table, vertex table), base)."""
+    return [(mv, tuple(vertices), tuple(edges), _LETTERS[type(mv)](g, mv)) for mv, (vertices, edges) in pairs]
 
 
 def test_legal_builds_the_moves_the_reference_keeps(monkeypatch):
@@ -500,13 +518,13 @@ def test_legal_builds_the_moves_the_reference_keeps(monkeypatch):
     kinds, capped, scanned = Counter(), 0, 0
     for g in graphs:
         m, top = len(g.edges), g.max_label()
-        free = _content(oracle.legal(g, MoveBounds()))
-        assert _content(_legal(g, MoveBounds())) == free, serialize(g)
+        free = _content(g, oracle.legal(g, MoveBounds()))
+        assert _content(g, _legal(g, MoveBounds())) == free, serialize(g)
         kinds.update(type(mv) for mv, *_ in free)
         for bounds in (MoveBounds(m, top * top), MoveBounds(m + 1, top), MoveBounds(m + 2, 2 * top, 2),
                        MoveBounds(m + 1, top - 1), MoveBounds(m + 1, 1)):
-            want = _content(oracle.legal(g, bounds))
-            assert _content(_legal(g, bounds)) == want, (serialize(g), bounds)
+            want = _content(g, oracle.legal(g, bounds))
+            assert _content(g, _legal(g, bounds)) == want, (serialize(g), bounds)
             capped += bounds.max_label >= top and len(want) < len(free)
             scanned += bounds.max_label < top and bool(want)
     assert set(kinds) == {Collapse, Expansion, Slide, Induction}
@@ -564,7 +582,9 @@ def test_seed_length_of_a_large_power_is_fast():
 def test_every_move_returns_sorted_content(monkeypatch):
     # _pooled keys on the content as a move function returns it, so every
     # move must return the vertices by name and the edges by id; through a
-    # plain dict pool that content still builds the validated graph
+    # plain dict pool that content still builds the validated graph, and
+    # the letter map made from g and the move sends g's letters to letters
+    # of that graph, based at one of its vertices
     from gbsr.explorer import enumerate_graphs
     from gbsr.graph import GbsGraph, validate
     from gbsr.moves import _pooled
@@ -578,7 +598,7 @@ def test_every_move_returns_sorted_content(monkeypatch):
     monkeypatch.setattr(gbsr.graph, "validate", lambda g: validated.append(g) or validate(g))
     moves = set()
     for g in enumerate_graphs(2, 4) + seeded:
-        for mv, (vertices, edges, _, _) in _legal(g, MoveBounds()):
+        for mv, (vertices, edges) in _legal(g, MoveBounds()):
             moves.add(type(mv))
             assert list(vertices) == sorted(set(vertices)), (g.vertices, mv)
             ids = [e.eid for e in edges]
@@ -588,4 +608,10 @@ def test_every_move_returns_sorted_content(monkeypatch):
             ref = GbsGraph(vertices, edges)
             assert validated == [h, ref]
             assert (h.vertices, h.edges) == (ref.vertices, ref.edges) == (tuple(vertices), tuple(edges))
+            (edge_table, vertex_table), base = _LETTERS[type(mv)](g, mv)
+            assert base in h.vertices and set(vertex_table) <= set(g.vertices), (g.vertices, mv)
+            assert {eid for _, eid, _ in edge_table} <= set(g._by_id), (g.edges, mv)
+            out = [x for w in edge_table.values() for x in w]
+            out += [x for before, v, _, after in vertex_table.values() for x in (*before, ("v", v, 1), *after)]
+            assert all(x[1] in (h._by_id if x[0] == "e" else h.vertices) for x in out), (g.edges, mv)
     assert moves == {Collapse, Expansion, Slide, Induction}

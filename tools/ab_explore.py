@@ -21,9 +21,12 @@ functions `explorer._lengths` (fingerprint evaluation),
 `graph.validate`, `explorer._chain` (collapse chains),
 `graph._canonical_key`, the `_collapse` that `explorer` calls (the
 chains' collapses), `explorer._reduced_search` (the search over reduced
-states) and the `_legal` that `explorer` calls (legal moves and their surgery),
-the minimum of each layer's inclusive time and the layer's number of
-calls, which every run repeats exactly.  A call made
+states), the `_legal` that `explorer` calls (legal moves and their surgery)
+and every entry of the table `moves._LETTERS` (the letter maps that
+`MarkedState.images` makes for the steps it reads), the minimum of each
+layer's inclusive time and the layer's number of calls, which every run
+repeats exactly.  A layer that names a dict of functions swaps in a
+dict of their timed wrappers, all counted under the one layer.  A call made
 inside a call of the same layer counts as a call but adds no time, so a
 recursive layer's time is not counted twice.  A generator function's
 call only makes the generator, so such a layer times every step of
@@ -67,7 +70,8 @@ LAYERS = (("images", "moves", "MarkedState", "images"),
           ("_canonical_key", "graph", None, "_canonical_key"),
           ("_collapse", "explorer", None, "_collapse"),
           ("_reduced_search", "explorer", None, "_reduced_search"),
-          ("_legal", "explorer", None, "_legal"))
+          ("_legal", "explorer", None, "_legal"),
+          ("letter maps", "moves", None, "_LETTERS"))
 
 
 def load(name, src):
@@ -83,7 +87,7 @@ def load(name, src):
 class Layers:
     """Inclusive-time timers and call counters around the LAYERS of one
     package: methods of a class, or module functions where the class is
-    None."""
+    None, or a module's dict of functions."""
 
     def __init__(self, package):
         self.spent = {name: [0.0, 0] for name, *_ in LAYERS}  # [seconds, calls]
@@ -93,7 +97,9 @@ class Layers:
             owner = owner if cls is None else getattr(owner, cls)
             if attr not in owner.__dict__:
                 continue
-            self.patches.append((owner, attr, owner.__dict__[attr], self._timed(name, owner.__dict__[attr])))
+            fn = owner.__dict__[attr]
+            timed = {k: self._timed(name, f) for k, f in fn.items()} if type(fn) is dict else self._timed(name, fn)
+            self.patches.append((owner, attr, fn, timed))
 
     def _timed(self, name, fn):
         tally, clock, depth, done = self.spent[name], time.perf_counter, [0], object()
