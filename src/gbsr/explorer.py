@@ -43,19 +43,18 @@ on another canonical graph, or with other lengths.  When every child
 stays in the seed's class, a sequence of such moves never leaves it, so
 the search over reduced states ends there.
 
-A report's classes, counts and witness are those of explore's traversal
-(_search): a breadth-first walk over every state within the bounds,
-reduced or not.  A class's count is the number of slide and collapse
-children whose reduced state falls in it, plus one for the seed's in the
-base class.  When the reduced search exhausts its space with one class,
-the traversal runs only to count those children into the base class and
-to learn whether a cap cut it short, and marks nothing.  Otherwise it
-reduces and classifies each of them until the first new class, whose
-representative is the witness.  So explore assumes one thing: that the
-traversal finds no second class where the reduced search exhausts one.
-Only there can a report differ from the one that the traversal alone,
-classifying every child, would give; that traversal is kept in the tests
-as the reference it is checked against.
+A report's classes, counts and witness are those of explore's traversal:
+a breadth-first walk over every state within the bounds, reduced or not,
+visiting each canonical graph once.  A class's count is the number of
+slide and collapse children whose reduced state falls in it, plus one
+for the seed's in the base class.  When the reduced search exhausts its
+space with one class, all of them fall in the base class, and _count
+walks the traversal over graph content alone, adding up each graph's
+slide and collapse moves.  Otherwise _search walks it over marked
+states, reducing and classifying each such child until the first new
+class, whose representative is the witness.  explore assumes only that
+the traversal finds no second class where the reduced search exhausts
+one; the tests check reports against a traversal classifying each child.
 
 Children are built as the loops reach them, so a "no" verdict builds
 nothing past its witness.  A child and each state of its collapse chain
@@ -99,7 +98,7 @@ from itertools import chain, combinations_with_replacement, product
 from operator import countOf, itemgetter
 
 from .errors import BoundsTooTightError, BrokenMarkingError, GbsError, NoViolationError
-from .graph import Edge, EdgeEnd, GbsGraph, serialize
+from .graph import Edge, EdgeEnd, GbsGraph, _canonical_key, serialize
 from .moves import (
     Collapse,
     Expansion,
@@ -440,8 +439,8 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
     """Decide whether the deformation space of a marked state holds more
     than one reduced class within bounds.
 
-    The search over reduced trees decides, and the breadth-first
-    traversal counts each class's members (see the module docstring).
+    The search over reduced trees decides, and the traversal (_count or
+    _search) counts each class's members (see the module docstring).
     Verdicts: "no" (two reduced classes found; witness attached),
     "yes" (the bounded space was exhausted with a single class), or
     "inconclusive" (depth or state budget ran out first).
@@ -482,10 +481,10 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
         base_rec, _ = table.classify(base)
         if _reduced_search(base, max_label, table, pool) == "yes":
             # one reduced class: the traversal only counts into the base one
-            clipped, children = _search(seed, bounds, inner, pool, None)
+            clipped, children = _count(g0, bounds, inner, pool)
             base_rec.count += children
         else:
-            clipped, _ = _search(seed, bounds, inner, pool, table)
+            clipped = _search(seed, bounds, inner, pool, table)
         records = list(table.classes.values())
     else:
         clipped, records = False, _ascending_classes(base, modulus, table)
@@ -504,21 +503,18 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
 
 
 def _search(seed, bounds, inner, pool, table):
-    """explore's breadth-first traversal of seed's space within inner:
-    (clipped, children), clipped saying whether a cap cut it short and
-    children counting the slide and collapse children it read.  With a
-    table, whose one class is the base one, it reduces and classifies
-    each of those children and stops at the first that opens a second
-    class; with table None it only counts them, and marks nothing."""
-    clipped = False
+    """explore's breadth-first traversal of seed's space within inner,
+    over marked states, for a space with a second class: whether a cap
+    cut it short.  It reduces and classifies each slide and collapse
+    child into table and stops at the first that opens a second class."""
+    clipped, popped = False, 0
     visited = {seed.graph.canonical_key()}
     queue = deque([seed])
-    popped = children = 0
     while queue:
         state = queue.popleft()
         popped += 1
         if popped > bounds.max_states:
-            return True, children
+            return True
         # built as the loop below reaches them: a "no" verdict stops at the
         # first child whose reduced state opens a second class
         moves = _children(state, inner, pool)
@@ -529,15 +525,40 @@ def _search(seed, bounds, inner, pool, table):
             continue
         for mv, child in moves:
             if isinstance(mv, (Slide, Collapse)):
-                children += 1
-                if table is not None:
-                    state.images()  # built for the first child classified, not per child
-                    if table.classify(_reduce(child, pool))[1]:
-                        return clipped, children
+                state.images()  # built for the first child classified, not per child
+                if table.classify(_reduce(child, pool))[1]:
+                    return clipped
             key = child.graph.canonical_key()
             if key not in visited:
                 visited.add(key)
                 queue.append(child)
+    return clipped
+
+
+def _count(g0, bounds, inner, pool):
+    """_search's walk from the graph g0 over graph content, for a space
+    with one class: (clipped, children), children counting the slide and
+    collapse moves of the graphs it expands, in _search's order and under
+    its caps.  keys maps each content to its canonical key once, so only a
+    content with a new key is pooled and queued: pooling them all was slower."""
+    keys, visited = {}, {g0.canonical_key()}  # keys: graph content -> canonical key
+    queue = deque([(g0, 0)])
+    clipped, popped, children = False, 0, 0
+    while queue:
+        g, depth = queue.popleft()
+        popped += 1
+        if popped > bounds.max_states:
+            return True, children
+        moves = _legal(g, inner)
+        if depth >= bounds.max_depth:
+            clipped |= next(moves, None) is not None
+            continue
+        for mv, content in moves:
+            children += isinstance(mv, (Slide, Collapse))
+            key = keys.get(content) or keys.setdefault(content, _canonical_key(*content))
+            if key not in visited:
+                visited.add(key)
+                queue.append((_pooled(pool, *content), depth + 1))
     return clipped, children
 
 

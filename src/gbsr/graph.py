@@ -147,7 +147,7 @@ class GbsGraph:
         every vertex apart has exactly one; intended for desk-scale graphs.
         """
         if self._key is None:
-            self._key = _canonical_key(self)
+            self._key = _canonical_key(self.vertices, self.edges)
         return self._key
 
     def canonical_form(self) -> bytes:
@@ -173,17 +173,18 @@ def _ends_by_vertex(vertices, edges):
     return {v: tuple(lst) for v, lst in ends.items()}
 
 
-def _canonical_key(g: GbsGraph) -> tuple:
+def _canonical_key(vertices, edges) -> tuple:
+    """GbsGraph.canonical_key of the graph with this content."""
     # vertex invariant: (degree, sorted (near label, far label, loop) per end)
-    sig = {v: [] for v in g.vertices}
-    for _, va, la, vb, lb in g.edges:
+    sig = {v: [] for v in vertices}
+    for _, va, la, vb, lb in edges:
         sig[va].append((la, lb, va == vb))
         sig[vb].append((lb, la, va == vb))
     groups = {}
     for v, ends in sig.items():
         ends.sort()
         groups.setdefault((len(ends), tuple(ends)), []).append(v)
-    n, best, keys = len(g.vertices), None, sorted(groups)
+    n, best, keys = len(vertices), None, sorted(groups)
     if len(keys) == n:  # the invariant separates the vertices: one ordering
         orders = ([groups[k][0] for k in keys],)
     else:
@@ -191,7 +192,7 @@ def _canonical_key(g: GbsGraph) -> tuple:
     for order in orders:
         index = dict(zip(order, range(n)))
         rows = []
-        for _, va, la, vb, lb in g.edges:
+        for _, va, la, vb, lb in edges:
             a, b = index[va], index[vb]
             rows.append((a, la, b, lb) if a < b or a == b and la <= lb else (b, lb, a, la))
         rows.sort()

@@ -319,12 +319,15 @@ def canonical_key(g: GbsGraph) -> bytes:
 
 
 def pooled_graphs(monkeypatch, g):
-    """Every graph that one explore from g builds in its pool; g must be
-    rigid within explore's default bounds, so the search runs to the end."""
+    """Every graph that one explore from g builds in its pool, then one
+    for each other graph content that it canonicalises without building
+    a graph (the count walk keys every child's content); g must be rigid
+    within explore's default bounds, so the search runs to the end."""
     import gbsr.explorer
+    from gbsr.graph import GbsGraph
     from gbsr.moves import _TrustedPool, initial_state
 
-    pools = []
+    pools, keyed = [], []
 
     class Recording(_TrustedPool):
         __slots__ = ()
@@ -332,10 +335,14 @@ def pooled_graphs(monkeypatch, g):
         def __init__(self):
             pools.append(self)
 
+    key = gbsr.explorer._canonical_key
     monkeypatch.setattr(gbsr.explorer, "_TrustedPool", Recording)
+    monkeypatch.setattr(gbsr.explorer, "_canonical_key", lambda *content: keyed.append(content) or key(*content))
     assert gbsr.explorer.explore(initial_state(g)).rigid == "yes"
     (pool,) = pools
-    return [h for key, h in pool.items() if isinstance(key, tuple)]
+    contents = [content for content in pool if isinstance(content, tuple)]
+    contents += [content for content in dict.fromkeys(keyed) if content not in pool]
+    return [pool[content] if content in pool else GbsGraph(*content) for content in contents]
 
 
 # -- the explorer's traversal -------------------------------------------------
@@ -392,6 +399,42 @@ def reference_explore(seed, bounds=None):
     classes = sorted((ExploreClass(rec.state.graph, table.fingerprint(rec), rec.state.history, rec.count)
                       for rec in records), key=lambda c: (c.graph.canonical_form(), c.fingerprint))
     return ExploreReport(tuple(classes), rigid, witness)
+
+
+def reference_count(seed, bounds, inner, pool):
+    """The reference for explorer._count: explore's traversal from seed
+    over marked states, built through _children, counting without
+    classifying.  (clipped, counted), counted listing the slide and
+    collapse children of every state it expands, as states, in the order
+    read; _count(seed.graph, bounds, inner, pool) returns (clipped,
+    len(counted))."""
+    from collections import deque
+
+    from gbsr.explorer import _children
+    from gbsr.moves import Collapse, Slide
+
+    clipped, counted = False, []
+    visited = {seed.graph.canonical_key()}
+    queue = deque([seed])
+    popped = 0
+    while queue:
+        state = queue.popleft()
+        popped += 1
+        if popped > bounds.max_states:
+            return True, counted
+        moves = _children(state, inner, pool)
+        if state.depth - seed.depth >= bounds.max_depth:
+            if next(moves, None) is not None:
+                clipped = True
+            continue
+        for mv, child in moves:
+            if isinstance(mv, (Slide, Collapse)):
+                counted.append(child)
+            key = child.graph.canonical_key()
+            if key not in visited:
+                visited.add(key)
+                queue.append(child)
+    return clipped, counted
 
 
 # -- legal moves -------------------------------------------------------------

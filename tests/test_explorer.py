@@ -14,6 +14,7 @@ import gbsr.graph
 from gbsr.explorer import (
     ExploreBounds,
     _ClassTable,
+    _count,
     _legal_children,
     _lengths,
     _reduce,
@@ -807,13 +808,24 @@ def test_explore_builds_only_the_children_it_reads(monkeypatch):
 def test_letter_maps_are_made_only_for_the_steps_images_reads(monkeypatch):
     # a child pays for its move's letter map only when images() reads
     # through its step; on a rigid seed the walk that counts children reads
-    # none of them, and on BS(2,6) the search reads up to its witness
+    # none of them, and on BS(2,6) the search reads up to its witness.
+    # children counts the states built and the contents the count walk reads
     made, children, walked = [], [], []
     for kind, letters in list(_LETTERS.items()):
         monkeypatch.setitem(_LETTERS, kind, lambda g, mv, f=letters: made.append(mv) or f(g, mv))
     for module in (gbsr.moves, gbsr.explorer):
         child = module._child
         monkeypatch.setattr(module, "_child", lambda *args, f=child: children.append(1) or f(*args))
+    _, counting = _count_walk_recorder(monkeypatch)
+    legal = gbsr.explorer._legal
+
+    def reading(g, bounds):
+        for pair in legal(g, bounds):
+            if counting:
+                children.append(1)
+            yield pair
+
+    monkeypatch.setattr(gbsr.explorer, "_legal", reading)
     images = MarkedState.images
 
     def walking(self):
@@ -881,20 +893,22 @@ def test_pooled_transport_matches_the_oracle():
 
 
 def test_explore_keeps_no_cache_across_calls(monkeypatch):
-    # the pool lives for one call: a second explore of the same parsed graph
-    # object builds every graph again
-    built = []
-    init = GbsGraph.__init__
+    # the pool and the count walk's keys live for one call: a second
+    # explore of the same parsed graph object builds every graph and keys
+    # every content again
+    built, keyed = [], []
+    init, key = GbsGraph.__init__, gbsr.explorer._canonical_key
     monkeypatch.setattr(GbsGraph, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+    monkeypatch.setattr(gbsr.explorer, "_canonical_key", lambda *content: keyed.append(1) or key(*content))
     n = 0
     for g, rigid in ((parse(LOOP23), "yes"), (parse(BS26), "no")):
-        built.clear()
+        built.clear(), keyed.clear()
         first = explore(initial_state(g))
-        once = len(built)
+        once = len(built), len(keyed)
         second = explore(initial_state(g))
         assert first.rigid == second.rigid == rigid
-        assert len(built) == 2 * once
-        n += once
+        assert (len(built), len(keyed)) == (2 * once[0], 2 * once[1])
+        n += sum(once)
     assert n > 50
 
 
@@ -1014,50 +1028,54 @@ def _shortcut_corpus():
 
 
 def _count_walk_recorder(monkeypatch):
-    """(counted, counting): counted collects, while _search runs with no
-    table (the walk that counts into the base class), the slide and
-    collapse children of each state it expands, the children it counts;
-    counting[-1] is true while that walk runs."""
-    counted, counting = [], []
-    search, children = gbsr.explorer._search, gbsr.explorer._children
-    max_depth = ExploreBounds().max_depth
+    """(calls, counting): calls collects what each _count that explore
+    runs returns (the walk that counts into the base class), and counting
+    is not empty while one runs."""
+    calls, counting = [], []
+    count = gbsr.explorer._count
 
-    def recording_search(seed, bounds, inner, pool, table):
-        counting.append(table is None)
+    def recording_count(g0, bounds, inner, pool):
+        counting.append(True)
         try:
-            return search(seed, bounds, inner, pool, table)
+            calls.append(count(g0, bounds, inner, pool))
+            return calls[-1]
         finally:
             counting.pop()
 
-    def recording_children(st, bounds, pool):
-        # a state at the depth cap is only probed for a child, not expanded
-        expanded = counting and counting[-1] and st.depth < max_depth
-        for mv, child in children(st, bounds, pool):
-            if expanded and isinstance(mv, (Slide, Collapse)):
-                counted.append(child)
-            yield mv, child
+    monkeypatch.setattr(gbsr.explorer, "_count", recording_count)
+    return calls, counting
 
-    monkeypatch.setattr(gbsr.explorer, "_search", recording_search)
-    monkeypatch.setattr(gbsr.explorer, "_children", recording_children)
-    return counted, counting
+
+def _inner(g, bounds):
+    """The move bounds of explore's traversal from g, max_label None."""
+    return MoveBounds(max_edges=len(g.edges) + bounds.max_extra_edges, max_label=g.max_label() ** 2)
+
+
+def _reference_counted(seed, bounds=ExploreBounds()):
+    """oracle.reference_count from seed under explore's bounds: (clipped,
+    counted), counted holding the slide and collapse children as states."""
+    return oracle.reference_count(seed, bounds, _inner(seed.graph, bounds), _TrustedPool())
 
 
 def test_counted_children_land_in_the_record_they_are_counted_into(monkeypatch):
     # when the reduced search finds one class, the traversal counts each
     # slide and collapse child into the base class without reducing or
-    # classifying it; reduce and classify each one afresh, in a new table
-    # with the same plan, and check that it lands in the base record
-    counted, _ = _count_walk_recorder(monkeypatch)
+    # classifying it; take those children as states from the reference
+    # walk, reduce and classify each one afresh, in a new table with the
+    # same plan, and check that it lands in the base record
+    calls, _ = _count_walk_recorder(monkeypatch)
     seeds = total = 0
     for g in _shortcut_corpus():
         if is_ascending(g):  # counted by divisors, with no search
             continue
-        counted.clear()
+        calls.clear()
         seed = initial_state(g)
         report = explore(seed)
         if report.rigid == "no":
-            assert not counted, serialize(g)
+            assert not calls, serialize(g)
             continue
+        clipped, counted = _reference_counted(seed)
+        assert calls == [(clipped, len(counted))] and clipped == (report.rigid == "inconclusive"), serialize(g)
         assert len(report.classes) == 1, serialize(g)
         assert report.classes[0].count == 1 + len(counted), serialize(g)
         table = _ClassTable(_sample_plan(len(seed.seed.presentation.generators), ExploreBounds().radius))
@@ -1082,29 +1100,66 @@ def test_explore_reports_match_with_the_shortcut_off(monkeypatch):
 
 def test_the_count_walk_reads_no_marking_and_reduces_nothing(monkeypatch):
     # on a rigid seed explore classifies only in the reduced search; the
-    # walk that counts children reads no images and reduces no child
-    counted, counting = _count_walk_recorder(monkeypatch)
-    read = []
-    images, reduce_ = MarkedState.images, gbsr.explorer._reduce
+    # walk that counts children reads no images, reduces no child and
+    # makes no marked state
+    calls, counting = _count_walk_recorder(monkeypatch)
+    read, made = [], []
+    images, reduce_, init = MarkedState.images, gbsr.explorer._reduce, MarkedState.__init__
 
     def watched_images(self):
-        if counting and counting[-1]:
+        if counting:
             read.append("images")
         return images(self)
 
     def watched_reduce(st, pool):
-        if counting and counting[-1]:
+        if counting:
             read.append("reduce")
         return reduce_(st, pool)
 
+    def watched_init(self, *args, **kwargs):
+        made.append(bool(counting))
+        init(self, *args, **kwargs)
+
     monkeypatch.setattr(MarkedState, "images", watched_images)
     monkeypatch.setattr(gbsr.explorer, "_reduce", watched_reduce)
+    monkeypatch.setattr(MarkedState, "__init__", watched_init)
     for text in (LOOP23, "vertex a\nvertex b\nedge e a 2 3 b\nedge c b 5 7 b\n",
                  "vertex v\nedge c v 2 3 v\nedge h v 5 7 v\n"):
-        counted.clear()
-        report = explore(state(text))
+        calls.clear()
+        seed = state(text)
+        report = explore(seed)
+        counted = _reference_counted(seed)[1]
+        assert calls == [(False, len(counted))], text
         assert report.rigid == "yes" and report.classes[0].count == 1 + len(counted) > 1, text
     assert read == []
+    # the watch sees the states made outside the walk, and none inside it
+    assert made.count(False) > 50 and made.count(True) == 0, Counter(made)
+
+
+def test_the_count_walk_matches_the_reference_count_under_every_cap():
+    # _count walks graph content where the reference walks marked states;
+    # a capped budget makes the count depend on the visiting order, so
+    # equal results under the caps pin the order too.  The uncapped bounds
+    # run on the graphs that explore counts (one reduced class): on all
+    # of them the two walks take minutes
+    graphs = _shortcut_corpus()
+    one_class = [g for g in graphs if not is_ascending(g) and check(g).rigid]
+    runs = [(ExploreBounds(), one_class), (ExploreBounds(max_extra_edges=1), one_class)]
+    runs += [(ExploreBounds(max_depth=d), graphs) for d in (0, 1, 2)]
+    runs += [(ExploreBounds(max_states=n), graphs) for n in (1, 2, 7, 50)]
+    runs += [(ExploreBounds(max_extra_edges=0), graphs)]
+    clipped, counted = [], []
+    for bounds, subset in runs:
+        clipped.append(0), counted.append(0)
+        for g in subset:
+            want, children = _reference_counted(initial_state(g), bounds)
+            assert _count(g, bounds, _inner(g, bounds), _TrustedPool()) == (want, len(children)), (
+                serialize(g), bounds)
+            clipped[-1] += want
+            counted[-1] += len(children)
+    assert (len(graphs), len(one_class)) == (259, 59)
+    assert clipped == [0, 0, 258, 256, 256, 256, 256, 256, 204, 10], clipped
+    assert min(counted[:2] + counted[3:]) > 700, counted
 def test_composites_expand_each_dividing_loop_and_slide_its_new_edge():
     # one composite per loop (p, q) with p | q and 2 <= p < q, in edge
     # order, each built as the public, verified moves build it; the (3, 3)

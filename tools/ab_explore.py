@@ -19,14 +19,18 @@ around `MarkedState.images`, `GbsGraph.__init__`,
 `_ClassTable.lengths` (lookups in the lengths cache) and the module
 functions `explorer._lengths` (fingerprint evaluation),
 `graph.validate`, `explorer._chain` (collapse chains),
-`graph._canonical_key`, the `_collapse` that `explorer` calls (the
+`_canonical_key` (canonical graph keys, in `graph` and where `explorer`
+calls it on child content), the `_collapse` that `explorer` calls (the
 chains' collapses), `explorer._reduced_search` (the search over reduced
-states), the `_legal` that `explorer` calls (legal moves and their surgery)
-and every entry of the table `moves._LETTERS` (the letter maps that
-`MarkedState.images` makes for the steps it reads), the minimum of each
-layer's inclusive time and the layer's number of calls, which every run
-repeats exactly.  A layer that names a dict of functions swaps in a
-dict of their timed wrappers, all counted under the one layer.  A call made
+states), `explorer._count` (the traversal's count over graph content on a
+one-class space), the `_legal` that `explorer` calls (legal moves and
+their surgery) and every entry of the table `moves._LETTERS` (the letter
+maps that `MarkedState.images` makes for the steps it reads), the
+minimum of each layer's inclusive time and the layer's number of calls,
+which every run repeats exactly.  Entries of LAYERS that share a name
+share one layer, as `_canonical_key`'s two do.  A layer that names a dict
+of functions swaps in a dict of their timed wrappers, all counted under
+the one layer.  A call made
 inside a call of the same layer counts as a call but adds no time, so a
 recursive layer's time is not counted twice.  A generator function's
 call only makes the generator, so such a layer times every step of
@@ -68,8 +72,10 @@ LAYERS = (("images", "moves", "MarkedState", "images"),
           ("validate", "graph", None, "validate"),
           ("_chain", "explorer", None, "_chain"),
           ("_canonical_key", "graph", None, "_canonical_key"),
+          ("_canonical_key", "explorer", None, "_canonical_key"),
           ("_collapse", "explorer", None, "_collapse"),
           ("_reduced_search", "explorer", None, "_reduced_search"),
+          ("_count", "explorer", None, "_count"),
           ("_legal", "explorer", None, "_legal"),
           ("letter maps", "moves", None, "_LETTERS"))
 
