@@ -50,7 +50,11 @@ slide and collapse children whose reduced state falls in it, plus one
 for the seed's in the base class.  When the reduced search exhausts its
 space with one class, all of them fall in the base class, and _count
 walks the traversal over graph content alone, adding up each graph's
-slide and collapse moves.  Otherwise _search walks it over marked
+slide and collapse moves.  When a slide of a reduced seed decides and
+max_depth >= 1, the traversal stops there too (the seed, popped first,
+lists its slides first, in the search's order, and keys each against
+the only class), so the slides before it count into the base class and
+its reduced child is the witness.  Otherwise _search walks it over marked
 states, reducing and classifying each such child until the first new
 class, whose representative is the witness.  explore assumes only that
 the traversal finds no second class where the reduced search exhausts
@@ -68,8 +72,8 @@ The soundness replay rebuilds each class representative from the seed
 through the public `apply_move` with verification on, and compares its
 whole fingerprint with the report's.  Lengths are a pure function of the
 exact marked state (concrete graph and images), so both searches and the
-replay read one lengths cache keyed by it, and each exact marked state
-is measured once per `explore` call.
+replay read one lengths cache keyed by it: each exact marked state is
+measured, and each lengths tuple spread, once per `explore` call.
 
 Ascending states degenerate (their length function is the absolute
 value of a homomorphism, blind to induction moves), so lengths cannot
@@ -334,13 +338,14 @@ def _exact(state):
 
 class _ClassTable:
     """Reduced states grouped by (canonical graph, representative lengths),
-    over one cache of lengths keyed by exact state: one table per explore
-    call."""
+    over one cache of lengths keyed by exact state and one of fingerprints
+    keyed by lengths: one table per explore call."""
 
     def __init__(self, plan):
         self.trie, self.spreader = plan
         self.classes = {}  # (canonical form, lengths) -> record, in creation order
         self.measured = {}  # exact key -> lengths
+        self.spreads = {}  # lengths -> fingerprint
 
     def classify(self, state):
         """Return (record, created): state's class record, its count
@@ -354,7 +359,14 @@ class _ClassTable:
         return rec, created
 
     def fingerprint(self, rec):
-        return _spread(self.spreader, rec.lengths)
+        return self.spread(rec.lengths)
+
+    def spread(self, lengths):
+        """_spread(spreader, lengths), once per distinct lengths tuple."""
+        fp = self.spreads.get(lengths)
+        if fp is None:
+            fp = self.spreads[lengths] = _spread(self.spreader, lengths)
+        return fp
 
     def lengths(self, state):
         """_lengths(state, trie), measured once per exact state; counts
@@ -440,7 +452,8 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
     than one reduced class within bounds.
 
     The search over reduced trees decides, and the traversal (_count or
-    _search) counts each class's members (see the module docstring).
+    _search) counts each class's members, or the reduced seed's deciding
+    slide gives what _search would (see the module docstring).
     Verdicts: "no" (two reduced classes found; witness attached),
     "yes" (the bounded space was exhausted with a single class), or
     "inconclusive" (depth or state budget ran out first).
@@ -479,10 +492,16 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
     if modulus is None:
         inner = MoveBounds(max_edges=len(g0.edges) + bounds.max_extra_edges, max_label=max_label)
         base_rec, _ = table.classify(base)
-        if _reduced_search(base, max_label, table, pool) == "yes":
+        found = _reduced_search(base, max_label, table, pool)
+        if found is None:
             # one reduced class: the traversal only counts into the base one
             clipped, children = _count(g0, bounds, inner, pool)
             base_rec.count += children
+        elif found[0] is not None and base is seed and bounds.max_depth >= 1:
+            # a slide of the reduced seed decides: the traversal stops at it
+            base_rec.count += found[0]
+            table.classify(found[1])
+            clipped = False
         else:
             clipped = _search(seed, bounds, inner, pool, table)
         records = list(table.classes.values())
@@ -564,12 +583,14 @@ def _count(g0, bounds, inner, pool):
 
 def _reduced_search(base, max_label, table, pool):
     """The search over the reduced states of base's space, base being
-    reduced (see the module docstring): "no" at the first reduced child
-    outside base's class, that is with another canonical graph or other
-    lengths, else "yes".  It classifies nothing: table only measures base
-    and each child on base's graph.  Labels stay within max_label.
-    Within its own edge count a reduced graph has no collapse or
-    expansion, so _children yields its slides.
+    reduced (see the module docstring): None when every reduced child
+    stays in base's class, else (before, child) for the first reduced
+    child on another canonical graph or with other lengths, before
+    counting the slides read before it, or None when a composite decided.
+    It classifies nothing: table only measures base and each child on
+    base's graph.  Labels stay within max_label.  Within its own edge
+    count a reduced graph has no collapse or expansion, so _children
+    yields its slides, in _legal's order.
 
     A breadth-first search from base that marks states visited by their
     canonical graph pops base alone: a reduced child on another graph
@@ -577,12 +598,13 @@ def _reduced_search(base, max_label, table, pool):
     graph is visited.  So base's children decide."""
     form, lengths = base.graph.canonical_form(), table.lengths(base)
     slides = _children(base, MoveBounds(max_edges=len(base.graph.edges), max_label=max_label), pool)
-    for _, child in chain(slides, _composites(base, pool)):
+    for before, (_, child) in enumerate(chain(slides, _composites(base, pool))):
         child = _reduce(child, pool)
-        # another graph is another class, known without the marking
+        # another graph is another class, known without the marking; an
+        # expansion opens a composite
         if child.graph.canonical_form() != form or table.lengths(child) != lengths:
-            return "no"
-    return "yes"
+            return (None if isinstance(child.history[len(base.history)], Expansion) else before), child
+    return None
 
 
 def _composites(state, pool):
@@ -607,16 +629,16 @@ def _soundness_check(seed, report, table):
 
     The replay rebuilds every graph and image from the seed, and reads
     the lengths of a replayed state from table when a search already
-    measured that exact (graph, images) pair.  The lengths are a pure
-    function of that pair and the trie, so the comparison comes out as a
-    fresh measurement would, and a replay that reaches another marking
-    misses and is measured afresh.
+    measured that exact (graph, images) pair, and their fingerprint when
+    the report spread them.  Both are pure functions of that pair and the
+    trie, so the comparison comes out as a fresh measurement would, and a
+    replay that reaches another marking misses and is measured afresh.
     """
     for cls in report.classes:
         state = seed
         for mv in cls.representative_moves[len(seed.history):]:
             state = apply_move(state, mv, verify=True)
-        if _spread(table.spreader, table.lengths(state)) != cls.fingerprint:
+        if table.spread(table.lengths(state)) != cls.fingerprint:
             raise BrokenMarkingError(
                 "fingerprint replay mismatch after %s" % [str(m) for m in cls.representative_moves]
             )

@@ -23,7 +23,10 @@ functions `explorer._lengths` (fingerprint evaluation),
 calls it on child content), the `_collapse` that `explorer` calls (the
 chains' collapses), `explorer._reduced_search` (the search over reduced
 states), `explorer._count` (the traversal's count over graph content on a
-one-class space), the `_legal` that `explorer` calls (legal moves and
+one-class space), `explorer._search` (the traversal over marked states
+on a space with a second class), `explorer._soundness_check` (the
+verified replay of the report), `explorer._spread` (fingerprints spread
+from lengths), the `_legal` that `explorer` calls (legal moves and
 their surgery) and every entry of the table `moves._LETTERS` (the letter
 maps that `MarkedState.images` makes for the steps it reads), the
 minimum of each layer's inclusive time and the layer's number of calls,
@@ -76,6 +79,9 @@ LAYERS = (("images", "moves", "MarkedState", "images"),
           ("_collapse", "explorer", None, "_collapse"),
           ("_reduced_search", "explorer", None, "_reduced_search"),
           ("_count", "explorer", None, "_count"),
+          ("_search", "explorer", None, "_search"),
+          ("_soundness_check", "explorer", None, "_soundness_check"),
+          ("_spread", "explorer", None, "_spread"),
           ("_legal", "explorer", None, "_legal"),
           ("letter maps", "moves", None, "_LETTERS"))
 
