@@ -66,7 +66,9 @@ stay lazy, and a state's marking is read only when one of its children
 is classified.  The chain of each concrete graph is kept in the
 `explore` call's graph pool, and built from the pooled chain of the
 graph that its first collapse makes, so each graph costs one collapse
-per call.
+per call.  _count builds no child: it reads each move's kind and graph
+content from _legal_content, so it makes no move object, and it builds
+a graph, outside the pool, only for content with a new canonical graph.
 
 The soundness replay rebuilds each class representative from the seed
 through the public `apply_move` with verification on, and compares its
@@ -117,6 +119,7 @@ from .moves import (
     _divisors,
     _fresh,
     _legal,
+    _legal_content,
     _pooled,
     apply_move,
     initial_state,
@@ -130,7 +133,9 @@ class ExploreBounds:
     """Caps for explore.
 
     max_label caps every move's labels in both the reduced search and the
-    traversal; None means the square of the largest seed label.  radius
+    traversal; None means the square of the largest label of the seed or
+    of its reduction, whichever is larger, since a collapse multiplies
+    the other labels at its vertex.  radius
     sets the sample words that classify states in both.  The other caps
     bound the traversal only.  max_depth counts moves from the seed, not
     the seed's own history.  max_states is a plain budget of popped
@@ -461,7 +466,17 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
     if isinstance(seed, GbsGraph):
         seed = initial_state(seed)
     g0 = seed.graph
-    max_label = bounds.max_label if bounds.max_label is not None else g0.max_label() ** 2
+    # graph content -> GbsGraph, and GbsGraph -> its collapse chain,
+    # shared by every state this call builds, so that each concrete graph
+    # is built, canonicalised and reduced once; every graph in it comes
+    # from a move on a valid graph, so none is validated again
+    pool = _TrustedPool()
+    base = _reduce(seed, pool)
+    # a collapse multiplies the other labels at its vertex, so the reduced
+    # seed can carry a larger label than the seed
+    max_label = bounds.max_label
+    if max_label is None:
+        max_label = max(g0.max_label(), base.graph.max_label()) ** 2
     if g0.max_label() > max_label:
         raise BoundsTooTightError(
             "seed label %d exceeds max_label %d" % (g0.max_label(), max_label)
@@ -481,13 +496,7 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
             % (bounds.radius, "" if k == bounds.radius else "at least ", format(words, ","),
                n, format(_MAX_SAMPLE_WORDS, ","), k - 1)
         )
-    # graph content -> GbsGraph, and GbsGraph -> its collapse chain,
-    # shared by every state this call builds, so that each concrete graph
-    # is built, canonicalised and reduced once; every graph in it comes
-    # from a move on a valid graph, so none is validated again
-    pool = _TrustedPool()
     table = _ClassTable(_sample_plan(n, bounds.radius))
-    base = _reduce(seed, pool)
     modulus = _ascending_n(base.graph)
     if modulus is None:
         inner = MoveBounds(max_edges=len(g0.edges) + bounds.max_extra_edges, max_label=max_label)
@@ -558,9 +567,12 @@ def _count(g0, bounds, inner, pool):
     """_search's walk from the graph g0 over graph content, for a space
     with one class: (clipped, children), children counting the slide and
     collapse moves of the graphs it expands, in _search's order and under
-    its caps.  keys maps each content to its canonical key once, so only a
-    content with a new key is pooled and queued: pooling them all was slower."""
-    keys, visited = {}, {g0.canonical_key()}  # keys: graph content -> canonical key
+    its caps.  It reads each move's kind and content from _legal_content,
+    so it builds no move.  Each content is keyed once: one met again has
+    its canonical key in visited already.  A content with a new key is
+    queued as a graph of its own: nothing reads it after the walk, so it
+    stays out of explore's pool, which the walk leaves as it is."""
+    keyed, visited = set(), {g0.canonical_key()}  # keyed: graph contents
     queue = deque([(g0, 0)])
     clipped, popped, children = False, 0, 0
     while queue:
@@ -568,16 +580,20 @@ def _count(g0, bounds, inner, pool):
         popped += 1
         if popped > bounds.max_states:
             return True, children
-        moves = _legal(g, inner)
+        moves = _legal_content(g, inner)
         if depth >= bounds.max_depth:
             clipped |= next(moves, None) is not None
             continue
-        for mv, content in moves:
-            children += isinstance(mv, (Slide, Collapse))
-            key = keys.get(content) or keys.setdefault(content, _canonical_key(*content))
+        for kind, _, content in moves:
+            if kind is Slide or kind is Collapse:
+                children += 1
+            if content in keyed:
+                continue
+            keyed.add(content)
+            key = _canonical_key(*content)
             if key not in visited:
                 visited.add(key)
-                queue.append((_pooled(pool, *content), depth + 1))
+                queue.append((GbsGraph(*content, True), depth + 1))
     return clipped, children
 
 

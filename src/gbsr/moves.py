@@ -19,14 +19,17 @@ through them with one dict lookup per letter and Britton-reduces once
 per generator, and the states in between stay lazy.  A child that
 nothing reads pays for no letter map.  Generator words are projected
 from the images only for output.
-Enumeration builds legal moves directly, one at a time, each with the
-surgery its move function runs once the move is checked, so a caller
-that stops early pays for nothing past the last move it read.  The move
-functions judge the moves that users supply.  A test ties the two
-together: over thousands of graphs and bounds, the enumeration yields
-the same moves and surgeries, in order, as the reference in
-tests/oracle.py, which proposes every candidate and keeps those that
-its move function accepts and whose result stays within the label cap.
+Enumeration lists legal moves directly, one at a time, each as its move
+type, its arguments and the surgery its move function runs once the
+move is checked, so a caller that stops early pays for nothing past the
+last move it read, and one that reads only move types and graph content
+builds no move object; a thin wrapper builds the moves for the callers
+that read them.  The move functions judge the moves that users supply.
+A test ties the two together: over thousands of graphs and bounds, the
+enumeration yields the same moves and surgeries, in order, as the
+reference in tests/oracle.py, which proposes every candidate and keeps
+those that its move function accepts and whose result stays within the
+label cap.
 
 The moves and their exact label arithmetic:
 
@@ -263,11 +266,12 @@ def initial_state(graph: GbsGraph) -> MarkedState:
 # -- one function per move ---------------------------------------------------
 #
 # Each takes (g, move), raises the move's named domain errors, and returns
-# what its surgery body (_collapsed, _expanded, _slid), which _legal also
-# calls, returns: (vertices, edges), the new graph's content as sorted
-# tuples, the vertices by name and the edges by id, as a GbsGraph holds
-# them: a collapse and a slide keep g's order, and an expansion inserts
-# its new vertex and edge in place, so _pooled never sorts.
+# what its surgery body (_collapsed, _expanded, _slid), which
+# _legal_content also calls, returns: (vertices, edges), the new graph's
+# content as sorted tuples, the vertices by name and the edges by id, as
+# a GbsGraph holds them: a collapse and a slide keep g's order, and an
+# expansion inserts its new vertex and edge in place, so _pooled never
+# sorts.
 #
 # Each move type's letter map, in _LETTERS, takes (g, move) for a move
 # already checked on g and returns ((edge table, vertex table), base):
@@ -387,14 +391,14 @@ def _slide(g: GbsGraph, move):
         raise DifferentOriginError("%s and %s do not share a vertex" % (moving, across))
     if le % lf:
         raise NotDivisibleError("label %d does not divide %d" % (lf, le))
-    return _slid(g, moving, m, w, le // lf * lw)
+    return _slid(g, moving.side, m, w, le // lf * lw)
 
 
-def _slid(g: GbsGraph, moving, m, w, label):
-    """The surgery of sliding the end moving of the edge m across an end
-    of another edge, which puts it at w, that edge's far end, with the
-    given label."""
-    moved = Edge(m.eid, w, label, m.vb, m.lb) if moving.side == "A" else Edge(m.eid, m.va, m.la, w, label)
+def _slid(g: GbsGraph, side, m, w, label):
+    """The surgery of sliding the end on the given side of the edge m
+    across an end of another edge, which puts it at w, that edge's far
+    end, with the given label."""
+    moved = Edge(m.eid, w, label, m.vb, m.lb) if side == "A" else Edge(m.eid, m.va, m.la, w, label)
     return g.vertices, tuple([moved if f is m else f for f in g.edges])
 
 
@@ -596,10 +600,13 @@ def _indices(label: int) -> tuple:
     return tuple(_divisors(label)[1:])
 
 
-def _legal(g: GbsGraph, bounds: MoveBounds):
-    """(move, surgery) for every legal move within bounds, in enumerate_moves
-    order, one at a time, so a caller that stops early builds nothing past
-    the last move it read.
+def _legal_content(g: GbsGraph, bounds: MoveBounds, end=tuple):
+    """(kind, fields, surgery) for every legal move within bounds, in
+    enumerate_moves order, one at a time, so a caller that stops early
+    builds nothing past the last move it read: kind is the move's class,
+    kind(*fields) the move, and surgery the new graph's content.  end
+    makes each edge end of fields from its (edge, side) pair, once per
+    end of g: plain tuples unless a caller builds moves, as _legal does.
 
     The moves are built legal: collapses of non-loop edges with an end
     labelled 1, slides of an end across an end of another edge at its
@@ -621,8 +628,8 @@ def _legal(g: GbsGraph, bounds: MoveBounds):
     at = {v: [] for v in g.vertices}
     for e in g.edges:
         eid, va, la, vb, lb = e
-        at[va].append((EdgeEnd(eid, "A"), la, e))
-        at[vb].append((EdgeEnd(eid, "B"), lb, e))
+        at[va].append((end((eid, "A")), la, e))
+        at[vb].append((end((eid, "B")), lb, e))
     for e in g.edges:
         eid, va, la, vb, lb = e
         if va == vb:
@@ -638,20 +645,20 @@ def _legal(g: GbsGraph, bounds: MoveBounds):
             continue
         surgery = _collapsed(g, eid, keep, drop, p)
         if not scan or _within(surgery, cap):
-            yield Collapse(eid), surgery
+            yield Collapse, (eid,), surgery
     for v in g.vertices:
         labelled = at[v]
         for moving, le, m in labelled:
             for across, lf, a in labelled:
                 if a is m or le % lf:
                     continue
-                w, lw = (a.vb, a.lb) if across.side == "A" else (a.va, a.la)
+                w, lw = (a.vb, a.lb) if across[1] == "A" else (a.va, a.la)
                 label = le // lf * lw
                 if not scan and label > cap:
                     continue
-                surgery = _slid(g, moving, m, w, label)
+                surgery = _slid(g, moving[1], m, w, label)
                 if not scan or _within(surgery, cap):
-                    yield Slide(moving, across), surgery
+                    yield Slide, (moving, across), surgery
     if bounds.max_edges is None or len(g.edges) < bounds.max_edges:
         top = bounds.max_expansion
         u, d = _fresh("u", g.vertices), _fresh("d", g._by_id)
@@ -671,11 +678,18 @@ def _legal(g: GbsGraph, bounds: MoveBounds):
                         moved = low + high
                         surgery = _expanded(g, v, p, moved, u, d)
                         if not scan or _within(surgery, cap):
-                            yield Expansion(v, p, moved), surgery
+                            yield Expansion, (v, p, moved), surgery
     n = _ascending_n(g)
     if n is not None and not scan:  # an induction keeps the graph
         for k in _divisors(n):
-            yield Induction(k), (g.vertices, g.edges)
+            yield Induction, (k,), (g.vertices, g.edges)
+
+
+def _legal(g: GbsGraph, bounds: MoveBounds):
+    """(move, surgery) for every move of _legal_content(g, bounds), in its
+    order and as lazily, each move built with EdgeEnd ends."""
+    for kind, fields, surgery in _legal_content(g, bounds, EdgeEnd._make):
+        yield kind(*fields), surgery
 
 
 def _subsets(items):

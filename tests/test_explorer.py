@@ -817,15 +817,15 @@ def test_letter_maps_are_made_only_for_the_steps_images_reads(monkeypatch):
         child = module._child
         monkeypatch.setattr(module, "_child", lambda *args, f=child: children.append(1) or f(*args))
     _, counting = _count_walk_recorder(monkeypatch)
-    legal = gbsr.explorer._legal
+    legal = gbsr.explorer._legal_content
 
     def reading(g, bounds):
-        for pair in legal(g, bounds):
+        for listed in legal(g, bounds):
             if counting:
                 children.append(1)
-            yield pair
+            yield listed
 
-    monkeypatch.setattr(gbsr.explorer, "_legal", reading)
+    monkeypatch.setattr(gbsr.explorer, "_legal_content", reading)
     images = MarkedState.images
 
     def walking(self):
@@ -1139,21 +1139,68 @@ def test_explore_reports_match_with_the_shortcut_off(monkeypatch):
     on = [json.dumps(explore(seed, bounds).to_json(), sort_keys=True) for seed, bounds in seeds]
     monkeypatch.setattr(gbsr.explorer, "_reduced_search", lambda base, max_label, table, pool: (None, base))
     off = [json.dumps(explore(seed, bounds).to_json(), sort_keys=True) for seed, bounds in seeds]
-    # but for one seed with history, a known fault: it reduces by another
-    # collapse to the graph of (1, 4) and (3, 3) loops, whose space holds a
-    # strictly ascending loop, so its reduced trees need not be joined by
-    # slides; the reduced search finds no second class there, and explore
-    # reads "inconclusive" with one class where the traversal finds two
     mismatched = [([str(m) for m in seed.history], serialize(seed.graph))
                   for (seed, _), one, other in zip(seeds, on, off) if one != other]
-    assert mismatched == [(["expand v0 2 e0.B"], "vertex u0\nvertex v0\nedge d0 v0 2 1 u0\n"
-                           "edge e0 v0 1 2 u0\nedge e1 v0 3 3 v0\n")], mismatched
+    assert mismatched == [], mismatched
     # the seeds reach the slide taken after in-class slides, on seeds with
     # history too, and the unreduced seed that reduces to a slide-decided one
     with_history = [seed for seed, _ in seeds if seed.history and is_reduced(seed.graph)]
     assert [_slide_decided(parse(t)) for t in SLID_PAST] == [2, 2]
     assert sum(_slide_decided(seed.graph) is not None for seed in with_history) >= 15
     assert _slide_decided(reduce_state(state(UNREDUCED_NO)).graph) == 0
+
+
+def _strictly_ascending_loop(g):
+    """Does g carry a loop labelled (1, n) with n > 1?"""
+    return any(e.is_loop and min(e.la, e.lb) == 1 < max(e.la, e.lb) for e in g.edges)
+
+
+def test_the_reduced_search_agrees_with_check_one_move_from_the_two_edge_corpus(monkeypatch):
+    # seeds one legal move from a reduced graph with at most 2 edges and
+    # labels up to 6 (one more edge, labels up to the square of the
+    # graph's largest), whose reduction is not the one-loop (1, n) graph:
+    # the reduced search that explore runs, under explore's own default
+    # label cap, finds a second class exactly when check calls the
+    # reduction not rigid.  Slides need not join the reduced trees of a
+    # space with a strictly ascending loop, so every such seed is taken,
+    # and a seeded 2,000 of the others.  With the cap taken from the seed
+    # alone, 52 of the first group read one class where check finds two
+    class Decided(Exception):
+        pass
+
+    decided, search = [], gbsr.explorer._reduced_search
+
+    def deciding(base, max_label, table, pool):
+        decided.append((base.graph, search(base, max_label, table, pool) is None))
+        raise Decided
+
+    monkeypatch.setattr(gbsr.explorer, "_reduced_search", deciding)
+    pool, ascending, others = _TrustedPool(), [], []
+    for g in enumerate_graphs(2, 6):
+        if not is_reduced(g):
+            continue
+        seed = initial_state(g)
+        for mv, _ in _legal(g, MoveBounds(max_edges=len(g.edges) + 1, max_label=g.max_label() ** 2)):
+            child = _apply_move(seed, mv, pool, False)
+            base = _reduce(child, pool).graph
+            if not is_ascending(base):
+                (ascending if _strictly_ascending_loop(base) else others).append(child)
+    assert (len(ascending), len(others)) == (2575, 15286)
+    for group in (ascending, random.Random(0x6A7D).sample(others, 2000)):
+        decided.clear()
+        for child in group:
+            with pytest.raises(Decided):
+                explore(child)
+        assert len(decided) == len(group)
+        wrong = [serialize(base) for base, one_class in decided if one_class != check(base).rigid]
+        assert wrong == [], wrong
+    # one of the 52: the search takes label 12 at the (1, 4), (3, 3)
+    # reduction, where the seed's labels allow 9
+    monkeypatch.setattr(gbsr.explorer, "_reduced_search", search)
+    seed = apply_move(state("vertex v0\nedge e0 v0 1 4 v0\nedge e1 v0 3 3 v0\n"),
+                      Expansion("v0", 2, (parse_end("e0.B"),)))
+    report = explore(seed)
+    assert (report.rigid, [str(m) for m in report.witness]) == ("no", ["expand v0 2 e0.B", "collapse e0"])
 
 
 def test_explore_runs_the_traversal_only_where_no_seed_slide_decides(monkeypatch):
@@ -1237,6 +1284,37 @@ def test_the_count_walk_reads_no_marking_and_reduces_nothing(monkeypatch):
     assert read == []
     # the watch sees the states made outside the walk, and none inside it
     assert made.count(False) > 50 and made.count(True) == 0, Counter(made)
+
+
+def test_the_count_walk_builds_no_move_and_pools_no_graph(monkeypatch):
+    # on a rigid seed the walk that counts children reads move kinds and
+    # graph content only: no move object is made while it runs, and
+    # explore's pool holds the same graphs before and after it
+    calls, counting = _count_walk_recorder(monkeypatch)
+    made, pools = [], []
+    for kind in (Collapse, Slide, Expansion, Induction):
+        init = kind.__init__
+        monkeypatch.setattr(kind, "__init__", lambda self, *args, f=init: made.append(bool(counting)) or f(self, *args))
+    count = gbsr.explorer._count
+
+    def watched_count(g0, bounds, inner, pool):
+        before = dict(pool)
+        out = count(g0, bounds, inner, pool)
+        pools.append(before == pool)
+        return out
+
+    monkeypatch.setattr(gbsr.explorer, "_count", watched_count)
+    for text in (LOOP23, "vertex a\nvertex b\nedge e a 2 3 b\nedge c b 5 7 b\n"):
+        calls.clear(), made.clear(), pools.clear()
+        seed = state(text)
+        report = explore(seed)
+        assert report.rigid == "yes" and report.classes[0].count > 1, text
+        assert len(calls) == 1 and pools == [True] and True not in made, text
+        # the watch sees the moves that the walk lists from the seed when
+        # they are enumerated outside it
+        made.clear()
+        listed = enumerate_moves(seed, _inner(seed.graph, ExploreBounds()))
+        assert made == [False] * len(listed) and len(listed) > 1, text
 
 
 def test_the_count_walk_matches_the_reference_count_under_every_cap():

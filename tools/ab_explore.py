@@ -27,7 +27,9 @@ one-class space), `explorer._search` (the traversal over marked states
 on a space with a second class), `explorer._soundness_check` (the
 verified replay of the report), `explorer._spread` (fingerprints spread
 from lengths), the `_legal` that `explorer` calls (legal moves and
-their surgery) and every entry of the table `moves._LETTERS` (the letter
+their surgery, for the children of marked states), the `_legal_content`
+that `explorer` calls (move kinds and their surgery, for the count
+walk) and every entry of the table `moves._LETTERS` (the letter
 maps that `MarkedState.images` makes for the steps it reads), the
 minimum of each layer's inclusive time and the layer's number of calls,
 which every run repeats exactly.  Entries of LAYERS that share a name
@@ -83,6 +85,7 @@ LAYERS = (("images", "moves", "MarkedState", "images"),
           ("_soundness_check", "explorer", None, "_soundness_check"),
           ("_spread", "explorer", None, "_spread"),
           ("_legal", "explorer", None, "_legal"),
+          ("_legal_content", "explorer", None, "_legal_content"),
           ("letter maps", "moves", None, "_LETTERS"))
 
 
