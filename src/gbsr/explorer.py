@@ -504,7 +504,7 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
         found = _reduced_search(base, max_label, table, pool)
         if found is None:
             # one reduced class: the traversal only counts into the base one
-            clipped, children = _count(g0, bounds, inner, pool)
+            clipped, children = _count(g0, bounds, inner)
             base_rec.count += children
         elif found[0] is not None and base is seed and bounds.max_depth >= 1:
             # a slide of the reduced seed decides: the traversal stops at it
@@ -563,7 +563,7 @@ def _search(seed, bounds, inner, pool, table):
     return clipped
 
 
-def _count(g0, bounds, inner, pool):
+def _count(g0, bounds, inner):
     """_search's walk from the graph g0 over graph content, for a space
     with one class: (clipped, children), children counting the slide and
     collapse moves of the graphs it expands, in _search's order and under
@@ -571,7 +571,7 @@ def _count(g0, bounds, inner, pool):
     so it builds no move.  Each content is keyed once: one met again has
     its canonical key in visited already.  A content with a new key is
     queued as a graph of its own: nothing reads it after the walk, so it
-    stays out of explore's pool, which the walk leaves as it is."""
+    stays out of explore's pool."""
     keyed, visited = set(), {g0.canonical_key()}  # keyed: graph contents
     queue = deque([(g0, 0)])
     clipped, popped, children = False, 0, 0

@@ -391,14 +391,14 @@ def _slide(g: GbsGraph, move):
         raise DifferentOriginError("%s and %s do not share a vertex" % (moving, across))
     if le % lf:
         raise NotDivisibleError("label %d does not divide %d" % (lf, le))
-    return _slid(g, moving.side, m, w, le // lf * lw)
+    return _slid(g, moving, m, w, le // lf * lw)
 
 
-def _slid(g: GbsGraph, side, m, w, label):
-    """The surgery of sliding the end on the given side of the edge m
-    across an end of another edge, which puts it at w, that edge's far
-    end, with the given label."""
-    moved = Edge(m.eid, w, label, m.vb, m.lb) if side == "A" else Edge(m.eid, m.va, m.la, w, label)
+def _slid(g: GbsGraph, moving, m, w, label):
+    """The surgery of sliding the end moving of the edge m across an end
+    of another edge, which puts it at w, that edge's far end, with the
+    given label."""
+    moved = Edge(m.eid, w, label, m.vb, m.lb) if moving.side == "A" else Edge(m.eid, m.va, m.la, w, label)
     return g.vertices, tuple([moved if f is m else f for f in g.edges])
 
 
@@ -600,13 +600,11 @@ def _indices(label: int) -> tuple:
     return tuple(_divisors(label)[1:])
 
 
-def _legal_content(g: GbsGraph, bounds: MoveBounds, end=tuple):
+def _legal_content(g: GbsGraph, bounds: MoveBounds):
     """(kind, fields, surgery) for every legal move within bounds, in
     enumerate_moves order, one at a time, so a caller that stops early
     builds nothing past the last move it read: kind is the move's class,
-    kind(*fields) the move, and surgery the new graph's content.  end
-    makes each edge end of fields from its (edge, side) pair, once per
-    end of g: plain tuples unless a caller builds moves, as _legal does.
+    kind(*fields) the move, and surgery the new graph's content.
 
     The moves are built legal: collapses of non-loop edges with an end
     labelled 1, slides of an end across an end of another edge at its
@@ -628,8 +626,8 @@ def _legal_content(g: GbsGraph, bounds: MoveBounds, end=tuple):
     at = {v: [] for v in g.vertices}
     for e in g.edges:
         eid, va, la, vb, lb = e
-        at[va].append((end((eid, "A")), la, e))
-        at[vb].append((end((eid, "B")), lb, e))
+        at[va].append((EdgeEnd(eid, "A"), la, e))
+        at[vb].append((EdgeEnd(eid, "B"), lb, e))
     for e in g.edges:
         eid, va, la, vb, lb = e
         if va == vb:
@@ -652,11 +650,11 @@ def _legal_content(g: GbsGraph, bounds: MoveBounds, end=tuple):
             for across, lf, a in labelled:
                 if a is m or le % lf:
                     continue
-                w, lw = (a.vb, a.lb) if across[1] == "A" else (a.va, a.la)
+                w, lw = (a.vb, a.lb) if across.side == "A" else (a.va, a.la)
                 label = le // lf * lw
                 if not scan and label > cap:
                     continue
-                surgery = _slid(g, moving[1], m, w, label)
+                surgery = _slid(g, moving, m, w, label)
                 if not scan or _within(surgery, cap):
                     yield Slide, (moving, across), surgery
     if bounds.max_edges is None or len(g.edges) < bounds.max_edges:
@@ -687,8 +685,8 @@ def _legal_content(g: GbsGraph, bounds: MoveBounds, end=tuple):
 
 def _legal(g: GbsGraph, bounds: MoveBounds):
     """(move, surgery) for every move of _legal_content(g, bounds), in its
-    order and as lazily, each move built with EdgeEnd ends."""
-    for kind, fields, surgery in _legal_content(g, bounds, EdgeEnd._make):
+    order and as lazily."""
+    for kind, fields, surgery in _legal_content(g, bounds):
         yield kind(*fields), surgery
 
 

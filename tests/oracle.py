@@ -363,11 +363,13 @@ def reference_explore(seed, bounds=None):
 
     bounds = bounds or ExploreBounds()
     g0 = seed.graph
-    max_label = bounds.max_label if bounds.max_label is not None else g0.max_label() ** 2
-    inner = MoveBounds(max_edges=len(g0.edges) + bounds.max_extra_edges, max_label=max_label)
     pool = _TrustedPool()
-    table = _ClassTable(_sample_plan(len(seed.seed.presentation.generators), bounds.radius))
     base = _reduce(seed, pool)
+    max_label = bounds.max_label
+    if max_label is None:
+        max_label = max(g0.max_label(), base.graph.max_label()) ** 2
+    inner = MoveBounds(max_edges=len(g0.edges) + bounds.max_extra_edges, max_label=max_label)
+    table = _ClassTable(_sample_plan(len(seed.seed.presentation.generators), bounds.radius))
     assert _ascending_n(base.graph) is None
     table.classify(base)
 
@@ -406,7 +408,7 @@ def reference_count(seed, bounds, inner, pool):
     over marked states, built through _children, counting without
     classifying.  (clipped, counted), counted listing the slide and
     collapse children of every state it expands, as states, in the order
-    read; _count(seed.graph, bounds, inner, pool) returns (clipped,
+    read; _count(seed.graph, bounds, inner) returns (clipped,
     len(counted))."""
     from collections import deque
 

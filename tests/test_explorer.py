@@ -1034,10 +1034,10 @@ def _count_walk_recorder(monkeypatch):
     calls, counting = [], []
     count = gbsr.explorer._count
 
-    def recording_count(g0, bounds, inner, pool):
+    def recording_count(g0, bounds, inner):
         counting.append(True)
         try:
-            calls.append(count(g0, bounds, inner, pool))
+            calls.append(count(g0, bounds, inner))
             return calls[-1]
         finally:
             counting.pop()
@@ -1046,9 +1046,15 @@ def _count_walk_recorder(monkeypatch):
     return calls, counting
 
 
+def _default_cap(g):
+    """explore's default max_label for the seed graph g: the square of the
+    larger largest label, of g or of its reduction."""
+    return max(g.max_label(), _reduce(initial_state(g), _TrustedPool()).graph.max_label()) ** 2
+
+
 def _inner(g, bounds):
     """The move bounds of explore's traversal from g, max_label None."""
-    return MoveBounds(max_edges=len(g.edges) + bounds.max_extra_edges, max_label=g.max_label() ** 2)
+    return MoveBounds(max_edges=len(g.edges) + bounds.max_extra_edges, max_label=_default_cap(g))
 
 
 def _reference_counted(seed, bounds=ExploreBounds()):
@@ -1295,17 +1301,25 @@ def test_the_count_walk_builds_no_move_and_pools_no_graph(monkeypatch):
     for kind in (Collapse, Slide, Expansion, Induction):
         init = kind.__init__
         monkeypatch.setattr(kind, "__init__", lambda self, *args, f=init: made.append(bool(counting)) or f(self, *args))
-    count = gbsr.explorer._count
+    count, held = gbsr.explorer._count, []
 
-    def watched_count(g0, bounds, inner, pool):
+    class Held(_TrustedPool):
+        __slots__ = ()
+
+        def __init__(self):
+            held.append(self)
+
+    def watched_count(g0, bounds, inner):
+        (pool,) = held
         before = dict(pool)
-        out = count(g0, bounds, inner, pool)
+        out = count(g0, bounds, inner)
         pools.append(before == pool)
         return out
 
+    monkeypatch.setattr(gbsr.explorer, "_TrustedPool", Held)
     monkeypatch.setattr(gbsr.explorer, "_count", watched_count)
     for text in (LOOP23, "vertex a\nvertex b\nedge e a 2 3 b\nedge c b 5 7 b\n"):
-        calls.clear(), made.clear(), pools.clear()
+        calls.clear(), made.clear(), pools.clear(), held.clear()
         seed = state(text)
         report = explore(seed)
         assert report.rigid == "yes" and report.classes[0].count > 1, text
@@ -1334,7 +1348,7 @@ def test_the_count_walk_matches_the_reference_count_under_every_cap():
         clipped.append(0), counted.append(0)
         for g in subset:
             want, children = _reference_counted(initial_state(g), bounds)
-            assert _count(g, bounds, _inner(g, bounds), _TrustedPool()) == (want, len(children)), (
+            assert _count(g, bounds, _inner(g, bounds)) == (want, len(children)), (
                 serialize(g), bounds)
             clipped[-1] += want
             counted[-1] += len(children)
@@ -1503,7 +1517,7 @@ def test_explore_reports_equal_the_reference_traversal():
         seed, pool = initial_state(g), _TrustedPool()
         base = _reduce(seed, pool)
         table = _ClassTable(_sample_plan(len(seed.seed.presentation.generators), 4))
-        verdict = _reduced_search(base, g.max_label() ** 2, table, pool)
+        verdict = _reduced_search(base, max(g.max_label(), base.graph.max_label()) ** 2, table, pool)
         assert (verdict is None) == check(base.graph).rigid, serialize(g)
         verdicts[verdict is None, is_reduced(g)] += 1
     assert min(verdicts.values()) >= 30, verdicts
