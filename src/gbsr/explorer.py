@@ -47,28 +47,29 @@ A report's classes, counts and witness are those of explore's traversal:
 a breadth-first walk over every state within the bounds, reduced or not,
 visiting each canonical graph once.  A class's count is the number of
 slide and collapse children whose reduced state falls in it, plus one
-for the seed's in the base class.  When the reduced search exhausts its
-space with one class, all of them fall in the base class, and _count
-walks the traversal over graph content alone, adding up each graph's
-slide and collapse moves.  When a slide of a reduced seed decides and
-max_depth >= 1, the traversal stops there too (the seed, popped first,
-lists its slides first, in the search's order, and keys each against
-the only class), so the slides before it count into the base class and
-its reduced child is the witness.  Otherwise _search walks it over marked
-states, reducing and classifying each such child until the first new
-class, whose representative is the witness.  explore assumes only that
-the traversal finds no second class where the reduced search exhausts
-one; the tests check reports against a traversal classifying each child.
+for the seed's in the base class.  When a slide of a reduced seed decides
+and max_depth >= 1, the traversal would stop there (the seed, popped
+first, lists its slides first, in the search's order, and keys each
+against the only class), so the slides before it count into the base
+class and its reduced child is the witness, and _traverse does not run.
+Otherwise _traverse walks it over graph content, reading each move's
+kind and the new graph's content from _legal_content, in one of two
+modes.  When the reduced search exhausts its space with one class, all
+children fall in the base class, so the walk only counts them into it and
+builds no move, marked state or pooled graph.  Otherwise it builds,
+reduces and classifies each such child until the first new class, whose
+representative is the witness.  explore assumes only that the traversal
+finds no second class where the reduced search exhausts one; the tests
+check reports against a traversal classifying each child.
 
-Children are built as the loops reach them, so a "no" verdict builds
-nothing past its witness.  A child and each state of its collapse chain
-stay lazy, and a state's marking is read only when one of its children
-is classified.  The chain of each concrete graph is kept in the
+Children are built as the walk reaches them, so a "no" verdict builds
+nothing past its witness, and of the other children only those queued
+under a new canonical graph.  A child and each state of its collapse
+chain stay lazy, and a state's marking is read only when one of its
+children is classified.  The chain of each concrete graph is kept in the
 `explore` call's graph pool, and built from the pooled chain of the
 graph that its first collapse makes, so each graph costs one collapse
-per call.  _count builds no child: it reads each move's kind and graph
-content from _legal_content, so it makes no move object, and it builds
-a graph, outside the pool, only for content with a new canonical graph.
+per call.
 
 The soundness replay rebuilds each class representative from the seed
 through the public `apply_move` with verification on, and compares its
@@ -456,9 +457,9 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
     """Decide whether the deformation space of a marked state holds more
     than one reduced class within bounds.
 
-    The search over reduced trees decides, and the traversal (_count or
-    _search) counts each class's members, or the reduced seed's deciding
-    slide gives what _search would (see the module docstring).
+    The search over reduced trees decides, and the traversal (_traverse)
+    counts each class's members, or the reduced seed's deciding slide
+    gives what the traversal would (see the module docstring).
     Verdicts: "no" (two reduced classes found; witness attached),
     "yes" (the bounded space was exhausted with a single class), or
     "inconclusive" (depth or state budget ran out first).
@@ -502,17 +503,14 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
         inner = MoveBounds(max_edges=len(g0.edges) + bounds.max_extra_edges, max_label=max_label)
         base_rec, _ = table.classify(base)
         found = _reduced_search(base, max_label, table, pool)
-        if found is None:
-            # one reduced class: the traversal only counts into the base one
-            clipped, children = _count(g0, bounds, inner)
-            base_rec.count += children
-        elif found[0] is not None and base is seed and bounds.max_depth >= 1:
+        if found is not None and found[0] is not None and base is seed and bounds.max_depth >= 1:
             # a slide of the reduced seed decides: the traversal stops at it
             base_rec.count += found[0]
             table.classify(found[1])
             clipped = False
         else:
-            clipped = _search(seed, bounds, inner, pool, table)
+            # with one reduced class the traversal only counts into the base one
+            clipped = _traverse(seed, bounds, inner, pool, table, base_rec if found is None else None)
         records = list(table.classes.values())
     else:
         clipped, records = False, _ascending_classes(base, modulus, table)
@@ -530,71 +528,54 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
     return report
 
 
-def _search(seed, bounds, inner, pool, table):
+def _traverse(seed, bounds, inner, pool, table, counted):
     """explore's breadth-first traversal of seed's space within inner,
-    over marked states, for a space with a second class: whether a cap
-    cut it short.  It reduces and classifies each slide and collapse
-    child into table and stops at the first that opens a second class."""
+    over graph content: whether a cap cut it short.  Each move's kind and
+    content come from _legal_content, each content is keyed once (one met
+    again has its canonical key in visited already), and a queue entry is
+    (graph, depth, state).
+
+    With counted, a class record, each slide and collapse child adds 1 to
+    it, and a content with a new key is queued as a graph of its own,
+    outside the pool, with no state: nothing reads it after the walk.
+    With counted None, each slide and collapse child is built, reduced
+    and classified into table, and the walk stops at the first that opens
+    a class; the only other child built is a queued one, into the pool."""
+    keyed, visited = set(), {seed.graph.canonical_key()}  # keyed: graph contents
+    queue = deque([(seed.graph, 0, seed)])
     clipped, popped = False, 0
-    visited = {seed.graph.canonical_key()}
-    queue = deque([seed])
     while queue:
-        state = queue.popleft()
+        g, depth, state = queue.popleft()
         popped += 1
         if popped > bounds.max_states:
             return True
-        # built as the loop below reaches them: a "no" verdict stops at the
-        # first child whose reduced state opens a second class
-        moves = _children(state, inner, pool)
-        if state.depth - seed.depth >= bounds.max_depth:
-            # depth cap: anything still reachable from here is unexplored
-            if next(moves, None) is not None:
-                clipped = True
-            continue
-        for mv, child in moves:
-            if isinstance(mv, (Slide, Collapse)):
-                state.images()  # built for the first child classified, not per child
-                if table.classify(_reduce(child, pool))[1]:
-                    return clipped
-            key = child.graph.canonical_key()
-            if key not in visited:
-                visited.add(key)
-                queue.append(child)
-    return clipped
-
-
-def _count(g0, bounds, inner):
-    """_search's walk from the graph g0 over graph content, for a space
-    with one class: (clipped, children), children counting the slide and
-    collapse moves of the graphs it expands, in _search's order and under
-    its caps.  It reads each move's kind and content from _legal_content,
-    so it builds no move.  Each content is keyed once: one met again has
-    its canonical key in visited already.  A content with a new key is
-    queued as a graph of its own: nothing reads it after the walk, so it
-    stays out of explore's pool."""
-    keyed, visited = set(), {g0.canonical_key()}  # keyed: graph contents
-    queue = deque([(g0, 0)])
-    clipped, popped, children = False, 0, 0
-    while queue:
-        g, depth = queue.popleft()
-        popped += 1
-        if popped > bounds.max_states:
-            return True, children
         moves = _legal_content(g, inner)
         if depth >= bounds.max_depth:
+            # depth cap: anything still reachable from here is unexplored
             clipped |= next(moves, None) is not None
             continue
-        for kind, _, content in moves:
+        for kind, fields, content in moves:
+            child = None
             if kind is Slide or kind is Collapse:
-                children += 1
+                if counted is not None:
+                    counted.count += 1
+                else:
+                    state.images()  # built for the first child classified, not per child
+                    child = _child(state, kind(*fields), content, pool, False)
+                    if table.classify(_reduce(child, pool))[1]:
+                        return clipped
             if content in keyed:
                 continue
             keyed.add(content)
             key = _canonical_key(*content)
             if key not in visited:
                 visited.add(key)
-                queue.append((GbsGraph(*content, True), depth + 1))
-    return clipped, children
+                if counted is not None:
+                    queue.append((GbsGraph(*content, True), depth + 1, None))
+                else:
+                    child = child or _child(state, kind(*fields), content, pool, False)
+                    queue.append((child.graph, depth + 1, child))
+    return clipped
 
 
 def _reduced_search(base, max_label, table, pool):

@@ -92,7 +92,6 @@ from .words import (
     modulus,
     path_to_generators,
     reduce_letters,
-    substitute,
 )
 
 
@@ -214,10 +213,6 @@ class MarkedState:
     @property
     def depth(self):
         return len(self.history)
-
-    def seed_word(self, word):
-        """Transport a word over seed generators into the current presentation."""
-        return substitute(word, self.marking)
 
     def seed_length(self, word):
         """Translation length of a seed-generator word in the current tree."""

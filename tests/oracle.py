@@ -14,8 +14,10 @@ one ordering when the invariant tells the vertices apart), legal moves
 by proposing every candidate and keeping those its move function
 accepts (the package builds only legal moves), explore's reports from
 one traversal that classifies every slide and collapse child (the
-package decides by a search over reduced trees first), and random inputs are
-generated here so property tests do not depend on the package's own
+package decides by a search over reduced trees first), seed words are
+carried into a state's presentation by substituting its marking (the
+package measures them on path images), and random inputs are generated
+here so property tests do not depend on the package's own
 enumeration order.
 """
 
@@ -24,6 +26,7 @@ from fractions import Fraction
 from itertools import chain, permutations, product
 
 from gbsr.graph import GbsGraph
+from gbsr.words import substitute
 
 
 def merge_powers(letters):
@@ -227,6 +230,12 @@ def modulus_fingerprint(state):
     return tuple(sorted(values))
 
 
+def seed_word(state, word):
+    """A word over seed generators transported into state's current
+    presentation by substituting each generator's marking word."""
+    return substitute(word, state.marking)
+
+
 # -- marking transport -------------------------------------------------------
 
 def oracle_transport(g, move, h, letters):
@@ -404,12 +413,13 @@ def reference_explore(seed, bounds=None):
 
 
 def reference_count(seed, bounds, inner, pool):
-    """The reference for explorer._count: explore's traversal from seed
-    over marked states, built through _children, counting without
-    classifying.  (clipped, counted), counted listing the slide and
-    collapse children of every state it expands, as states, in the order
-    read; _count(seed.graph, bounds, inner) returns (clipped,
-    len(counted))."""
+    """The reference for the count mode of explorer._traverse: explore's
+    traversal from seed over marked states, built through _children,
+    counting without classifying.  (clipped, counted), counted listing
+    the slide and collapse children of every state it expands, as
+    states, in the order read; _traverse(seed, bounds, inner, pool,
+    table, record) returns clipped and adds len(counted) to
+    record.count."""
     from collections import deque
 
     from gbsr.explorer import _children

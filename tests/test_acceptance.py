@@ -86,8 +86,8 @@ def test_criterion_3_slide_length_deltas():
         assert st.seed_length(word) == before, wtext
         assert slid.seed_length(word) == after, wtext
         # second route: substitute through the marking, then measure
-        assert word_length(st.presentation, st.seed_word(word)) == before
-        assert word_length(slid.presentation, slid.seed_word(word)) == after
+        assert word_length(st.presentation, oracle.seed_word(st, word)) == before
+        assert word_length(slid.presentation, oracle.seed_word(slid, word)) == after
     print("PASS criterion 3: slide moves witness lengths 1->2, 2->4, 3->5, 4->6")
 
 

@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 import time
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import replace
 
 import pytest
@@ -13,8 +13,8 @@ import gbsr.explorer
 import gbsr.graph
 from gbsr.explorer import (
     ExploreBounds,
+    _ClassRecord,
     _ClassTable,
-    _count,
     _legal_children,
     _lengths,
     _reduce,
@@ -22,6 +22,7 @@ from gbsr.explorer import (
     _sample_plan,
     _soundness_check,
     _spread,
+    _traverse,
     ascending_equivalent,
     enumerate_graphs,
     explore,
@@ -29,7 +30,7 @@ from gbsr.explorer import (
     reduce_state,
     witness_search,
 )
-from gbsr.graph import GbsGraph, is_isomorphic, parse, parse_end, serialize, validate
+from gbsr.graph import GbsGraph, _canonical_key, is_isomorphic, parse, parse_end, serialize, validate
 from gbsr.moves import (
     Collapse,
     Expansion,
@@ -212,7 +213,7 @@ def test_fingerprint_sparse_evaluation_matches_direct():
         for length in range(1, 4):
             for w in oracle.recursive_reduced_words(letters, length):
                 word = _merge(w)
-                direct.append(word_length(st.presentation, st.seed_word(word)))
+                direct.append(word_length(st.presentation, oracle.seed_word(st, word)))
         assert list(fp) == direct
 
 
@@ -774,35 +775,50 @@ def test_spread_gathers_what_the_reference_spreads():
 
 
 def test_explore_builds_only_the_children_it_reads(monkeypatch):
-    built = []
-    real = gbsr.explorer._child
+    built, read = [], []
+    real, listing = gbsr.explorer._child, gbsr.explorer._legal_content
 
     def counting(state, mv, *rest):
-        built.append((state, mv))
+        built.append((state.history, mv))
         return real(state, mv, *rest)
 
+    def reading(g, bounds):
+        for listed in listing(g, bounds):
+            read.append(listed)
+            yield listed
+
     monkeypatch.setattr(gbsr.explorer, "_child", counting)
+    monkeypatch.setattr(gbsr.explorer, "_legal_content", reading)
     report = explore(parse(BS26))
     assert report.rigid == "no"
-    # the children read: every legal child of each state the traversal
-    # expanded, but of the last one only up to the witness's move; the
-    # reduced search reads no slide on BS(2,6), and builds its one
-    # composite child through _apply_move
-    popped = list(dict.fromkeys(st for st, _ in built))
-    read, listed = [], 0
-    for st in popped:
-        moves = [mv for mv, _ in _legal(st.graph, MoveBounds(max_edges=3, max_label=36))]
-        listed += len(moves)
-        if st is popped[-1]:
-            moves = moves[: moves.index(report.witness[st.depth]) + 1]
-        read += [(st, mv) for mv in moves]
-    assert built == read
-    assert listed > len(read)
+    # the children built: of the moves that the traversal lists from each
+    # state it expands, up to the witness's, each slide and collapse, which
+    # it classifies, and each move to a new canonical graph, which it
+    # queues; the reduced search reads no slide on BS(2,6), and builds its
+    # one composite child through _apply_move
+    inner, seed = MoveBounds(max_edges=3, max_label=36), state(BS26)
+    want, listed, visited, queue = [], 0, {seed.graph.canonical_key()}, deque([seed])
+    while queue:
+        st = queue.popleft()
+        for mv, surgery in _legal(st.graph, inner):
+            listed += 1
+            key, classified = _canonical_key(*surgery), isinstance(mv, (Slide, Collapse))
+            if classified or key not in visited:
+                want.append((st.history, mv))
+            if classified and st.history + (mv,) == report.witness[:st.depth + 1]:
+                queue.clear()
+                break
+            if key not in visited:
+                visited.add(key)
+                queue.append(apply_move(st, mv, verify=False))
+    assert built == want
+    assert listed == len(read) > len(built) > 1
 
-    # at the depth cap one child is enough to know the search was clipped
-    built.clear()
+    # at the depth cap one listed move is enough to know the search was
+    # clipped, and no child is built
+    built.clear(), read.clear()
     assert explore(parse(BS26), ExploreBounds(max_depth=0)).rigid == "inconclusive"
-    assert len(built) == 1
+    assert built == [] and len(read) == 1
 
 
 def test_letter_maps_are_made_only_for_the_steps_images_reads(monkeypatch):
@@ -1028,21 +1044,26 @@ def _shortcut_corpus():
 
 
 def _count_walk_recorder(monkeypatch):
-    """(calls, counting): calls collects what each _count that explore
-    runs returns (the walk that counts into the base class), and counting
-    is not empty while one runs."""
+    """(calls, counting): calls collects (clipped, children) for each
+    _traverse in count mode that explore runs (the walk that counts into
+    the base class), children being what it adds to the record, and
+    counting is not empty while one runs."""
     calls, counting = [], []
-    count = gbsr.explorer._count
+    traverse = gbsr.explorer._traverse
 
-    def recording_count(g0, bounds, inner):
+    def recording(seed, bounds, inner, pool, table, counted):
+        if counted is None:
+            return traverse(seed, bounds, inner, pool, table, counted)
+        before = counted.count
         counting.append(True)
         try:
-            calls.append(count(g0, bounds, inner))
-            return calls[-1]
+            clipped = traverse(seed, bounds, inner, pool, table, counted)
         finally:
             counting.pop()
+        calls.append((clipped, counted.count - before))
+        return clipped
 
-    monkeypatch.setattr(gbsr.explorer, "_count", recording_count)
+    monkeypatch.setattr(gbsr.explorer, "_traverse", recording)
     return calls, counting
 
 
@@ -1156,6 +1177,28 @@ def test_explore_reports_match_with_the_shortcut_off(monkeypatch):
     assert _slide_decided(reduce_state(state(UNREDUCED_NO)).graph) == 0
 
 
+def test_the_classify_walk_matches_the_reference_under_budget_and_edge_caps(monkeypatch):
+    # with the reduced search answering that a composite decided every
+    # time, explore's traversal classifies every slide and collapse child,
+    # as the reference does; a state budget cuts the walk at a point that
+    # depends on the visiting order, so equal reports under the caps pin
+    # that order in this mode too.  Every third non-ascending graph of the
+    # corpus keeps the test near 1.5 s on a 2-core x86-64 host
+    monkeypatch.setattr(gbsr.explorer, "_reduced_search", lambda base, max_label, table, pool: (None, base))
+    graphs = [g for g in _shortcut_corpus() if not is_ascending(g)][::3]
+    verdicts = Counter()
+    for bounds in [ExploreBounds(max_states=n) for n in (1, 2, 7, 50)] + [
+            ExploreBounds(max_extra_edges=e) for e in (0, 1)]:
+        for g in graphs:
+            report = explore(initial_state(g), bounds).to_json()
+            assert report == oracle.reference_explore(initial_state(g), bounds).to_json(), (serialize(g), bounds)
+            verdicts[bounds.max_states, report["rigid"]] += 1
+    assert len(graphs) == 85
+    # every budget clips some walks, and the edge caps leave none clipped
+    assert all(verdicts[n, "inconclusive"] >= 10 and verdicts[n, "no"] >= 50 for n in (1, 2, 7, 50)), verdicts
+    assert verdicts[5000, "inconclusive"] == 0 and verdicts[5000, "yes"] >= 40, verdicts
+
+
 def _strictly_ascending_loop(g):
     """Does g carry a loop labelled (1, n) with n > 1?"""
     return any(e.is_loop and min(e.la, e.lb) == 1 < max(e.la, e.lb) for e in g.edges)
@@ -1211,11 +1254,12 @@ def test_the_reduced_search_agrees_with_check_one_move_from_the_two_edge_corpus(
 
 def test_explore_runs_the_traversal_only_where_no_seed_slide_decides(monkeypatch):
     # a reduced seed that a slide decides, under max_depth >= 1, takes its
-    # report from the reduced search and runs no _search; a composite
-    # (BS(2,6)), an unreduced seed and max_depth 0 still run it, and the
-    # last reads "inconclusive"
-    searched, search = [], gbsr.explorer._search
-    monkeypatch.setattr(gbsr.explorer, "_search", lambda *args: searched.append(args) or search(*args))
+    # report from the reduced search and runs no traversal; a composite
+    # (BS(2,6)), an unreduced seed and max_depth 0 still run it in
+    # classify mode, and the last reads "inconclusive"
+    searched, traverse = [], gbsr.explorer._traverse
+    monkeypatch.setattr(gbsr.explorer, "_traverse",
+                        lambda *args: searched.append(args[-1] is None) or traverse(*args))
     decided = 0
     for g in _shortcut_corpus() + [parse(t) for t in SLID_PAST]:
         if is_ascending(g) or _slide_decided(g) is None:
@@ -1228,7 +1272,7 @@ def test_explore_runs_the_traversal_only_where_no_seed_slide_decides(monkeypatch
                                 (PATH22, ExploreBounds(max_depth=0), "inconclusive")):
         searched.clear()
         assert explore(state(text), bounds).rigid == rigid, text
-        assert len(searched) == 1, text
+        assert searched == [True], text
 
 
 def test_explore_spreads_each_distinct_lengths_tuple_once(monkeypatch):
@@ -1301,25 +1345,17 @@ def test_the_count_walk_builds_no_move_and_pools_no_graph(monkeypatch):
     for kind in (Collapse, Slide, Expansion, Induction):
         init = kind.__init__
         monkeypatch.setattr(kind, "__init__", lambda self, *args, f=init: made.append(bool(counting)) or f(self, *args))
-    count, held = gbsr.explorer._count, []
+    traverse = gbsr.explorer._traverse
 
-    class Held(_TrustedPool):
-        __slots__ = ()
-
-        def __init__(self):
-            held.append(self)
-
-    def watched_count(g0, bounds, inner):
-        (pool,) = held
+    def watched(seed, bounds, inner, pool, table, counted):
         before = dict(pool)
-        out = count(g0, bounds, inner)
+        out = traverse(seed, bounds, inner, pool, table, counted)
         pools.append(before == pool)
         return out
 
-    monkeypatch.setattr(gbsr.explorer, "_TrustedPool", Held)
-    monkeypatch.setattr(gbsr.explorer, "_count", watched_count)
+    monkeypatch.setattr(gbsr.explorer, "_traverse", watched)
     for text in (LOOP23, "vertex a\nvertex b\nedge e a 2 3 b\nedge c b 5 7 b\n"):
-        calls.clear(), made.clear(), pools.clear(), held.clear()
+        calls.clear(), made.clear(), pools.clear()
         seed = state(text)
         report = explore(seed)
         assert report.rigid == "yes" and report.classes[0].count > 1, text
@@ -1332,9 +1368,10 @@ def test_the_count_walk_builds_no_move_and_pools_no_graph(monkeypatch):
 
 
 def test_the_count_walk_matches_the_reference_count_under_every_cap():
-    # _count walks graph content where the reference walks marked states;
-    # a capped budget makes the count depend on the visiting order, so
-    # equal results under the caps pin the order too.  The uncapped bounds
+    # _traverse's count mode walks graph content where the reference walks
+    # marked states, and leaves the pool empty; a capped budget makes the
+    # count depend on the visiting order, so equal results under the caps
+    # pin the order too.  The uncapped bounds
     # run on the graphs that explore counts (one reduced class): on all
     # of them the two walks take minutes
     graphs = _shortcut_corpus()
@@ -1348,8 +1385,9 @@ def test_the_count_walk_matches_the_reference_count_under_every_cap():
         clipped.append(0), counted.append(0)
         for g in subset:
             want, children = _reference_counted(initial_state(g), bounds)
-            assert _count(g, bounds, _inner(g, bounds)) == (want, len(children)), (
-                serialize(g), bounds)
+            record, pool = _ClassRecord(None, None), _TrustedPool()
+            got = _traverse(initial_state(g), bounds, _inner(g, bounds), pool, None, record)
+            assert (got, record.count, pool) == (want, len(children), {}), (serialize(g), bounds)
             clipped[-1] += want
             counted[-1] += len(children)
     assert (len(graphs), len(one_class)) == (259, 59)

@@ -19,10 +19,10 @@ def test_ab_explore_layers_resolve_in_the_package(monkeypatch):
     layers = tool.Layers(gbsr)
     assert len(layers.patches) == len(tool.LAYERS)
     # BS(2,6) reads letter maps on its way to a witness, which a
-    # composite decides, so it runs _search; the rigid (2, 3) loop runs
-    # the count walk, which lists moves through _legal_content; both
-    # replay their reports (_soundness_check) and spread their
-    # fingerprints (_spread)
+    # composite decides, so it runs _traverse in classify mode; the rigid
+    # (2, 3) loop runs it in count mode; both list moves through
+    # _legal_content, replay their reports (_soundness_check) and spread
+    # their fingerprints (_spread)
     spent = layers.run(lambda: [gbsr.explore(gbsr.initial_state(parse(text)))
                                 for text in ("vertex v\nedge c v 2 6 v\n", "vertex v\nedge c v 2 3 v\n")])
     assert list(spent) == list(dict.fromkeys(name for name, *_ in tool.LAYERS))

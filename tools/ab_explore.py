@@ -22,15 +22,15 @@ functions `explorer._lengths` (fingerprint evaluation),
 `_canonical_key` (canonical graph keys, in `graph` and where `explorer`
 calls it on child content), the `_collapse` that `explorer` calls (the
 chains' collapses), `explorer._reduced_search` (the search over reduced
-states), `explorer._count` (the traversal's count over graph content on a
-one-class space), `explorer._search` (the traversal over marked states
-on a space with a second class), `explorer._soundness_check` (the
-verified replay of the report), `explorer._spread` (fingerprints spread
-from lengths), the `_legal` that `explorer` calls (legal moves and
-their surgery, for the children of marked states), the `_legal_content`
-that `explorer` calls (move kinds and their surgery, for the count
-walk) and every entry of the table `moves._LETTERS` (the letter
-maps that `MarkedState.images` makes for the steps it reads), the
+states), `explorer._traverse` (the traversal over graph content, which
+counts on a one-class space and classifies otherwise),
+`explorer._soundness_check` (the verified replay of the report),
+`explorer._spread` (fingerprints spread from lengths), the `_legal` that
+`explorer` calls (legal moves and their surgery, for the children the
+reduced search reads), the `_legal_content` that `explorer` calls (move
+kinds and their surgery, for the traversal) and every entry of the table
+`moves._LETTERS` (the letter maps that `MarkedState.images` makes for
+the steps it reads), the
 minimum of each layer's inclusive time and the layer's number of calls,
 which every run repeats exactly.  Entries of LAYERS that share a name
 share one layer, as `_canonical_key`'s two do.  A layer that names a dict
@@ -80,8 +80,7 @@ LAYERS = (("images", "moves", "MarkedState", "images"),
           ("_canonical_key", "explorer", None, "_canonical_key"),
           ("_collapse", "explorer", None, "_collapse"),
           ("_reduced_search", "explorer", None, "_reduced_search"),
-          ("_count", "explorer", None, "_count"),
-          ("_search", "explorer", None, "_search"),
+          ("_traverse", "explorer", None, "_traverse"),
           ("_soundness_check", "explorer", None, "_soundness_check"),
           ("_spread", "explorer", None, "_spread"),
           ("_legal", "explorer", None, "_legal"),
