@@ -41,7 +41,10 @@ edge's A end across the p end, which turns the loop into an edge
 It reduces each child, and stops at the first outside the seed's class:
 on another canonical graph, or with other lengths.  When every child
 stays in the seed's class, a sequence of such moves never leaves it, so
-the search over reduced states ends there.
+the search over reduced states ends there.  It runs only under a
+max_label of at least the square of the reduction's largest label, the
+most a slide of it makes: a smaller cap can drop the one slide that
+leaves the class.
 
 A report's classes, counts and witness are those of explore's traversal:
 a breadth-first walk over every state within the bounds, reduced or not,
@@ -56,11 +59,12 @@ Otherwise _traverse walks it over graph content, reading each move's
 kind and the new graph's content from _legal_content, in one of two
 modes.  When the reduced search exhausts its space with one class, all
 children fall in the base class, so the walk only counts them into it and
-builds no move, marked state or pooled graph.  Otherwise it builds,
-reduces and classifies each such child until the first new class, whose
-representative is the witness.  explore assumes only that the traversal
-finds no second class where the reduced search exhausts one; the tests
-check reports against a traversal classifying each child.
+builds no move, marked state or pooled graph.  Otherwise (a composite
+decided, or the search did not run) it builds, reduces and classifies
+each such child until the first new class, whose representative is the
+witness.  explore assumes only that the traversal finds no second class
+where the reduced search exhausts one; the tests check reports against
+a traversal classifying each child.
 
 Children are built as the walk reaches them, so a "no" verdict builds
 nothing past its witness, and of the other children only those queued
@@ -119,7 +123,6 @@ from .moves import (
     _collapse,
     _divisors,
     _fresh,
-    _legal,
     _legal_content,
     _pooled,
     apply_move,
@@ -133,15 +136,16 @@ from .words import _pinch_table, free_reduce, invert_path_letters, reduce_letter
 class ExploreBounds:
     """Caps for explore.
 
-    max_label caps every move's labels in both the reduced search and the
-    traversal; None means the square of the largest label of the seed or
-    of its reduction, whichever is larger, since a collapse multiplies
-    the other labels at its vertex.  radius
-    sets the sample words that classify states in both.  The other caps
-    bound the traversal only.  max_depth counts moves from the seed, not
-    the seed's own history.  max_states is a plain budget of popped
-    states, at least 1 (the seed): hitting it can only downgrade a
-    would-be "yes" to "inconclusive", never flip a verdict.
+    max_label caps every move's labels in the traversal, and the reduced
+    search runs only when it is at least the square of the reduction's
+    largest label; None means the square of the largest label of the seed
+    or of its reduction, whichever is larger, since a collapse multiplies
+    the other labels at its vertex.  radius sets the sample words that
+    classify states in both.  The other caps bound the traversal only.
+    max_depth counts moves from the seed, not the seed's own history.
+    max_states is a plain budget of popped states, at least 1 (the seed):
+    hitting it can only downgrade a would-be "yes" to "inconclusive",
+    never flip a verdict.
     """
 
     max_extra_edges: int = 2
@@ -364,9 +368,6 @@ class _ClassTable:
         rec.count += 1
         return rec, created
 
-    def fingerprint(self, rec):
-        return self.spread(rec.lengths)
-
     def spread(self, lengths):
         """_spread(spreader, lengths), once per distinct lengths tuple."""
         fp = self.spreads.get(lengths)
@@ -444,7 +445,9 @@ def _ascending_classes(base, n, table):
 def _children(state, bounds, pool):
     """(move, child) for every legal move within bounds, in enumeration
     order; each child is built only when it is read."""
-    return ((mv, _child(state, mv, surgery, pool, False)) for mv, surgery in _legal(state.graph, bounds))
+    for kind, fields, surgery in _legal_content(state.graph, bounds):
+        mv = kind(*fields)
+        yield mv, _child(state, mv, surgery, pool)
 
 
 def _legal_children(state, max_edges, max_label, pool):
@@ -502,7 +505,9 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
     if modulus is None:
         inner = MoveBounds(max_edges=len(g0.edges) + bounds.max_extra_edges, max_label=max_label)
         base_rec, _ = table.classify(base)
-        found = _reduced_search(base, max_label, table, pool)
+        # a smaller cap can drop the slide that leaves base's class: then the traversal classifies
+        searched = max_label >= base.graph.max_label() ** 2
+        found = _reduced_search(base, table, pool) if searched else (None, None)
         if found is not None and found[0] is not None and base is seed and bounds.max_depth >= 1:
             # a slide of the reduced seed decides: the traversal stops at it
             base_rec.count += found[0]
@@ -518,7 +523,7 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
     # records come in creation order, so a second class is the witness's
     witness = records[1].state.history if len(records) > 1 else None
     rigid = "no" if witness is not None else "inconclusive" if clipped else "yes"
-    classes = [ExploreClass(rec.state.graph, table.fingerprint(rec), rec.state.history, rec.count)
+    classes = [ExploreClass(rec.state.graph, table.spread(rec.lengths), rec.state.history, rec.count)
                for rec in records]
     # ascending classes share their graph and fingerprint, so the stable
     # sort keeps the seed's first
@@ -561,7 +566,7 @@ def _traverse(seed, bounds, inner, pool, table, counted):
                     counted.count += 1
                 else:
                     state.images()  # built for the first child classified, not per child
-                    child = _child(state, kind(*fields), content, pool, False)
+                    child = _child(state, kind(*fields), content, pool)
                     if table.classify(_reduce(child, pool))[1]:
                         return clipped
             if content in keyed:
@@ -573,28 +578,28 @@ def _traverse(seed, bounds, inner, pool, table, counted):
                 if counted is not None:
                     queue.append((GbsGraph(*content, True), depth + 1, None))
                 else:
-                    child = child or _child(state, kind(*fields), content, pool, False)
+                    child = child or _child(state, kind(*fields), content, pool)
                     queue.append((child.graph, depth + 1, child))
     return clipped
 
 
-def _reduced_search(base, max_label, table, pool):
+def _reduced_search(base, table, pool):
     """The search over the reduced states of base's space, base being
     reduced (see the module docstring): None when every reduced child
     stays in base's class, else (before, child) for the first reduced
     child on another canonical graph or with other lengths, before
     counting the slides read before it, or None when a composite decided.
     It classifies nothing: table only measures base and each child on
-    base's graph.  Labels stay within max_label.  Within its own edge
-    count a reduced graph has no collapse or expansion, so _children
-    yields its slides, in _legal's order.
+    base's graph, and reads every slide of base, uncapped.  Within its
+    own edge count a reduced graph has no collapse or expansion, so
+    _children yields its slides, in _legal_content's order.
 
     A breadth-first search from base that marks states visited by their
     canonical graph pops base alone: a reduced child on another graph
     opens a class, as the graph is half of a class key, and one on base's
     graph is visited.  So base's children decide."""
     form, lengths = base.graph.canonical_form(), table.lengths(base)
-    slides = _children(base, MoveBounds(max_edges=len(base.graph.edges), max_label=max_label), pool)
+    slides = _children(base, MoveBounds(max_edges=len(base.graph.edges)), pool)
     for before, (_, child) in enumerate(chain(slides, _composites(base, pool))):
         child = _reduce(child, pool)
         # another graph is another class, known without the marking; an
@@ -615,9 +620,9 @@ def _composites(state, pool):
         p, q = sorted((c.la, c.lb))
         if c.va == c.vb and 2 <= p < q and q % p == 0:
             p_side, q_side = ("A", "B") if c.la == p else ("B", "A")
-            expanded = _apply_move(state, Expansion(c.va, p, (EdgeEnd(c.eid, q_side),)), pool, False)
+            expanded = _apply_move(state, Expansion(c.va, p, (EdgeEnd(c.eid, q_side),)), pool)
             mv = Slide(EdgeEnd(d, "A"), EdgeEnd(c.eid, p_side))
-            yield mv, _apply_move(expanded, mv, pool, False)
+            yield mv, _apply_move(expanded, mv, pool)
 
 
 def _soundness_check(seed, report, table):

@@ -279,6 +279,10 @@ def parse(text: str) -> GbsGraph:
                 la = int(parts[3])
                 lb = int(parts[4])
             except ValueError:
+                # int() refuses a signed run of digits only when it has more
+                # digits than sys.get_int_max_str_digits()
+                if all((s[1:] if s[:1] in "+-" else s).isdecimal() for s in parts[3:5]):
+                    raise GbsSyntaxError("label of edge %s has too many digits" % eid, lineno) from None
                 raise GbsSyntaxError("labels must be integers", lineno) from None
             if va not in vseen:
                 raise GbsSyntaxError("unknown vertex %r" % va, lineno)

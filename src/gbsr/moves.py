@@ -23,8 +23,7 @@ Enumeration lists legal moves directly, one at a time, each as its move
 type, its arguments and the surgery its move function runs once the
 move is checked, so a caller that stops early pays for nothing past the
 last move it read, and one that reads only move types and graph content
-builds no move object; a thin wrapper builds the moves for the callers
-that read them.  The move functions judge the moves that users supply.
+builds no move object.  The move functions judge the moves that users supply.
 A test ties the two together: over thousands of graphs and bounds, the
 enumeration yields the same moves and surgeries, in order, as the
 reference in tests/oracle.py, which proposes every candidate and keeps
@@ -133,14 +132,13 @@ class Induction:
 class MarkedState:
     """A graph plus a marking of the seed group in its fundamental group."""
 
-    __slots__ = ("graph", "history", "seed", "_images", "_marking", "_parent")
+    __slots__ = ("graph", "history", "seed", "_images", "_parent")
 
     def __init__(self, graph, history, seed, images=None, parent=None):
         self.graph = graph
         self.history = history
         self.seed = seed
         self._images = images
-        self._marking = None
         # the state that history[-1] was applied to, kept until images()
         # has read through it
         self._parent = parent
@@ -201,14 +199,10 @@ class MarkedState:
     @property
     def marking(self):
         """Seed generator -> word in the current presentation, projected
-        from images() (lazy)."""
-        if self._marking is None:
-            p = self.presentation
-            self._marking = {
-                sym: path_to_generators(p, PathWord(p.base, letters))
-                for sym, letters in self.images().items()
-            }
-        return self._marking
+        from images() on each read."""
+        p = self.presentation
+        return {sym: path_to_generators(p, PathWord(p.base, letters))
+                for sym, letters in self.images().items()}
 
     @property
     def depth(self):
@@ -454,21 +448,18 @@ def _pooled(pool, vertices, edges):
     return graph
 
 
-def _apply_move(state: MarkedState, move, pool: dict, verify: bool) -> MarkedState:
-    """apply_move with the new graph taken from pool (see _pooled)."""
+def _apply_move(state: MarkedState, move, pool: dict) -> MarkedState:
+    """apply_move, unverified, with the new graph taken from pool (see _pooled)."""
     act = _MOVES.get(type(move))
     if act is None:
         raise TypeError("unknown move %r" % (move,))
-    return _child(state, move, act(state.graph, move), pool, verify)
+    return _child(state, move, act(state.graph, move), pool)
 
 
-def _child(state: MarkedState, move, surgery, pool: dict, verify: bool) -> MarkedState:
+def _child(state: MarkedState, move, surgery, pool: dict) -> MarkedState:
     """The state that move leads to, given the graph content its move
     function returned on state.graph."""
-    out = MarkedState(_pooled(pool, *surgery), state.history + (move,), state.seed, parent=state)
-    if verify:
-        out.verify()
-    return out
+    return MarkedState(_pooled(pool, *surgery), state.history + (move,), state.seed, parent=state)
 
 
 def apply_move(state: MarkedState, move, verify: bool = True) -> MarkedState:
@@ -479,7 +470,8 @@ def apply_move(state: MarkedState, move, verify: bool = True) -> MarkedState:
     here never leaves more than one step unreduced.
     """
     state.images()
-    return _apply_move(state, move, {}, verify)
+    out = _apply_move(state, move, {})
+    return out.verify() if verify else out
 
 
 def collapse(state: MarkedState, edge: str) -> MarkedState:
@@ -678,13 +670,6 @@ def _legal_content(g: GbsGraph, bounds: MoveBounds):
             yield Induction, (k,), (g.vertices, g.edges)
 
 
-def _legal(g: GbsGraph, bounds: MoveBounds):
-    """(move, surgery) for every move of _legal_content(g, bounds), in its
-    order and as lazily."""
-    for kind, fields, surgery in _legal_content(g, bounds):
-        yield kind(*fields), surgery
-
-
 def _subsets(items):
     """Every subset of items as a tuple, in binary counting order: the
     i-th item is in the subsets whose bit i is set."""
@@ -711,4 +696,4 @@ def enumerate_moves(state: MarkedState, bounds: MoveBounds = MoveBounds()):
     indices 2, 3 and 6, and 196,832 moves in all.  max_edges = the current
     edge count leaves expansions out.
     """
-    return [mv for mv, _ in _legal(state.graph, bounds)]
+    return [kind(*fields) for kind, fields, _ in _legal_content(state.graph, bounds)]

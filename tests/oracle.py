@@ -407,7 +407,7 @@ def reference_explore(seed, bounds=None):
     records = list(table.classes.values())
     witness = records[1].state.history if len(records) > 1 else None
     rigid = "no" if witness is not None else "inconclusive" if clipped else "yes"
-    classes = sorted((ExploreClass(rec.state.graph, table.fingerprint(rec), rec.state.history, rec.count)
+    classes = sorted((ExploreClass(rec.state.graph, table.spread(rec.lengths), rec.state.history, rec.count)
                       for rec in records), key=lambda c: (c.graph.canonical_form(), c.fingerprint))
     return ExploreReport(tuple(classes), rigid, witness)
 
@@ -482,9 +482,11 @@ def candidates(g: GbsGraph, bounds):
 
 
 def legal(g: GbsGraph, bounds):
-    """The reference for moves._legal: (move, surgery) for every candidate
-    its move function accepts and whose every resulting label is within
-    bounds.max_label, in enumerate_moves order."""
+    """The reference for moves._legal_content: (move, surgery) for every
+    candidate its move function accepts and whose every resulting label
+    is within bounds.max_label, in enumerate_moves order, where
+    _legal_content yields (kind, fields, surgery) with kind(*fields) the
+    move."""
     from gbsr.errors import GbsError
     from gbsr.moves import _MOVES
 

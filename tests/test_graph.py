@@ -75,8 +75,11 @@ def test_parse_rejects_bad_labels():
         parse("vertex v\nedge c v 0 6 v\n")
     with pytest.raises(NonPositiveLabelError):
         parse("vertex v\nedge c v -2 6 v\n")
-    with pytest.raises(GbsSyntaxError):
+    with pytest.raises(GbsSyntaxError, match="labels must be integers"):
         parse("vertex v\nedge c v two 6 v\n")
+    # longer than int()'s string limit, whose ValueError is not a non-integer's
+    with pytest.raises(GbsSyntaxError, match="line 2: label of edge c has too many digits"):
+        parse("vertex v\nedge c v 2 %s v\n" % ("9" * 5000))
 
 
 def test_serialize_round_trip():

@@ -33,7 +33,7 @@ from gbsr.moves import (
     _LETTERS,
     _apply_move,
     _divisors,
-    _legal,
+    _legal_content,
     apply_move,
     collapse,
     enumerate_moves,
@@ -366,8 +366,8 @@ def test_pooled_and_public_routes_agree():
                 break
             mv = rng.choice(moves)
             # a repeated move hands back the pooled graph object
-            again = _apply_move(pooled, mv, pool, False)
-            pooled = _apply_move(pooled, mv, pool, False)
+            again = _apply_move(pooled, mv, pool)
+            pooled = _apply_move(pooled, mv, pool)
             assert again.graph is pooled.graph
             shared += 1
             public = apply_move(public, mv, verify=False)
@@ -479,8 +479,8 @@ def test_legal_proposes_candidates_one_at_a_time(monkeypatch):
 
     monkeypatch.setattr(gbsr.moves, "Expansion", counting)
     g = parse("vertex v\n" + "".join("edge c%d v 6 6 v\n" % i for i in range(3)))
-    mv, _ = next(_legal(g, MoveBounds()))
-    assert mv == Slide(parse_end("c0.A"), parse_end("c1.A")) and made == []
+    kind, fields, _ = next(_legal_content(g, MoveBounds()))
+    assert kind(*fields) == Slide(parse_end("c0.A"), parse_end("c1.A")) and made == []
     moves = enumerate_moves(initial_state(g))
     # 6 ends divisible by each of the indices 2, 3 and 6
     assert len(made) == 3 * 2**6 == sum(isinstance(m, real) for m in moves)
@@ -492,7 +492,7 @@ def test_legal_reaches_an_expansion_without_listing_every_subset():
     g = parse("vertex v\n" + "".join("edge c%d v 6 6 v\n" % i for i in range(10)))
     tracemalloc.start()
     try:
-        first = next(mv for mv, _ in _legal(g, MoveBounds()) if isinstance(mv, Expansion))
+        first = next(kind(*fields) for kind, fields, _ in _legal_content(g, MoveBounds()) if kind is Expansion)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -519,23 +519,29 @@ def test_legal_builds_the_moves_the_reference_keeps(monkeypatch):
     for g in graphs:
         m, top = len(g.edges), g.max_label()
         free = _content(g, oracle.legal(g, MoveBounds()))
-        assert _content(g, _legal(g, MoveBounds())) == free, serialize(g)
+        got = ((kind(*fields), surgery) for kind, fields, surgery in _legal_content(g, MoveBounds()))
+        assert _content(g, got) == free, serialize(g)
         kinds.update(type(mv) for mv, *_ in free)
         for bounds in (MoveBounds(m, top * top), MoveBounds(m + 1, top), MoveBounds(m + 2, 2 * top, 2),
                        MoveBounds(m + 1, top - 1), MoveBounds(m + 1, 1)):
             want = _content(g, oracle.legal(g, bounds))
-            assert _content(g, _legal(g, bounds)) == want, (serialize(g), bounds)
+            got = ((kind(*fields), surgery) for kind, fields, surgery in _legal_content(g, bounds))
+            assert _content(g, got) == want, (serialize(g), bounds)
             capped += bounds.max_label >= top and len(want) < len(free)
             scanned += bounds.max_label < top and bool(want)
     assert set(kinds) == {Collapse, Expansion, Slide, Induction}
     assert len(graphs) > 1300 and capped > 2500 and scanned > 800, (len(graphs), capped, scanned)
 
 
-def test_verify_reads_no_generator_word():
+def test_verify_reads_no_generator_word(monkeypatch):
+    projected, project = [], gbsr.moves.path_to_generators
+    monkeypatch.setattr(gbsr.moves, "path_to_generators", lambda *args: projected.append(args) or project(*args))
     st = state("vertex v\nvertex w\nedge e v 2 6 w\nedge c v 2 3 v\n")
     for mv in enumerate_moves(st, MoveBounds(max_edges=3, max_label=36)):
         child = apply_move(st, mv, verify=True)
-        assert child._marking is None, mv
+        assert projected == [], mv
+    # reading the marking is what projects the generator words
+    assert child.marking and len(projected) == len(st.images())
 
 
 def _tampered(st, emptied=(), **images):
@@ -598,8 +604,9 @@ def test_every_move_returns_sorted_content(monkeypatch):
     monkeypatch.setattr(gbsr.graph, "validate", lambda g: validated.append(g) or validate(g))
     moves = set()
     for g in enumerate_graphs(2, 4) + seeded:
-        for mv, (vertices, edges) in _legal(g, MoveBounds()):
-            moves.add(type(mv))
+        for kind, fields, (vertices, edges) in _legal_content(g, MoveBounds()):
+            mv = kind(*fields)
+            moves.add(kind)
             assert list(vertices) == sorted(set(vertices)), (g.vertices, mv)
             ids = [e.eid for e in edges]
             assert ids == sorted(set(ids)) and all(type(e) is Edge for e in edges), (g.edges, mv)

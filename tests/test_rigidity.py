@@ -50,6 +50,8 @@ def test_ascending_modulus():
     assert ascending_modulus(loop(1, 1)) == 1
     with pytest.raises(NotAscendingError):
         ascending_modulus(loop(2, 6))
+    with pytest.raises(NotReducedError):
+        ascending_modulus(parse("vertex v\nvertex w\nedge c v 1 4 v\nedge e v 1 3 w\n"))
 
 
 def test_ascending_rigid_matches_prime_rule():

@@ -25,10 +25,10 @@ chains' collapses), `explorer._reduced_search` (the search over reduced
 states), `explorer._traverse` (the traversal over graph content, which
 counts on a one-class space and classifies otherwise),
 `explorer._soundness_check` (the verified replay of the report),
-`explorer._spread` (fingerprints spread from lengths), the `_legal` that
-`explorer` calls (legal moves and their surgery, for the children the
-reduced search reads), the `_legal_content` that `explorer` calls (move
-kinds and their surgery, for the traversal) and every entry of the table
+`explorer._spread` (fingerprints spread from lengths), the
+`_legal_content` that `explorer` calls (move kinds and their surgery,
+for the traversal and the children the reduced search reads) and every
+entry of the table
 `moves._LETTERS` (the letter maps that `MarkedState.images` makes for
 the steps it reads), the
 minimum of each layer's inclusive time and the layer's number of calls,
@@ -83,7 +83,6 @@ LAYERS = (("images", "moves", "MarkedState", "images"),
           ("_traverse", "explorer", None, "_traverse"),
           ("_soundness_check", "explorer", None, "_soundness_check"),
           ("_spread", "explorer", None, "_spread"),
-          ("_legal", "explorer", None, "_legal"),
           ("_legal_content", "explorer", None, "_legal_content"),
           ("letter maps", "moves", None, "_LETTERS"))
 
