@@ -538,22 +538,27 @@ def _traverse(seed, bounds, inner, pool, table, counted):
     over graph content: whether a cap cut it short.  Each move's kind and
     content come from _legal_content, each content is keyed once (one met
     again has its canonical key in visited already), and a queue entry is
-    (graph, depth, state).
+    (graph, depth, state).  keyed, the set of contents met, starts with
+    the seed's own, which the collapse undoing an expansion of the seed
+    gives back; a content is tested and added with one hash.
 
     With counted, a class record, each slide and collapse child adds 1 to
-    it, and a content with a new key is queued as a graph of its own,
-    outside the pool, with no state: nothing reads it after the walk.
-    With counted None, each slide and collapse child is built, reduced
-    and classified into table, and the walk stops at the first that opens
-    a class; the only other child built is a queued one, into the pool."""
-    keyed, visited = set(), {seed.graph.canonical_key()}  # keyed: graph contents
+    a tally that is added to it when the walk ends, and a content with a
+    new key is queued as a graph of its own, outside the pool, with no
+    state: nothing reads it after the walk.  With counted None, each
+    slide and collapse child is built, reduced and classified into table,
+    and the walk stops at the first that opens a class; the only other
+    child built is a queued one, into the pool."""
+    keyed = {(seed.graph.vertices, seed.graph.edges)}
+    visited = {seed.graph.canonical_key()}
     queue = deque([(seed.graph, 0, seed)])
-    clipped, popped = False, 0
+    clipped, popped, count = False, 0, 0
     while queue:
         g, depth, state = queue.popleft()
         popped += 1
         if popped > bounds.max_states:
-            return True
+            clipped = True
+            break
         moves = _legal_content(g, inner)
         if depth >= bounds.max_depth:
             # depth cap: anything still reachable from here is unexplored
@@ -563,15 +568,16 @@ def _traverse(seed, bounds, inner, pool, table, counted):
             child = None
             if kind is Slide or kind is Collapse:
                 if counted is not None:
-                    counted.count += 1
+                    count += 1
                 else:
                     state.images()  # built for the first child classified, not per child
                     child = _child(state, kind(*fields), content, pool)
                     if table.classify(_reduce(child, pool))[1]:
                         return clipped
-            if content in keyed:
-                continue
+            met = len(keyed)
             keyed.add(content)
+            if len(keyed) == met:
+                continue
             key = _canonical_key(*content)
             if key not in visited:
                 visited.add(key)
@@ -580,6 +586,8 @@ def _traverse(seed, bounds, inner, pool, table, counted):
                 else:
                     child = child or _child(state, kind(*fields), content, pool)
                     queue.append((child.graph, depth + 1, child))
+    if counted is not None:
+        counted.count += count
     return clipped
 
 

@@ -587,6 +587,12 @@ def _indices(label: int) -> tuple:
     return tuple(_divisors(label)[1:])
 
 
+@lru_cache(maxsize=1024)
+def _ends(eid: str) -> tuple:
+    """The A and B ends of edge eid, made once per edge id."""
+    return EdgeEnd(eid, "A"), EdgeEnd(eid, "B")
+
+
 def _legal_content(g: GbsGraph, bounds: MoveBounds):
     """(kind, fields, surgery) for every legal move within bounds, in
     enumerate_moves order, one at a time, so a caller that stops early
@@ -603,18 +609,27 @@ def _legal_content(g: GbsGraph, bounds: MoveBounds):
     none); otherwise every label of each result is.  oracle.legal in
     the tests is the reference that proposes every candidate and tries
     its move function.
+
+    One pass over the edges builds the table of ends at each vertex and
+    each vertex's largest label, which answer both the scan and the
+    collapse cap; the ends themselves come interned from _ends.
     """
     cap = bounds.max_label
-    scan = cap is not None and g.max_label() > cap
-    if cap is None:
-        cap = inf
-    # per vertex, (end, label, edge) for the ends there, in ends_at order:
-    # the edges come in id order
-    at = {v: [] for v in g.vertices}
+    # per vertex, (end, label, edge) for the ends there, in ends_at order
+    # (the edges come in id order), and the largest label there
+    at, top = {v: [] for v in g.vertices}, dict.fromkeys(g.vertices, 1)
     for e in g.edges:
         eid, va, la, vb, lb = e
-        at[va].append((EdgeEnd(eid, "A"), la, e))
-        at[vb].append((EdgeEnd(eid, "B"), lb, e))
+        a, b = _ends(eid)
+        at[va].append((a, la, e))
+        at[vb].append((b, lb, e))
+        if la > top[va]:
+            top[va] = la
+        if lb > top[vb]:
+            top[vb] = lb
+    scan = cap is not None and max(top.values()) > cap
+    if cap is None:
+        cap = inf
     for e in g.edges:
         eid, va, la, vb, lb = e
         if va == vb:
@@ -626,7 +641,7 @@ def _legal_content(g: GbsGraph, bounds: MoveBounds):
         else:
             continue
         # the labels at drop are multiplied by p; the unit end of e is the least
-        if not scan and p > 1 and max(label for _, label, _ in at[drop]) * p > cap:
+        if not scan and p > 1 and top[drop] * p > cap:
             continue
         surgery = _collapsed(g, eid, keep, drop, p)
         if not scan or _within(surgery, cap):

@@ -50,11 +50,17 @@ class Presentation:
 
     The spanning tree is grown breadth-first from the least vertex,
     scanning edges in id order, so everything here is deterministic.
+    The tree keeps each vertex's parent and the letter that reaches it;
+    path_to[v] and lifts[sym] read as dicts, and each path and each lift
+    is built when it is first read, so a deep tree costs memory only for
+    what is read.
 
     >>> from .graph import GbsGraph
     >>> p = Presentation(GbsGraph(["v"], [("e", "v", 1, "v", 2)]))
     >>> p.generators
     ('t_e', 'x_v')
+    >>> p.lifts["t_e"]
+    (('e', 'e', -1),)
     """
 
     __slots__ = ("graph", "base", "tree", "path_to", "lifts", "generators")
@@ -63,7 +69,7 @@ class Presentation:
         self.graph = graph
         self.base = graph.vertices[0]
         tree = set()
-        path_to = {self.base: ()}
+        parent = {self.base: None}
         frontier = [self.base]
         while frontier:
             nxt = []
@@ -77,21 +83,16 @@ class Presentation:
                         w, sign = e.vb, 1
                     else:
                         w, sign = e.va, -1
-                    if w not in path_to:
+                    if w not in parent:
                         tree.add(e.eid)
-                        path_to[w] = path_to[v] + (("e", e.eid, sign),)
+                        parent[w] = (v, ("e", e.eid, sign))
                         nxt.append(w)
             frontier = nxt
         self.tree = frozenset(tree)
-        self.path_to = path_to
-        # generator -> unreduced path letters, closed up along the tree
-        self.lifts = {"x_" + v: out + (("v", v, 1),) + invert_path_letters(out)
-                      for v, out in path_to.items()}
-        for e in graph.edges:
-            if e.eid not in tree:
-                back = invert_path_letters(path_to[e.va])
-                self.lifts["t_" + e.eid] = path_to[e.vb] + (("e", e.eid, -1),) + back
-        self.generators = tuple(sorted(self.lifts))
+        self.path_to = _Paths(self.base, parent)
+        crossings = {e.eid: (e.va, e.vb) for e in graph.edges if e.eid not in tree}
+        self.lifts = _Lifts(self.path_to, crossings)
+        self.generators = tuple(sorted(["x_" + v for v in parent] + ["t_" + eid for eid in crossings]))
 
     def relators(self):
         """One relator word per edge, as generator words freely equal to 1.
@@ -107,6 +108,56 @@ class Presentation:
                 t = "t_" + e.eid
                 rel.append(((t, 1), (xv, e.la), (t, -1), (xw, -e.lb)))
         return tuple(rel)
+
+
+class _Paths(dict):
+    """vertex -> tree path letters from the base, each built on first
+    read by walking up parent to the nearest vertex already read; only
+    the vertex read is stored, since storing every vertex passed would
+    make a deep tree quadratic again."""
+
+    __slots__ = ("parent",)
+
+    def __init__(self, base, parent):
+        super().__init__({base: ()})
+        self.parent = parent
+
+    def __missing__(self, v):
+        up, w = [], v
+        while w not in self:
+            w, letter = self.parent[w]
+            up.append(letter)
+        path = self[w] + tuple(reversed(up))
+        self[v] = path
+        return path
+
+
+class _Lifts(dict):
+    """generator -> unreduced path letters closed up along the tree, each
+    built on first read: x_v goes out to v, winds once and comes back;
+    t_e, for e in crossings (edge id -> its A and B vertices), goes out
+    to e's B end, crosses e backwards and comes back from its A end.  It
+    holds the paths, not their Presentation, so it makes no reference
+    cycle."""
+
+    __slots__ = ("paths", "crossings")
+
+    def __init__(self, paths, crossings):
+        super().__init__()
+        self.paths, self.crossings = paths, crossings
+
+    def __missing__(self, sym):
+        name = sym[2:]
+        if sym[:2] == "x_" and name in self.paths.parent:
+            out = self.paths[name]
+            lift = out + (("v", name, 1),) + invert_path_letters(out)
+        elif sym[:2] == "t_" and name in self.crossings:
+            va, vb = self.crossings[name]
+            lift = self.paths[vb] + (("e", name, -1),) + invert_path_letters(self.paths[va])
+        else:
+            raise KeyError(sym)
+        self[sym] = lift
+        return lift
 
 
 def _presentation(g: GbsGraph) -> Presentation:
@@ -429,11 +480,15 @@ def _read_length(g: GbsGraph, pieces, word) -> int:
 
 
 def _lifts(p: Presentation, word):
-    """p.lifts, once every symbol of word is known to be a generator of p."""
+    """p.lifts, once every symbol of word is known to be a generator of p
+    (reading a lift builds it)."""
+    lifts = p.lifts
     for sym, _ in word:
-        if sym not in p.lifts:
-            raise UnknownGeneratorError("%r is not a generator here" % sym)
-    return p.lifts
+        try:
+            lifts[sym]
+        except KeyError:
+            raise UnknownGeneratorError("%r is not a generator here" % sym) from None
+    return lifts
 
 
 def to_path_word(p: Presentation, word) -> PathWord:

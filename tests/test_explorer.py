@@ -1624,3 +1624,17 @@ def test_explore_still_reads_inconclusive_on_four_wide_loops():
     report = explore(_wide_vertex(4))
     assert time.perf_counter() - t0 < 10.0
     assert report.rigid == "inconclusive" and [c.count for c in report.classes] == [71267]
+
+
+def test_the_count_walk_keys_each_content_once_and_never_the_seeds(monkeypatch):
+    # the walk starts with the seed's content met, so the collapse that
+    # undoes an expansion of the seed, which gives that content back, is
+    # not keyed; no other content is keyed twice either
+    keyed, real = [], gbsr.explorer._canonical_key
+    monkeypatch.setattr(gbsr.explorer, "_canonical_key", lambda v, e: keyed.append((v, e)) or real(v, e))
+    for text, keys in ((LOOP23, 42), ("vertex v\nvertex w\nedge a v 4 6 w\nedge b v 6 6 v\n", 740)):
+        keyed.clear()
+        g = parse(text)
+        assert explore(g).rigid == "yes"
+        assert len(keyed) == len(set(keyed)) == keys
+        assert (g.vertices, g.edges) not in keyed
