@@ -82,8 +82,7 @@ def _flag(value, word):
     return word if value else "not-" + word
 
 
-def _run_check(args):
-    g = _load(args.file)
+def _run_check(g, args):
     verdict = check(g)
     if args.json:
         _emit_json(verdict.to_json())
@@ -120,25 +119,22 @@ def _print_state(state, as_json):
         print("  %s = %s" % (sym, word))
 
 
-def _run_state_command(args):
-    g = _load(args.file)
-    state = initial_state(g)
-    if args.command == "reduce":
-        state = reduce_state(state)
-    elif args.command == "collapse":
-        state = collapse(state, args.edge)
-    elif args.command == "expand":
-        state = expand(state, args.vertex, args.p, map(parse_end, args.ends))
-    elif args.command == "slide":
-        state = slide(state, parse_end(args.moving), parse_end(args.across))
-    elif args.command == "induct":
-        state = induct(state, args.d)
-    _print_state(state, args.json)
+# each state command's move on the file's initial marked state
+_STEPS = {
+    "reduce": lambda state, args: reduce_state(state),
+    "collapse": lambda state, args: collapse(state, args.edge),
+    "expand": lambda state, args: expand(state, args.vertex, args.p, map(parse_end, args.ends)),
+    "slide": lambda state, args: slide(state, parse_end(args.moving), parse_end(args.across)),
+    "induct": lambda state, args: induct(state, args.d),
+}
+
+
+def _run_state_command(g, args):
+    _print_state(_STEPS[args.command](initial_state(g), args), args.json)
     return 0
 
 
-def _run_explore(args):
-    g = _load(args.file)
+def _run_explore(g, args):
     bounds = ExploreBounds(
         max_extra_edges=args.max_extra_edges,
         max_label=args.max_label,
@@ -160,21 +156,23 @@ def _run_explore(args):
     return 0
 
 
-def _run_length(args):
-    g = _load(args.file)
-    p = Presentation(g)
-    print(word_length(p, parse_word(args.word)))
+def _run_length(g, args):
+    print(word_length(Presentation(g), parse_word(args.word)))
     return 0
 
 
-def _run_export_dot(args):
-    g = _load(args.file)
+def _run_export_dot(g, args):
     text = to_dot(g)
     if args.json:
         _emit_json({"dot": text})
     else:
         sys.stdout.write(text)
     return 0
+
+
+# the handler of each command that does not print a marked state, called
+# with the loaded graph and the parsed arguments
+_HANDLERS = {"check": _run_check, "explore": _run_explore, "length": _run_length, "export-dot": _run_export_dot}
 
 
 def main(argv=None) -> int:
@@ -199,15 +197,7 @@ def _main(argv):
         print("usage: gbsr slide <file> <end> across <end>", file=sys.stderr)
         return 2
     try:
-        if args.command == "check":
-            return _run_check(args)
-        if args.command == "explore":
-            return _run_explore(args)
-        if args.command == "length":
-            return _run_length(args)
-        if args.command == "export-dot":
-            return _run_export_dot(args)
-        return _run_state_command(args)
+        return _HANDLERS.get(args.command, _run_state_command)(_load(args.file), args)
     except GbsError as err:
         print("error: %s: %s" % (err.name, err), file=sys.stderr)
         return 1

@@ -50,21 +50,17 @@ A report's classes, counts and witness are those of explore's traversal:
 a breadth-first walk over every state within the bounds, reduced or not,
 visiting each canonical graph once.  A class's count is the number of
 slide and collapse children whose reduced state falls in it, plus one
-for the seed's in the base class.  When a slide of a reduced seed decides
-and max_depth >= 1, the traversal would stop there (the seed, popped
-first, lists its slides first, in the search's order, and keys each
-against the only class), so the slides before it count into the base
-class and its reduced child is the witness, and _traverse does not run.
-Otherwise _traverse walks it over graph content, reading each move's
-kind and the new graph's content from _legal_content, in one of two
-modes.  When the reduced search exhausts its space with one class, all
-children fall in the base class, so the walk only counts them into it and
-builds no move, marked state or pooled graph.  Otherwise (a composite
-decided, or the search did not run) it builds, reduces and classifies
-each such child until the first new class, whose representative is the
-witness.  explore assumes only that the traversal finds no second class
-where the reduced search exhausts one; the tests check reports against
-a traversal classifying each child.
+for the seed's in the base class.  _traverse walks it over graph
+content, reading each move's kind and the new graph's content from
+_legal_content, in one of two modes.  When the reduced search exhausts
+its space with one class, all children fall in the base class, so the
+walk only counts them into it and builds no move, marked state or
+pooled graph.  Otherwise (the search left the class, or did not run) it
+builds, reduces and classifies each such child until the first new
+class, whose representative is the witness.  explore assumes only that
+the traversal finds no second class where the reduced search exhausts
+one; the tests check reports against a traversal classifying each
+child.
 
 Children are built as the walk reaches them, so a "no" verdict builds
 nothing past its witness, and of the other children only those queued
@@ -460,9 +456,9 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
     """Decide whether the deformation space of a marked state holds more
     than one reduced class within bounds.
 
-    The search over reduced trees decides, and the traversal (_traverse)
-    counts each class's members, or the reduced seed's deciding slide
-    gives what the traversal would (see the module docstring).
+    The search over reduced trees picks the mode of the traversal
+    (_traverse), which counts each class's members and finds the witness
+    (see the module docstring).
     Verdicts: "no" (two reduced classes found; witness attached),
     "yes" (the bounded space was exhausted with a single class), or
     "inconclusive" (depth or state budget ran out first).
@@ -505,17 +501,12 @@ def explore(seed, bounds: ExploreBounds = ExploreBounds()) -> ExploreReport:
     if modulus is None:
         inner = MoveBounds(max_edges=len(g0.edges) + bounds.max_extra_edges, max_label=max_label)
         base_rec, _ = table.classify(base)
-        # a smaller cap can drop the slide that leaves base's class: then the traversal classifies
-        searched = max_label >= base.graph.max_label() ** 2
-        found = _reduced_search(base, table, pool) if searched else (None, None)
-        if found is not None and found[0] is not None and base is seed and bounds.max_depth >= 1:
-            # a slide of the reduced seed decides: the traversal stops at it
-            base_rec.count += found[0]
-            table.classify(found[1])
-            clipped = False
-        else:
-            # with one reduced class the traversal only counts into the base one
-            clipped = _traverse(seed, bounds, inner, pool, table, base_rec if found is None else None)
+        # the search runs only under a cap of at least the square of base's
+        # largest label, as a smaller one can drop the slide that leaves
+        # its class; with one reduced class the traversal only counts into
+        # the base one, else it classifies
+        one_class = max_label >= base.graph.max_label() ** 2 and _reduced_search(base, table, pool) is None
+        clipped = _traverse(seed, bounds, inner, pool, table, base_rec if one_class else None)
         records = list(table.classes.values())
     else:
         clipped, records = False, _ascending_classes(base, modulus, table)
@@ -593,14 +584,13 @@ def _traverse(seed, bounds, inner, pool, table, counted):
 
 def _reduced_search(base, table, pool):
     """The search over the reduced states of base's space, base being
-    reduced (see the module docstring): None when every reduced child
-    stays in base's class, else (before, child) for the first reduced
-    child on another canonical graph or with other lengths, before
-    counting the slides read before it, or None when a composite decided.
-    It classifies nothing: table only measures base and each child on
-    base's graph, and reads every slide of base, uncapped.  Within its
-    own edge count a reduced graph has no collapse or expansion, so
-    _children yields its slides, in _legal_content's order.
+    reduced (see the module docstring): the first reduced child on
+    another canonical graph or with other lengths, or None when every
+    reduced child stays in base's class.  It classifies nothing: table
+    only measures base and each child on base's graph, and reads every
+    slide of base, uncapped.  Within its own edge count a reduced graph
+    has no collapse or expansion, so _children yields its slides, in
+    _legal_content's order.
 
     A breadth-first search from base that marks states visited by their
     canonical graph pops base alone: a reduced child on another graph
@@ -608,12 +598,11 @@ def _reduced_search(base, table, pool):
     graph is visited.  So base's children decide."""
     form, lengths = base.graph.canonical_form(), table.lengths(base)
     slides = _children(base, MoveBounds(max_edges=len(base.graph.edges)), pool)
-    for before, (_, child) in enumerate(chain(slides, _composites(base, pool))):
+    for _, child in chain(slides, _composites(base, pool)):
         child = _reduce(child, pool)
-        # another graph is another class, known without the marking; an
-        # expansion opens a composite
+        # another graph is another class, known without the marking
         if child.graph.canonical_form() != form or table.lengths(child) != lengths:
-            return (None if isinstance(child.history[len(base.history)], Expansion) else before), child
+            return child
     return None
 
 

@@ -27,7 +27,7 @@ modulus is composite.
 """
 
 from dataclasses import dataclass, field
-from math import gcd, isqrt
+from math import isqrt
 
 from .errors import AscendingCaseError, NotAscendingError, NotReducedError
 from .graph import EdgeEnd, GbsGraph
@@ -208,9 +208,8 @@ def _strong_lucas(n: int) -> bool:
         if j == 0:
             return n == abs(D)
         D = -D - 2 if D > 0 else -D + 2
+    # gcd(n, Q) = 1: a prime p | n, Q is below |D|, so (p / n) or (9 / n) was 0 above
     Q = (1 - D) // 4
-    if gcd(n, Q) != 1:
-        return False
     d, s = n + 1, 0
     while d % 2 == 0:
         d //= 2

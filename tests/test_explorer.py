@@ -1116,21 +1116,22 @@ def test_counted_children_land_in_the_record_they_are_counted_into(monkeypatch):
 
 
 # reduced seeds whose deciding slide comes after two slides that stay in
-# the seed's class, those of the (1, 1) loop's ends across each other
+# the seed's class, those of the (1, 1) loop's ends across each other, so
+# the seed's class counts 3
 SLID_PAST = ("vertex v0\nvertex v1\nedge e0 v0 1 1 v0\nedge e1 v0 2 2 v1\nedge e2 v1 2 3 v1\n",
              "vertex v0\nvertex v1\nedge e0 v0 1 1 v0\nedge e1 v0 2 2 v1\nedge e2 v1 1 2 v1\n")
 # an unreduced seed whose reduction a slide decides: the traversal runs
-# from the seed itself, so the reduced search's slide is not its witness
+# from the seed itself, so the reduced search's child is not its witness
 UNREDUCED_NO = "vertex x\nvertex y\nvertex z\nedge c x 2 2 x\nedge h x 2 3 y\nedge u y 1 5 z\n"
 
 
-def _slide_decided(g):
-    """The number of slides the reduced search reads before the one that
-    decides on the reduced graph g, or None when no slide decides."""
+def _deciding_move(g):
+    """The first move of the reduced child that the reduced search finds
+    outside the class of the reduced graph g, or None when it finds none."""
     seed = initial_state(g)
     table = _ClassTable(_sample_plan(len(seed.seed.presentation.generators), ExploreBounds().radius))
     found = _reduced_search(seed, table, _TrustedPool())
-    return None if found is None else found[0]
+    return None if found is None else found.history[0]
 
 
 def _shortcut_seeds():
@@ -1158,14 +1159,14 @@ def _shortcut_seeds():
 
 
 def test_explore_reports_match_with_the_shortcut_off(monkeypatch):
-    # with the reduced search answering that a composite decided every
-    # time, the traversal reduces and classifies every slide and collapse
-    # child rather than counting them or taking the search's slide; the
-    # reports stay the same, also under max_depth 1 and 0, from seeds
-    # with history and from unreduced seeds
+    # with the reduced search answering that it left the seed's class
+    # every time, the traversal reduces and classifies every slide and
+    # collapse child rather than counting them; the reports stay the same,
+    # also under max_depth 1 and 0, from seeds with history and from
+    # unreduced seeds
     seeds = _shortcut_seeds()
     on = [json.dumps(explore(seed, bounds).to_json(), sort_keys=True) for seed, bounds in seeds]
-    monkeypatch.setattr(gbsr.explorer, "_reduced_search", lambda base, table, pool: (None, base))
+    monkeypatch.setattr(gbsr.explorer, "_reduced_search", lambda base, table, pool: base)
     off = [json.dumps(explore(seed, bounds).to_json(), sort_keys=True) for seed, bounds in seeds]
     mismatched = [([str(m) for m in seed.history], serialize(seed.graph))
                   for (seed, _), one, other in zip(seeds, on, off) if one != other]
@@ -1173,19 +1174,22 @@ def test_explore_reports_match_with_the_shortcut_off(monkeypatch):
     # the seeds reach the slide taken after in-class slides, on seeds with
     # history too, and the unreduced seed that reduces to a slide-decided one
     with_history = [seed for seed, _ in seeds if seed.history and is_reduced(seed.graph)]
-    assert [_slide_decided(parse(t)) for t in SLID_PAST] == [2, 2]
-    assert sum(_slide_decided(seed.graph) is not None for seed in with_history) >= 15
-    assert _slide_decided(reduce_state(state(UNREDUCED_NO)).graph) == 0
+    for t in SLID_PAST:
+        report = explore(state(t))
+        assert [c.count for c in report.classes] == [3, 1], t
+        assert [str(m) for m in report.witness] == ["slide e1.B across e2.A"], t
+    assert sum(isinstance(_deciding_move(seed.graph), Slide) for seed in with_history) >= 15
+    assert isinstance(_deciding_move(reduce_state(state(UNREDUCED_NO)).graph), Slide)
 
 
 def test_the_classify_walk_matches_the_reference_under_budget_and_edge_caps(monkeypatch):
-    # with the reduced search answering that a composite decided every
-    # time, explore's traversal classifies every slide and collapse child,
+    # with the reduced search answering that it left the seed's class
+    # every time, explore's traversal classifies every slide and collapse child,
     # as the reference does; a state budget cuts the walk at a point that
     # depends on the visiting order, so equal reports under the caps pin
     # that order in this mode too.  Every third non-ascending graph of the
     # corpus keeps the test near 1.5 s on a 2-core x86-64 host
-    monkeypatch.setattr(gbsr.explorer, "_reduced_search", lambda base, table, pool: (None, base))
+    monkeypatch.setattr(gbsr.explorer, "_reduced_search", lambda base, table, pool: base)
     graphs = [g for g in _shortcut_corpus() if not is_ascending(g)][::3]
     verdicts = Counter()
     for bounds in [ExploreBounds(max_states=n) for n in (1, 2, 7, 50)] + [
@@ -1253,27 +1257,41 @@ def test_the_reduced_search_agrees_with_check_one_move_from_the_two_edge_corpus(
     assert (report.rigid, [str(m) for m in report.witness]) == ("no", ["expand v0 2 e0.B", "collapse e0"])
 
 
-def test_explore_runs_the_traversal_only_where_no_seed_slide_decides(monkeypatch):
-    # a reduced seed that a slide decides, under max_depth >= 1, takes its
-    # report from the reduced search and runs no traversal; a composite
-    # (BS(2,6)), an unreduced seed and max_depth 0 still run it in
-    # classify mode, and the last reads "inconclusive"
-    searched, traverse = [], gbsr.explorer._traverse
+def test_explore_runs_the_traversal_once_in_the_mode_the_reduced_search_picks(monkeypatch):
+    # every non-ascending explore call runs _traverse once, counting into
+    # the base class exactly when the reduced search, run under a cap of
+    # at least the square of the reduction's largest label, finds no
+    # second class; a slide or a composite that decides, and a cap too
+    # small for the search to run, leave the traversal to classify
+    found, modes = [], []
+    search, traverse = gbsr.explorer._reduced_search, gbsr.explorer._traverse
+    monkeypatch.setattr(gbsr.explorer, "_reduced_search",
+                        lambda *args: found.append(search(*args)) or found[-1])
     monkeypatch.setattr(gbsr.explorer, "_traverse",
-                        lambda *args: searched.append(args[-1] is None) or traverse(*args))
-    decided = 0
-    for g in _shortcut_corpus() + [parse(t) for t in SLID_PAST]:
-        if is_ascending(g) or _slide_decided(g) is None:
-            continue
-        for bounds in (ExploreBounds(), ExploreBounds(max_depth=1)):
-            assert explore(initial_state(g), bounds).rigid == "no", serialize(g)
-        decided += 1
-    assert searched == [] and decided == 193
-    for text, bounds, rigid in ((BS26, ExploreBounds(), "no"), (UNREDUCED_NO, ExploreBounds(), "no"),
-                                (PATH22, ExploreBounds(max_depth=0), "inconclusive")):
-        searched.clear()
-        assert explore(state(text), bounds).rigid == rigid, text
-        assert searched == [True], text
+                        lambda *args: modes.append(args[-1] is not None) or traverse(*args))
+    calls = [(g, bounds) for g in _shortcut_corpus() + [parse(t) for t in SLID_PAST] if not is_ascending(g)
+             for bounds in (ExploreBounds(), ExploreBounds(max_depth=1))]
+    calls += [(parse(text), bounds) for text, bounds in (
+        (BS26, ExploreBounds()), (UNREDUCED_NO, ExploreBounds()), (PATH22, ExploreBounds(max_depth=0)),
+        ("vertex v0\nedge e0 v0 1 2 v0\nedge e1 v0 3 3 v0\n", ExploreBounds(max_label=3)))]
+    seen = Counter()
+    for g, bounds in calls:
+        found.clear()
+        modes.clear()
+        rigid = explore(initial_state(g), bounds).rigid
+        base = reduce_state(initial_state(g))
+        top = base.graph.max_label()
+        assert len(found) == ((bounds.max_label or max(g.max_label(), top) ** 2) >= top ** 2), serialize(g)
+        assert modes == [found == [None]], serialize(g)
+        # the first move past the reduction of the child that decides
+        decider = "unsearched" if not found else found[0] and type(found[0].history[len(base.history)]).__name__
+        seen[decider, rigid] += 1
+    # 193 graphs decided by a slide under each of the two bounds, with
+    # UNREDUCED_NO; PATH22 under max_depth 0; BS26 among the composites;
+    # the capped loop, unsearched
+    assert seen == {("Slide", "no"): 387, ("Slide", "inconclusive"): 1, ("Expansion", "no"): 6,
+                    ("Expansion", "inconclusive"): 5, (None, "yes"): 60, (None, "inconclusive"): 58,
+                    ("unsearched", "no"): 1}, seen
 
 
 def test_explore_spreads_each_distinct_lengths_tuple_once(monkeypatch):
@@ -1413,13 +1431,13 @@ def test_composites_expand_each_dividing_loop_and_slide_its_new_edge():
 
 def test_the_reduced_search_answers_bs26_from_its_composite_graph():
     # BS(2,6) is reduced and has no slide; its one composite reduces to
-    # another graph, so the search answers that a composite decided, with
-    # only the seed measured
+    # another graph, so the search answers with that composite, which
+    # starts with an expansion, with only the seed measured
     base, pool = state(BS26), _TrustedPool()
     assert is_reduced(base.graph)
     table = _ClassTable(_sample_plan(1, 4))
-    before, found = _reduced_search(base, table, pool)
-    assert before is None
+    found = _reduced_search(base, table, pool)
+    assert isinstance(found.history[len(base.history)], Expansion)
     assert not table.classes and list(table.measured) == [_exact_key(base)]
     [(_, child)] = gbsr.explorer._composites(base, pool)
     assert _reduce(child, pool).graph.canonical_form() != base.graph.canonical_form()

@@ -86,6 +86,7 @@ def test_words_inside_the_letter_budget_are_measured():
 def test_free_reduce_and_invert():
     assert free_reduce([("a", 1), ("a", -1), ("b", 2)]) == (("b", 2),)
     assert free_reduce([("a", 2), ("a", -1)]) == (("a", 1),)
+    assert free_reduce([("a", 0)]) == ()
     w = (("a", 2), ("b", -1))
     assert invert_word(w) == (("b", 1), ("a", -2))
     assert free_reduce(list(w) + list(invert_word(w))) == ()
