@@ -34,11 +34,14 @@ non-ascending deformation space any two reduced trees are joined by
 slides (Forester, "Deformation and rigidity of simplicial group actions
 on trees", Geom. Topol. 2002; Guirardel & Levitt, "Deformation spaces
 of trees", Groups Geom. Dyn. 2007).  _reduced_search takes the seed's
-reduction, its slides, and one composite per loop (p, q) with p | q and
-2 <= p < q: expand its vertex by p moving the q end, then slide the new
-edge's A end across the p end, which turns the loop into an edge
-(p, q/p) to a new vertex and the new edge into a loop (q/p, 1) there.
-It reduces each child, and stops at the first outside the seed's class:
+reduction and makes one move per divisible pair (E, F) of its graph
+(rigidity.divisible_pairs), slides first: on two edges, the slide of E
+across F; on one loop (p, q) with F's label p < q, the composite that
+expands the vertex by p moving E, then slides the new edge's A end
+across F, which turns the loop into an edge (p, q/p) to a new vertex
+and the new edge into a loop (q/p, 1) there; on a loop with equal
+labels, none.  It reduces each child, and stops at the first outside
+the seed's class:
 on another canonical graph, or with other lengths.  When every child
 stays in the seed's class, a sequence of such moves never leaves it, so
 the search over reduced states ends there.  It runs only under a
@@ -101,7 +104,7 @@ explore's refusal of more than 200,000 sample words and its replay.
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 from operator import countOf, itemgetter
 
 from .errors import BoundsTooTightError, BrokenMarkingError, GbsError, NoViolationError
@@ -124,7 +127,7 @@ from .moves import (
     apply_move,
     initial_state,
 )
-from .rigidity import _ascending_n, check, collapse_witness
+from .rigidity import _ascending_n, check, collapse_witness, divisible_pairs
 from .words import _pinch_table, free_reduce, invert_path_letters, reduce_letters
 
 
@@ -587,39 +590,31 @@ def _reduced_search(base, table, pool):
     reduced (see the module docstring): the first reduced child on
     another canonical graph or with other lengths, or None when every
     reduced child stays in base's class.  It classifies nothing: table
-    only measures base and each child on base's graph, and reads every
-    slide of base, uncapped.  Within its own edge count a reduced graph
-    has no collapse or expansion, so _children yields its slides, in
-    _legal_content's order.
+    only measures base and each child on base's graph.  Its children
+    come one move per divisible pair of base's graph, slides first, and
+    uncapped.
 
     A breadth-first search from base that marks states visited by their
     canonical graph pops base alone: a reduced child on another graph
     opens a class, as the graph is half of a class key, and one on base's
     graph is visited.  So base's children decide."""
-    form, lengths = base.graph.canonical_form(), table.lengths(base)
-    slides = _children(base, MoveBounds(max_edges=len(base.graph.edges)), pool)
-    for _, child in chain(slides, _composites(base, pool)):
+    g = base.graph
+    form, lengths = g.canonical_form(), table.lengths(base)
+    d = _fresh("d", g._by_id)  # the edge each composite's expansion adds
+    for v, e, f in sorted(divisible_pairs(g), key=lambda pair: pair[1].edge == pair[2].edge):
+        p = g.end_label(f)
+        if e.edge != f.edge:
+            child = _apply_move(base, Slide(e, f), pool)
+        elif p < g.end_label(e):
+            expanded = _apply_move(base, Expansion(v, p, (e,)), pool)
+            child = _apply_move(expanded, Slide(EdgeEnd(d, "A"), f), pool)
+        else:
+            continue
         child = _reduce(child, pool)
         # another graph is another class, known without the marking
         if child.graph.canonical_form() != form or table.lengths(child) != lengths:
             return child
     return None
-
-
-def _composites(state, pool):
-    """(move, child) for each loop (p, q) of state's graph with p | q and
-    2 <= p < q: the child expands the loop's vertex by p, moving the q
-    end, then slides the new edge's A end across the p end; each child is
-    built only when it is read."""
-    g = state.graph
-    d = _fresh("d", g._by_id)  # the edge each expansion adds
-    for c in g.edges:
-        p, q = sorted((c.la, c.lb))
-        if c.va == c.vb and 2 <= p < q and q % p == 0:
-            p_side, q_side = ("A", "B") if c.la == p else ("B", "A")
-            expanded = _apply_move(state, Expansion(c.va, p, (EdgeEnd(c.eid, q_side),)), pool)
-            mv = Slide(EdgeEnd(d, "A"), EdgeEnd(c.eid, p_side))
-            yield mv, _apply_move(expanded, mv, pool)
 
 
 def _soundness_check(seed, report, table):

@@ -63,7 +63,7 @@ move made there is valid by construction and is not validated again.
 """
 
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import gcd, inf
 
@@ -606,13 +606,14 @@ def _legal_content(g: GbsGraph, bounds: MoveBounds):
     loop.  Each surgery is the body that its move function runs once the
     move is checked.  When g is within max_label only the labels a move
     changes are read against it (an expansion or an induction raises
-    none); otherwise every label of each result is.  oracle.legal in
+    none); when g exceeds it, the uncapped moves whose every resulting
+    label is within it are kept, so no induction is.  oracle.legal in
     the tests is the reference that proposes every candidate and tries
     its move function.
 
     One pass over the edges builds the table of ends at each vertex and
-    each vertex's largest label, which answer both the scan and the
-    collapse cap; the ends themselves come interned from _ends.
+    each vertex's largest label, which answer both whether g exceeds the
+    cap and the collapse cap; the ends themselves come interned from _ends.
     """
     cap = bounds.max_label
     # per vertex, (end, label, edge) for the ends there, in ends_at order
@@ -627,9 +628,14 @@ def _legal_content(g: GbsGraph, bounds: MoveBounds):
             top[va] = la
         if lb > top[vb]:
             top[vb] = lb
-    scan = cap is not None and max(top.values()) > cap
     if cap is None:
         cap = inf
+    elif max(top.values()) > cap:
+        # g itself exceeds the cap: keep the uncapped moves whose result is within it
+        for kind, fields, surgery in _legal_content(g, replace(bounds, max_label=None)):
+            if _within(surgery, cap):
+                yield kind, fields, surgery
+        return
     for e in g.edges:
         eid, va, la, vb, lb = e
         if va == vb:
@@ -641,11 +647,9 @@ def _legal_content(g: GbsGraph, bounds: MoveBounds):
         else:
             continue
         # the labels at drop are multiplied by p; the unit end of e is the least
-        if not scan and p > 1 and top[drop] * p > cap:
+        if top[drop] * p > cap:
             continue
-        surgery = _collapsed(g, eid, keep, drop, p)
-        if not scan or _within(surgery, cap):
-            yield Collapse, (eid,), surgery
+        yield Collapse, (eid,), _collapsed(g, eid, keep, drop, p)
     for v in g.vertices:
         labelled = at[v]
         for moving, le, m in labelled:
@@ -654,11 +658,8 @@ def _legal_content(g: GbsGraph, bounds: MoveBounds):
                     continue
                 w, lw = (a.vb, a.lb) if across.side == "A" else (a.va, a.la)
                 label = le // lf * lw
-                if not scan and label > cap:
-                    continue
-                surgery = _slid(g, moving, m, w, label)
-                if not scan or _within(surgery, cap):
-                    yield Slide, (moving, across), surgery
+                if label <= cap:
+                    yield Slide, (moving, across), _slid(g, moving, m, w, label)
     if bounds.max_edges is None or len(g.edges) < bounds.max_edges:
         top = bounds.max_expansion
         u, d = _fresh("u", g.vertices), _fresh("d", g._by_id)
@@ -676,11 +677,9 @@ def _legal_content(g: GbsGraph, bounds: MoveBounds):
                 for high in _subsets(divisible[half:]):
                     for low in lows:
                         moved = low + high
-                        surgery = _expanded(g, v, p, moved, u, d)
-                        if not scan or _within(surgery, cap):
-                            yield Expansion, (v, p, moved), surgery
+                        yield Expansion, (v, p, moved), _expanded(g, v, p, moved, u, d)
     n = _ascending_n(g)
-    if n is not None and not scan:  # an induction keeps the graph
+    if n is not None:
         for k in _divisors(n):
             yield Induction, (k,), (g.vertices, g.edges)
 

@@ -102,7 +102,8 @@ def ascending_modulus(g: GbsGraph) -> int:
 
 def divisible_pairs(g: GbsGraph):
     """Every (vertex, endE, endF) of distinct ends at vertex with label(F) |
-    label(E), in vertex, E, F order: the slides of E across F."""
+    label(E), in vertex, E, F order: the slide of E across F when they lie
+    on two edges, and no slide when they are the two ends of one loop."""
     for v in g.vertices:
         labelled = [(end, g.end_label(end)) for end in g.ends_at(v)]
         for e, le in labelled:

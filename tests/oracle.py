@@ -12,7 +12,9 @@ words (the package reads them off path letters), canonical forms from a
 search over every grouped vertex permutation (the package takes the
 one ordering when the invariant tells the vertices apart), legal moves
 by proposing every candidate and keeping those its move function
-accepts (the package builds only legal moves), explore's reports from
+accepts (the package builds only legal moves), the moves of one
+divisible pair from that pair alone (the package runs them inside its
+search over reduced trees), explore's reports from
 one traversal that classifies every slide and collapse child (the
 package decides by a search over reduced trees first), seed words are
 carried into a state's presentation by substituting its marking (the
@@ -23,7 +25,7 @@ enumeration order.
 
 import random
 from fractions import Fraction
-from itertools import chain, permutations, product
+from itertools import chain, count, permutations, product
 
 from gbsr.graph import GbsGraph
 from gbsr.words import substitute
@@ -498,6 +500,25 @@ def legal(g: GbsGraph, bounds):
             continue
         if cap is None or all(e.la <= cap and e.lb <= cap for e in surgery[1]):
             yield mv, surgery
+
+
+def pair_moves(g: GbsGraph, pair):
+    """The moves that one divisible pair (vertex, E, F) of g gives, built
+    from the pair alone: on two edges, the slide of E across F; on one
+    loop with label(F) < label(E), the expansion of the vertex by
+    label(F) moving E, then the slide of the new edge's A end across F;
+    on one loop with equal labels, none."""
+    from gbsr.graph import EdgeEnd
+    from gbsr.moves import Expansion, Slide
+
+    v, e, f = pair
+    if e.edge != f.edge:
+        return [Slide(e, f)]
+    if g.end_label(f) == g.end_label(e):
+        return []
+    ids = {edge.eid for edge in g.edges}
+    new = next("d%d" % i for i in count() if "d%d" % i not in ids)
+    return [Expansion(v, g.end_label(f), (e,)), Slide(EdgeEnd(new, "A"), f)]
 
 
 # -- random inputs -----------------------------------------------------------

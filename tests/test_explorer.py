@@ -46,7 +46,7 @@ from gbsr.moves import (
     enumerate_moves,
     initial_state,
 )
-from gbsr.rigidity import check, collapse_witness, is_ascending, is_reduced, nonascending_rigid
+from gbsr.rigidity import check, collapse_witness, divisible_pairs, is_ascending, is_reduced, nonascending_rigid
 from gbsr.words import invert_path_letters, reduce_letters, word_length
 
 BS26 = "vertex v\nedge c v 2 6 v\n"
@@ -1412,36 +1412,93 @@ def test_the_count_walk_matches_the_reference_count_under_every_cap():
     assert (len(graphs), len(one_class)) == (259, 59)
     assert clipped == [0, 0, 258, 256, 256, 256, 256, 256, 204, 10], clipped
     assert min(counted[:2] + counted[3:]) > 700, counted
+
+
+def _pair_child(seed, pair):
+    """The reduction of seed after the moves oracle.pair_moves builds for
+    pair, a divisible pair of seed's graph, each applied with verification."""
+    for mv in oracle.pair_moves(seed.graph, pair):
+        seed = apply_move(seed, mv, verify=True)
+    return reduce_state(seed)
+
+
 def test_composites_expand_each_dividing_loop_and_slide_its_new_edge():
-    # one composite per loop (p, q) with p | q and 2 <= p < q, in edge
-    # order, each built as the public, verified moves build it; the (3, 3)
-    # and (2, 5) loops have none
-    st = state("vertex v\nedge a v 2 4 v\nedge b v 3 3 v\nedge c v 9 3 v\nedge d v 2 5 v\n")
-    composites = list(gbsr.explorer._composites(st, _TrustedPool()))
-    assert [[str(m) for m in child.history] for _, child in composites] == [
-        ["expand v 2 a.B", "slide d0.A across a.A"],
-        ["expand v 3 c.A", "slide d0.A across c.B"],
-    ]
-    for mv, child in composites:
-        assert child.history[-1] == mv
-        verified = apply_move(apply_move(st, child.history[0]), mv)
-        assert (child.graph.vertices, child.graph.edges) == (verified.graph.vertices, verified.graph.edges)
-        assert child.images() == verified.images()
+    # on a graph whose only divisible pairs lie on loops, the reduced
+    # search answers with the composite of the first loop (p, q) with
+    # p | q and p < q, built as the public, verified moves of that pair
+    # build it; a loop with equal labels before it gives no move
+    for text, moves in (
+            ("vertex v\nedge a v 2 4 v\nedge b v 5 5 v\nedge c v 9 3 v\n",
+             ["expand v 2 a.B", "slide d0.A across a.A"]),
+            ("vertex v\nedge b v 5 5 v\nedge c v 9 3 v\nedge d v 7 11 v\n",
+             ["expand v 3 c.A", "slide d0.A across c.B"])):
+        st, pool = state(text), _TrustedPool()
+        table = _ClassTable(_sample_plan(len(st.seed.presentation.generators), 4))
+        found = _reduced_search(st, table, pool)
+        assert [str(m) for m in found.history[:2]] == moves, text
+        pair = next(pair for pair in divisible_pairs(st.graph) if oracle.pair_moves(st.graph, pair))
+        verified = _pair_child(st, pair)
+        assert found.history == verified.history, text
+        assert (found.graph.vertices, found.graph.edges) == (verified.graph.vertices, verified.graph.edges)
+        assert found.images() == verified.images()
 
 
 def test_the_reduced_search_answers_bs26_from_its_composite_graph():
-    # BS(2,6) is reduced and has no slide; its one composite reduces to
-    # another graph, so the search answers with that composite, which
-    # starts with an expansion, with only the seed measured
+    # BS(2,6) is reduced and has no slide; its one divisible pair is its
+    # loop, whose composite reduces to another graph, so the search
+    # answers with that composite, which starts with an expansion, with
+    # only the seed measured
     base, pool = state(BS26), _TrustedPool()
     assert is_reduced(base.graph)
     table = _ClassTable(_sample_plan(1, 4))
     found = _reduced_search(base, table, pool)
     assert isinstance(found.history[len(base.history)], Expansion)
     assert not table.classes and list(table.measured) == [_exact_key(base)]
-    [(_, child)] = gbsr.explorer._composites(base, pool)
-    assert _reduce(child, pool).graph.canonical_form() != base.graph.canonical_form()
-    assert found.history == _reduce(child, pool).history
+    [pair] = divisible_pairs(base.graph)
+    child = _pair_child(base, pair)
+    assert child.graph.canonical_form() != base.graph.canonical_form()
+    assert found.history == child.history
+
+
+def test_each_divisible_pair_that_check_reports_leaves_the_seeds_class():
+    # Levitt's criterion pair by pair, on the 1,287 reduced, non-ascending
+    # graphs of enumerate_graphs(2, 6): the moves oracle.pair_moves builds
+    # from one divisible pair alone, replayed with verification and
+    # reduced, reach another canonical graph or other lengths at radius 4
+    # for every pair check reports (slides tagged "divides" or "valence",
+    # composites on "same-loop" pairs, 235 of them on a (1, q) loop); the
+    # slides check excuses stay in the seed's class, and the pairs of a
+    # loop with equal labels give no move.  The reduced search answers
+    # with the reduction of the first leaving pair, slides first, or None
+    # when none leaves (about 1.6 s on a 2-core x86-64 host; the budget is
+    # 30 s)
+    t0 = time.perf_counter()
+    graphs = [g for g in enumerate_graphs(2, 6) if is_reduced(g) and not is_ascending(g)]
+    tally = Counter()
+    for g in graphs:
+        seed, pool = initial_state(g), _TrustedPool()
+        form, lengths = g.canonical_form(), fingerprint(seed, 4)
+        tags = {(e, f): tag for _, e, f, tag in check(g).violations}
+        leaving = []
+        for pair in sorted(divisible_pairs(g), key=lambda pair: pair[1].edge == pair[2].edge):
+            tag, moves = tags.get(pair[1:], "excused"), oracle.pair_moves(g, pair)
+            if not moves:
+                tally["none", tag, None] += 1
+                continue
+            child = _pair_child(seed, pair)
+            left = child.graph.canonical_form() != form or fingerprint(child, 4) != lengths
+            kind = "slide" if len(moves) == 1 else "composite p=%s" % ("1" if moves[0].p == 1 else ">=2")
+            tally[kind, tag, left] += 1
+            if left:
+                leaving.append(child.history)
+        table = _ClassTable(_sample_plan(len(seed.seed.presentation.generators), 4))
+        found = _reduced_search(seed, table, pool)
+        assert (found and found.history) == (leaving[0] if leaving else None), serialize(g)
+    assert len(graphs) == 1287
+    assert tally == {("slide", "divides", True): 1811, ("slide", "valence", True): 88,
+                     ("composite p=>=2", "same-loop", True): 144, ("composite p=1", "same-loop", True): 235,
+                     ("slide", "excused", False): 50, ("none", "excused", None): 574}, tally
+    assert time.perf_counter() - t0 < 30.0
 
 
 def test_explore_makes_one_class_table_and_the_reduced_search_classifies_nothing(monkeypatch):

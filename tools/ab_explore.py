@@ -27,7 +27,7 @@ counts on a one-class space and classifies otherwise),
 `explorer._soundness_check` (the verified replay of the report),
 `explorer._spread` (fingerprints spread from lengths), the
 `_legal_content` that `explorer` calls (move kinds and their surgery,
-for the traversal and the children the reduced search reads) and every
+for the traversal) and every
 entry of the table
 `moves._LETTERS` (the letter maps that `MarkedState.images` makes for
 the steps it reads), the
